@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from math import gcd
 
 from . import elliptic, lattices, matrices, qform
 from .embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
@@ -25,11 +24,12 @@ from .k3 import (
     K3Report,
     PicardData,
     classify,
+    lattice_form,
     report_to_json,
     revalidate_report,
 )
 from .lattices import GramLattice, direct_sum, discriminant_group, standard_lattice
-from .ntheory import is_square
+from .ntheory import is_square, vec_gcd
 from .qform import (
     BinaryForm,
     RepresentationVerdict,
@@ -415,12 +415,7 @@ def _ambient_u_a1() -> GramLattice:
 def _small_primitive_vectors(lattice: GramLattice, box: int):
     out = []
     for v in product(range(-box, box + 1), repeat=lattice.rank):
-        if not any(v):
-            continue
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
+        if vec_gcd(v) != 1:
             continue
         if qform._canonical_sign(v) != v:
             continue
@@ -457,7 +452,7 @@ def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None)
                 if key in memo:
                     verdicts = memo[key]
                 else:
-                    q = BinaryForm(key[0][0], 2 * key[0][1], key[1][1])
+                    q = lattice_form(lat)
                     verdicts = (
                         qform.binary_represents_zero(q),
                         qform.binary_represents(q, -2, limits),
@@ -489,10 +484,6 @@ def theorem3_to_json(ex: Theorem3Example) -> dict:
 
 
 # ---------------------------------------------------------------- aggregate
-
-
-def _form_of_gram(gram) -> BinaryForm:
-    return BinaryForm(gram[0][0], 2 * gram[0][1], gram[1][1])
 
 
 def paper_verification(limits: SearchLimits | None = None, claim3_bound: int = 50) -> dict:
@@ -539,7 +530,7 @@ def paper_verification(limits: SearchLimits | None = None, claim3_bound: int = 5
         (2, 1, 0, {"minus2_kind": "DIVISIBILITY", "divisor": 4}),
     ):
         res = claim3_search(Claim3Input(a_, b_, c_), claim3_bound)
-        q = _form_of_gram(res.gram)
+        q = lattice_form(GramLattice(2, res.gram))
         row_ok = (
             verify_certificate(q, 0, res.zero_verdict.certificate)
             and verify_certificate(q, -2, res.minus2_verdict.certificate)
@@ -563,7 +554,7 @@ def paper_verification(limits: SearchLimits | None = None, claim3_bound: int = 5
         )
 
     ex = theorem3_example(10, limits)
-    q = _form_of_gram(ex.gram)
+    q = lattice_form(GramLattice(2, ex.gram))
     row_ok = verify_certificate(q, 0, ex.zero_verdict.certificate) and verify_certificate(
         q, -2, ex.minus2_verdict.certificate
     )

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from . import catalog, elliptic, k3, lattices, qform
 from .catalog import Claim3Input, SearchExhausted
-from .embeddings import induced_gram, is_primitive, sublattice_from_json
+from .embeddings import is_primitive, lattice_or_sublattice_from_json
 from .lattices import aut_index_bound, aut_order_finite_abelian, discriminant_group
-from .qform import BinaryForm, DiagonalTernaryForm, SearchLimits, UnaryForm
+from .qform import SearchLimits
 
 __all__ = ["RunConfig", "main", "load_config", "EXIT_OK", "EXIT_ERROR", "EXIT_UNDECIDED"]
 
@@ -115,19 +115,11 @@ def _read_json_argument(text: str):
     return _parse_json(raw, text)
 
 
-def _lattice_argument(obj):
-    """A lattice JSON, or a sublattice JSON contributing its induced Gram."""
-    if isinstance(obj, dict) and "ambient" in obj:
-        sub = sublattice_from_json(obj)
-        return induced_gram(sub), sub
-    return lattices.lattice_from_json(obj), None
-
-
 # ------------------------------------------------------------------ commands
 
 
 def _cmd_lattice_info(args, cfg: RunConfig):
-    lattice, sub = _lattice_argument(_read_json_argument(args.lattice))
+    lattice, sub = lattice_or_sublattice_from_json(_read_json_argument(args.lattice))
     d = lattices.det(lattice)
     out = {
         "rank": lattice.rank,
@@ -143,7 +135,7 @@ def _cmd_lattice_info(args, cfg: RunConfig):
 
 
 def _cmd_lattice_disc_group(args, cfg: RunConfig):
-    lattice, _ = _lattice_argument(_read_json_argument(args.lattice))
+    lattice, _ = lattice_or_sublattice_from_json(_read_json_argument(args.lattice))
     group = discriminant_group(lattice)
     factors = group.invariant_factors
     out = {
@@ -158,14 +150,7 @@ def _cmd_lattice_disc_group(args, cfg: RunConfig):
 def _cmd_qform_represents(args, cfg: RunConfig):
     form = qform.form_from_json(_read_json_argument(args.form))
     t = args.t
-    if isinstance(form, UnaryForm):
-        verdict = qform.unary_represents(form, t)
-    elif isinstance(form, BinaryForm):
-        verdict = qform.binary_represents(form, t, cfg.limits())
-    elif isinstance(form, DiagonalTernaryForm):
-        verdict = qform.ternary_represents(form, t, cfg.limits())
-    else:  # pragma: no cover - form_from_json only builds the three shapes
-        raise CliError("unsupported form shape")
+    verdict = qform.represents(form, t, cfg.limits())
     out = {"form": qform.form_to_json(form), "t": t, "verdict": qform.verdict_to_json(verdict)}
     return out, EXIT_OK if verdict.kind in ("YES", "NO") else EXIT_UNDECIDED
 

@@ -20,6 +20,7 @@ __all__ = [
     "discriminant_action",
     "extend_by_identity",
     "sublattice_from_json",
+    "lattice_or_sublattice_from_json",
     "sublattice_to_json",
 ]
 
@@ -37,16 +38,10 @@ class EmbeddedSublattice:
             raise ValueError("a sublattice needs at least one basis vector")
         if any(len(c) != ambient.rank for c in cols):
             raise ValueError("basis vector length does not match the ambient rank")
-        snf = smith_normal_form(self.columns_matrix_static(cols))
-        if len(snf.invariant_factors()) != len(cols):
-            raise ValueError("basis columns are linearly dependent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "columns", cols)
-
-    @staticmethod
-    def columns_matrix_static(cols) -> list[list[int]]:
-        n = len(cols[0]) if cols else 0
-        return [[c[i] for c in cols] for i in range(n)]
+        if len(smith_normal_form(self.basis_matrix()).invariant_factors()) != len(cols):
+            raise ValueError("basis columns are linearly dependent")
 
     def basis_matrix(self) -> list[list[int]]:
         """ambient.rank x k matrix whose columns are the basis vectors."""
@@ -97,10 +92,16 @@ def is_primitive(sub: EmbeddedSublattice) -> bool:
 
 
 def primitive_closure(sub: EmbeddedSublattice) -> EmbeddedSublattice:
-    """The saturation (span tensor Q) intersected with the ambient lattice."""
-    snf = smith_normal_form(sub.basis_matrix())
-    u_inv = matrices.unimodular_inverse(snf.u)
-    cols = [tuple(u_inv[i][j] for i in range(sub.ambient.rank)) for j in range(sub.rank)]
+    """The saturation (span tensor Q) intersected with the ambient lattice.
+
+    From U B V = D: B V = U^-1 D, so column j of B V divided by d_j is
+    column j of U^-1, and those columns are a basis of the saturation.
+    """
+    b = sub.basis_matrix()
+    snf = smith_normal_form(b)
+    bv = matrices.mat_mul(b, snf.v)
+    d = snf.diagonal()
+    cols = [tuple(row[j] // d[j] for row in bv) for j in range(sub.rank)]
     return EmbeddedSublattice(sub.ambient, cols)
 
 
@@ -207,6 +208,15 @@ def sublattice_from_json(obj) -> EmbeddedSublattice:
         raise ValueError('sublattice JSON needs "ambient" and "basis"')
     ambient = lattice_from_json(obj["ambient"])
     return EmbeddedSublattice(ambient, obj["basis"])
+
+
+def lattice_or_sublattice_from_json(obj) -> tuple[GramLattice, EmbeddedSublattice | None]:
+    """A lattice JSON, or a sublattice JSON contributing its induced Gram
+    matrix; the sublattice comes back too (None for a lattice JSON)."""
+    if isinstance(obj, dict) and "ambient" in obj:
+        sub = sublattice_from_json(obj)
+        return induced_gram(sub), sub
+    return lattice_from_json(obj), None
 
 
 def sublattice_to_json(sub: EmbeddedSublattice) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import lattices, qform
-from .embeddings import IsometryMap, discriminant_action
+from .embeddings import IsometryMap, discriminant_action, lattice_or_sublattice_from_json
 from .lattices import GramLattice, Signature
 from .qform import (
     BinaryForm,
@@ -136,12 +136,8 @@ def _witness_scan(lattice: GramLattice, t: int):
 
 def _decide(data: PicardData, t: int, limits: SearchLimits | None) -> RepresentationVerdict:
     q = lattice_form(data.lattice)
-    if isinstance(q, UnaryForm):
-        return qform.unary_represents(q, t)
-    if isinstance(q, BinaryForm):
-        return qform.binary_represents(q, t, limits) if t != 0 else qform.binary_represents_zero(q)
-    if isinstance(q, DiagonalTernaryForm):
-        return qform.ternary_represents(q, t, limits)
+    if q is not None:
+        return qform.represents(q, t, limits)
     w = _witness_scan(data.lattice, t)
     if w is not None:
         return RepresentationVerdict.yes(w)
@@ -358,15 +354,9 @@ def picard_from_json(obj) -> PicardData:
     """Parse {"lattice": <lattice or sublattice JSON>, "known_minus2_classes":
     [[...], ...], "polarization": [...]}; sublattice input contributes its
     induced Gram matrix."""
-    from .embeddings import induced_gram, sublattice_from_json
-
     if not isinstance(obj, dict) or "lattice" not in obj:
         raise ValueError('Picard data JSON must be an object with a "lattice" field')
-    spec = obj["lattice"]
-    if isinstance(spec, dict) and "ambient" in spec:
-        lattice = induced_gram(sublattice_from_json(spec))
-    else:
-        lattice = lattices.lattice_from_json(spec)
+    lattice, _ = lattice_or_sublattice_from_json(obj["lattice"])
     return PicardData(
         lattice,
         tuple(tuple(int(x) for x in v) for v in obj.get("known_minus2_classes", ())),

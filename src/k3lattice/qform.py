@@ -10,7 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .ntheory import divides, divisors, is_square, prime_power_split, sqrt_exact, squarefree_split
+from .ntheory import (
+    divides,
+    divisors,
+    factorize,
+    is_square,
+    prime_power_split,
+    sqrt_exact,
+    squarefree_split,
+    vec_gcd,
+)
 
 __all__ = [
     "UnaryForm",
@@ -29,6 +38,7 @@ __all__ = [
     "DEFINITE",
     "DEFINITE_EXHAUST",
     "CYCLE",
+    "represents",
     "unary_represents",
     "binary_represents_zero",
     "binary_represents",
@@ -63,6 +73,13 @@ class UnaryForm:
     def coefficients(self) -> tuple[int, ...]:
         return (self.d,)
 
+    @property
+    def definite_sign(self) -> int | None:
+        """+1 or -1 when every nonzero value has that sign; None otherwise."""
+        if self.d == 0:
+            return None
+        return 1 if self.d > 0 else -1
+
     def evaluate(self, v) -> int:
         (x,) = v
         return self.d * x * x
@@ -79,6 +96,13 @@ class BinaryForm:
     @property
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
+
+    @property
+    def definite_sign(self) -> int | None:
+        """+1 or -1 when every nonzero value has that sign; None otherwise."""
+        if self.disc >= 0:
+            return None
+        return 1 if self.a > 0 else -1
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.a, self.b, self.c)
@@ -98,6 +122,15 @@ class DiagonalTernaryForm:
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.d1, self.d2, self.d3)
+
+    @property
+    def definite_sign(self) -> int | None:
+        """+1 or -1 when every nonzero value has that sign; None otherwise."""
+        if self.d1 > 0 and self.d2 > 0 and self.d3 > 0:
+            return 1
+        if self.d1 < 0 and self.d2 < 0 and self.d3 < 0:
+            return -1
+        return None
 
     def evaluate(self, v) -> int:
         x, y, z = v
@@ -173,25 +206,23 @@ def _coefficient_list(obj, key: str, count: int) -> list[int]:
     return [int(x) for x in value]
 
 
+# JSON key, form class, coefficient count; the first key present wins
+_FORM_JSON = (("binary", BinaryForm, 3), ("diag", DiagonalTernaryForm, 3), ("unary", UnaryForm, 1))
+
+
 def form_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("form JSON must be an object")
-    if "binary" in obj:
-        return BinaryForm(*_coefficient_list(obj, "binary", 3))
-    if "diag" in obj:
-        return DiagonalTernaryForm(*_coefficient_list(obj, "diag", 3))
-    if "unary" in obj:
-        return UnaryForm(*_coefficient_list(obj, "unary", 1))
-    raise ValueError('form JSON needs one of "binary", "diag", "unary"')
+    for key, cls, count in _FORM_JSON:
+        if key in obj:
+            return cls(*_coefficient_list(obj, key, count))
+    raise ValueError("form JSON needs one of " + ", ".join(f'"{key}"' for key, _, _ in _FORM_JSON))
 
 
 def form_to_json(q) -> dict:
-    if isinstance(q, BinaryForm):
-        return {"binary": [q.a, q.b, q.c]}
-    if isinstance(q, DiagonalTernaryForm):
-        return {"diag": [q.d1, q.d2, q.d3]}
-    if isinstance(q, UnaryForm):
-        return {"unary": [q.d]}
+    for key, cls, _ in _FORM_JSON:
+        if isinstance(q, cls):
+            return {key: list(q.coefficients())}
     raise ValueError("unknown form type")
 
 
@@ -225,7 +256,7 @@ def unary_represents(q: UnaryForm, t: int) -> RepresentationVerdict:
         return RepresentationVerdict.no(Certificate(DIVISIBILITY, {"divisor": d}))
     quot = t // d
     if quot < 0:
-        return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": 1 if d > 0 else -1}))
+        return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": q.definite_sign}))
     r = sqrt_exact(quot)
     if r is not None:
         return _checked_yes(q, t, (r,))
@@ -283,8 +314,8 @@ def _mat2_mul(p, q):
 def _cycle_of(form, disc: int):
     """Reduced cycle of the proper class of form, with transforms from form.
 
-    Returns (cycle, transforms, entry_transform): cycle[i] results from form
-    by the unimodular transforms[i].
+    Returns (cycle, transforms): cycle[i] results from form by the
+    unimodular transforms[i].
     """
     s = isqrt(disc)
     t = ((1, 0), (0, 1))
@@ -308,7 +339,7 @@ def _cycle_of(form, disc: int):
         transforms.append(t)
     else:
         raise RuntimeError("cycle did not close")
-    return cycle, transforms, transforms[0]
+    return cycle, transforms
 
 
 def _cycle_decide(q1: BinaryForm, t1: int, g: int):
@@ -318,7 +349,7 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int):
     is a leading coefficient on the reduced cycle.
     """
     disc = q1.disc
-    cycle, transforms, entry = _cycle_of((q1.a, q1.b, q1.c), disc)
+    cycle, transforms = _cycle_of((q1.a, q1.b, q1.c), disc)
     leading = {}
     for i, f in enumerate(cycle):
         leading.setdefault(f[0], i)
@@ -335,7 +366,7 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int):
         {
             "content": g,
             "disc": disc,
-            "transform": [list(entry[0]), list(entry[1])],
+            "transform": [list(row) for row in transforms[0]],
             "cycle": [list(x) for x in cycle],
         },
     )
@@ -430,14 +461,14 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
     if q.disc == 0:
         raise ValueError("degenerate form")
     limits = limits or SearchLimits()
-    g = gcd(gcd(q.a, q.b), q.c)
+    g = vec_gcd(q.coefficients())
     if t % g != 0:
         return RepresentationVerdict.no(Certificate(DIVISIBILITY, {"divisor": g}))
     a1, b1, c1, t1 = q.a // g, q.b // g, q.c // g, t // g
     q1 = BinaryForm(a1, b1, c1)
     d1 = q1.disc
-    if d1 < 0:
-        sign = 1 if a1 > 0 else -1
+    sign = q1.definite_sign
+    if sign is not None:
         if t1 * sign < 0:
             return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
         bx, by = _definite_bounds(a1, c1, t1, d1)
@@ -488,7 +519,7 @@ def _legendre_reduce(q: DiagonalTernaryForm):
     """
     d = list(q.coefficients())
     steps = []
-    g = gcd(gcd(d[0], d[1]), d[2])
+    g = vec_gcd(d)
     if g > 1:
         d = [x // g for x in d]
         steps.append({"op": "content", "g": g})
@@ -501,7 +532,7 @@ def _legendre_reduce(q: DiagonalTernaryForm):
         for i, j in ((0, 1), (0, 2), (1, 2)):
             shared = gcd(d[i], d[j])
             if shared > 1:
-                p = min(pp for pp in _prime_factors(shared))
+                p = min(factorize(shared))
                 k = 3 - i - j
                 d[i] //= p
                 d[j] //= p
@@ -511,12 +542,6 @@ def _legendre_reduce(q: DiagonalTernaryForm):
         else:
             break
     return tuple(d), steps
-
-
-def _prime_factors(n: int):
-    from .ntheory import factorize
-
-    return sorted(factorize(n))
 
 
 def _legendre_conditions(a: int, b: int, c: int):
@@ -549,29 +574,37 @@ def _backmap_zero(w, steps):
     return w
 
 
+def _exact_roots(d1: int, d2: int, d3: int, t: int, xs, ys):
+    """Every (x, y, z) with z >= 0 and d1 x**2 + d2 y**2 + d3 z**2 = t, for x
+    in xs and y in ys(x), in scan order: complete the square in z and keep
+    the cells where an exact root exists."""
+    for x in xs:
+        rest = t - d1 * x * x
+        for y in ys(x):
+            num = rest - d2 * y * y
+            if num % d3:
+                continue
+            z2 = num // d3
+            if z2 < 0:
+                continue
+            z = isqrt(z2)
+            if z * z == z2:
+                yield x, y, z
+
+
 def _holzer_scan(a: int, b: int, c: int):
     """Witness of a x**2 + b y**2 + c z**2 = 0 inside the Holzer box; the box
     is guaranteed nonempty once the residue conditions hold."""
     bound_x = isqrt(abs(b * c))
     bound_y = isqrt(abs(a * c))
-    box = max(bound_x, bound_y)
     while True:
-        for x in range(min(bound_x, box) + 1):
-            ax2 = a * x * x
-            for y in range(min(bound_y, box) + 1):
-                num = -(ax2 + b * y * y)
-                if num % c:
-                    continue
-                z2 = num // c
-                if z2 < 0:
-                    continue
-                z = sqrt_exact(z2)
-                if z is not None and (x or y or z):
-                    return (x, y, z)
+        ys = range(bound_y + 1)
+        for w in _exact_roots(a, b, c, 0, range(bound_x + 1), lambda x: ys):
+            if any(w):
+                return w
         bound_x *= 2
         bound_y *= 2
-        box *= 2
-        if box > 10**9:
+        if max(bound_x, bound_y) > 10**9:
             raise RuntimeError("isotropy witness scan exceeded its safety bound")
 
 
@@ -580,9 +613,9 @@ def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
     squarefree pairwise-coprime reduction, then the residue criterion, with a
     bounded witness scan on the solvable side."""
     _require_nonzero_diag(q)
-    signs = {1 if d > 0 else -1 for d in q.coefficients()}
-    if len(signs) == 1:
-        return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": signs.pop()}))
+    sign = q.definite_sign
+    if sign is not None:
+        return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
     (a, b, c), steps = _legendre_reduce(q)
     conds = _legendre_conditions(a, b, c)
     for idx, (m, v) in enumerate(conds):
@@ -595,7 +628,7 @@ def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
             )
     w = _holzer_scan(a, b, c)
     w = _backmap_zero(w, steps)
-    g = gcd(gcd(w[0], w[1]), w[2])
+    g = vec_gcd(w)
     w = [x // g for x in w]
     return _checked_yes(q, 0, _canonical_sign(w))
 
@@ -623,26 +656,17 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
         return ternary_represents_zero(q)
     limits = limits or SearchLimits()
     d = q.coefficients()
-    g = gcd(gcd(d[0], d[1]), d[2])
+    g = vec_gcd(d)
     if t % g != 0:
         return RepresentationVerdict.no(Certificate(DIVISIBILITY, {"divisor": g}))
-    signs = {1 if x > 0 else -1 for x in d}
-    if len(signs) == 1:
-        sign = signs.pop()
+    sign = q.definite_sign
+    if sign is not None:
         if t * sign < 0:
             return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
         bounds = [isqrt(abs(t) // abs(x)) for x in d]
-        for x in range(bounds[0] + 1):
-            for y in range(bounds[1] + 1):
-                rem = t - d[0] * x * x - d[1] * y * y
-                if rem % d[2]:
-                    continue
-                z2 = rem // d[2]
-                if z2 < 0:
-                    continue
-                z = sqrt_exact(z2)
-                if z is not None:
-                    return _checked_yes(q, t, (x, y, z))
+        ys = range(bounds[1] + 1)
+        for w in _exact_roots(*d, t, range(bounds[0] + 1), lambda x: ys):
+            return _checked_yes(q, t, w)
         return RepresentationVerdict.no(
             Certificate(DEFINITE_EXHAUST, {"bounds": bounds})
         )
@@ -650,27 +674,21 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
     if m is not None:
         return RepresentationVerdict.no(Certificate(SIEVE, {"modulus": m}))
     # separable search: negate if needed so exactly one coefficient is
-    # positive; witnesses transfer unchanged
-    dd, tt = list(d), t
-    if sum(1 for x in dd if x > 0) == 2:
-        dd = [-x for x in dd]
-        tt = -t
-    p_axis = next(i for i in range(3) if dd[i] > 0)
+    # positive (witnesses transfer unchanged), then scan the positive axis
+    # and keep y inside p x**2 - t >= |n1| y**2
+    flip = -1 if sum(1 for x in d if x > 0) == 2 else 1
+    p_axis = next(i for i in range(3) if flip * d[i] > 0)
     n1, n2 = [i for i in range(3) if i != p_axis]
-    for x in range(limits.search_bound + 1):
-        rhs = dd[p_axis] * x * x - tt
-        if rhs < 0:
-            continue
-        ylim = isqrt(rhs // abs(dd[n1]))
-        for y in range(ylim + 1):
-            rem = rhs - abs(dd[n1]) * y * y
-            if rem % abs(dd[n2]):
-                continue
-            z = sqrt_exact(rem // abs(dd[n2]))
-            if z is not None:
-                w = [0, 0, 0]
-                w[p_axis], w[n1], w[n2] = x, y, z
-                return _checked_yes(q, t, w)
+    dp, dn1, dn2, tt = flip * d[p_axis], flip * d[n1], flip * d[n2], flip * t
+
+    def ys(x):
+        rhs = dp * x * x - tt
+        return range(isqrt(rhs // -dn1) + 1) if rhs >= 0 else ()
+
+    for x, y, z in _exact_roots(dp, dn1, dn2, tt, range(limits.search_bound + 1), ys):
+        w = [0, 0, 0]
+        w[p_axis], w[n1], w[n2] = x, y, z
+        return _checked_yes(q, t, w)
     return RepresentationVerdict.undecided(
         {"search_bound": limits.search_bound, "sieve_moduli": list(limits.sieve_moduli)}
     )
@@ -683,25 +701,28 @@ def enumerate_primitive_zeros(q: DiagonalTernaryForm, height: int) -> list[tuple
     if height < 0:
         raise ValueError("height must be nonnegative")
     found: set[tuple[int, int, int]] = set()
-    for x in range(-height, height + 1):
-        for y in range(-height, height + 1):
-            num = -(q.d1 * x * x + q.d2 * y * y)
-            if num % q.d3:
-                continue
-            z2 = num // q.d3
-            if z2 < 0:
-                continue
-            z = sqrt_exact(z2)
-            if z is None or z > height:
-                continue
-            for zz in {z, -z}:
-                v = (x, y, zz)
-                if not any(v):
-                    continue
-                if gcd(gcd(x, y), zz) != 1:
-                    continue
-                found.add(_canonical_sign(v))
+    box = range(-height, height + 1)
+    # z >= 0 loses nothing: (x, y, -z) is the negation of (-x, -y, z)
+    for x, y, z in _exact_roots(q.d1, q.d2, q.d3, 0, box, lambda x: box):
+        if z <= height and vec_gcd((x, y, z)) == 1:
+            found.add(_canonical_sign((x, y, z)))
     return sorted(found)
+
+
+# ---------------------------------------------------------------- dispatch
+
+
+def represents(q, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
+    """Decide q = t with the decider for the shape of q."""
+    # deciders are looked up as module globals at call time, so a caller
+    # that rebinds them (tracing, mocking) sees every dispatched call
+    if isinstance(q, UnaryForm):
+        return unary_represents(q, t)
+    if isinstance(q, BinaryForm):
+        return binary_represents(q, t, limits)
+    if isinstance(q, DiagonalTernaryForm):
+        return ternary_represents(q, t, limits)
+    raise TypeError(f"no decider for {type(q).__name__}")
 
 
 # ---------------------------------------------------------------- verifier
@@ -762,33 +783,17 @@ def _verify_nonsquare_disc(q, t, data) -> bool:
 
 
 def _verify_definite(q, t, data) -> bool:
-    if isinstance(q, UnaryForm):
-        if q.d == 0:
-            return False
-        return t == 0 or q.d * t < 0
-    if isinstance(q, BinaryForm):
-        if q.disc >= 0:
-            return False
-        return t == 0 or q.a * t < 0
-    if isinstance(q, DiagonalTernaryForm):
-        signs = {1 if x > 0 else -1 for x in q.coefficients() if x != 0}
-        if 0 in q.coefficients() or len(signs) != 1:
-            return False
-        return t == 0 or t * signs.pop() < 0
-    return False
+    sign = q.definite_sign
+    return sign is not None and (t == 0 or t * sign < 0)
 
 
 def _verify_definite_exhaust(q, t, data) -> bool:
-    if t == 0:
+    if t == 0 or q.definite_sign is None:
         return False
     if isinstance(q, UnaryForm):
-        if q.d == 0:
-            return False
         bound = isqrt(abs(t) // abs(q.d))
         return all(q.evaluate((x,)) != t for x in range(-bound, bound + 1))
     if isinstance(q, BinaryForm):
-        if q.disc >= 0:
-            return False
         bx, by = _definite_bounds(q.a, q.c, t, q.disc)
         if (2 * bx + 1) * (2 * by + 1) > _VERIFY_BOX_LIMIT:
             return False
@@ -798,11 +803,7 @@ def _verify_definite_exhaust(q, t, data) -> bool:
             for y in range(-by, by + 1)
         )
     if isinstance(q, DiagonalTernaryForm):
-        d = q.coefficients()
-        signs = {1 if x > 0 else -1 for x in d if x != 0}
-        if 0 in d or len(signs) != 1:
-            return False
-        bounds = [isqrt(abs(t) // abs(x)) for x in d]
+        bounds = [isqrt(abs(t) // abs(x)) for x in q.coefficients()]
         cells = 1
         for b in bounds:
             cells *= 2 * b + 1
