@@ -116,11 +116,18 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     The two branches fix the scaling: n = A*N, m = A*M when A >= 2 (making
     the form divisible by 2A), and n = 4N, m = 4M when A = 1 (pinning the
     form to 2x^2 + 8NBxy + 8(4N^2*C - M)y^2, which is 0 or 2 mod 8).
+
+    The plane is hyperbolic exactly when disc/4 = n^2(B^2 - 4AC) + 4Am > 0,
+    tested on integers before any vector or form is built. Along a diagonal
+    N + M = s, n grows and m shrinks, so for B^2 - 4AC < 0 that quantity
+    only decreases and the diagonal ends at its first failure; for
+    B^2 - 4AC >= 0 it is at least 4Am > 0 and never fails.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     ambient = standard_lattice("K3")
     a_, b_, c_ = inputs.A, inputs.B, inputs.C
+    d_ = b_ * b_ - 4 * a_ * c_
     vec_l = _k3_vector({0: 1, 1: a_})
     for s in range(2, 2 * bound + 1):
         for big_n in range(max(1, s - bound), min(bound, s - 1) + 1):
@@ -129,17 +136,17 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
                 n, m = a_ * big_n, a_ * big_m
             else:
                 n, m = 4 * big_n, 4 * big_m
-            # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32
-            gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})
+            if n * n * d_ + 4 * a_ * m <= 0:
+                break  # not hyperbolic, nor is the rest of this diagonal
             q = BinaryForm(2 * a_, 2 * n * b_, 2 * (n * n * c_ - m))
-            if q.disc <= 0:
-                continue  # the plane must be hyperbolic to be a Picard lattice
             zero = qform.binary_represents_zero(q)
             if zero.kind != "NO":
                 continue
             minus2 = qform.binary_represents(q, -2)
             if minus2.kind != "NO":
                 continue
+            # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32
+            gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})
             sub = EmbeddedSublattice(ambient, [vec_l, gen])
             factors = _invariant_factors(sub)
             if any(f != 1 for f in factors):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import matrices
 from .lattices import DiscriminantGroup, GramLattice, discriminant_group, lattice_from_json, lattice_to_json
@@ -40,7 +41,8 @@ class EmbeddedSublattice:
             raise ValueError("basis vector length does not match the ambient rank")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "columns", cols)
-        if len(smith_normal_form(self.basis_matrix()).invariant_factors()) != len(cols):
+        # independent over Q exactly when the dot-product Gram B^T B is nonsingular
+        if matrices.det([[sum(map(mul, u, v)) for v in cols] for u in cols]) == 0:
             raise ValueError("basis columns are linearly dependent")
 
     def basis_matrix(self) -> list[list[int]]:

@@ -247,7 +247,7 @@ def classify(data: PicardData, limits: SearchLimits | None = None, label: str | 
     return K3Report(
         rank=data.rank,
         det=lattices.det(data.lattice),
-        signature=lattices.signature(data.lattice),
+        signature=Signature(1, data.rank - 1, 0),  # checked by PicardData
         has_minus2=m2,
         has_isotropic=iso,
         aut=_aut_from_verdicts(data.rank, m2, iso),

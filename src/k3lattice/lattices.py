@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from . import matrices
@@ -94,8 +95,9 @@ _NAME_ALIASES = {
 }
 
 
+@cache
 def standard_lattice(name: str) -> GramLattice:
-    """U, A1(-1), E8(-1), or the rank-22 K3 lattice U^3 + E8(-1)^2."""
+    """U, A1(-1), E8(-1), or the rank-22 K3 lattice U^3 + E8(-1)^2; built once."""
     key = _NAME_ALIASES.get(name)
     if key is None:
         raise ValueError(f"unknown lattice name {name!r}")

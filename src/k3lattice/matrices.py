@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "identity",
@@ -43,13 +44,10 @@ def transpose(m) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != inner:
+    if a and len(a[0]) != len(b):
         raise ValueError("dimension mismatch in matrix product")
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(m, v) -> list:

@@ -3,7 +3,9 @@
 Everything here recomputes results from first principles (cofactor
 expansions, minor gcds, brute-force witness scans, Moebius-counted
 generating tuples) and shares no code path with the package internals it
-checks.
+checks. The one exception is claim3_reference_walk, a reference for the
+claim3 candidate walk only: it asks the package's binary deciders for its
+verdicts.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
+
+from k3lattice.qform import BinaryForm, binary_represents, binary_represents_zero, verdict_to_json
 
 # ------------------------------------------------------------- determinants
 
@@ -379,4 +383,57 @@ def binary_box_witness(a: int, b: int, c: int, t: int, box: int):
             if t == 0 and x == 0 and y == 0:
                 continue
             return (x, y)
+    return None
+
+
+# ---------------------------------------------------------- claim3 reference
+
+
+def _u3_pairing(x, y) -> int:
+    """Pairing of K3-basis vectors supported on the three hyperbolic planes."""
+    return sum(x[i] * y[i + 1] + x[i + 1] * y[i] for i in (0, 2, 4))
+
+
+def claim3_reference_walk(a: int, b: int, c: int, bound: int):
+    """The claim3 search candidate by candidate, as claim3_result_to_json
+    would print its result, or None when the bound is exhausted.
+
+    Walks every (N, M) of each diagonal N + M = s, builds both vectors and the
+    form for each, and skips non-hyperbolic planes one at a time (no early
+    exit). Primitivity comes from minor gcds and the Gram from the U^3
+    pairing, not from the package's matrix code.
+    """
+    vec_l = [1, a] + [0] * 20
+    for s in range(2, 2 * bound + 1):
+        for big_n in range(max(1, s - bound), min(bound, s - 1) + 1):
+            big_m = s - big_n
+            k = a if a >= 2 else 4
+            n, m = k * big_n, k * big_m
+            gen = [0, n * b, n, n * c, 1, -m] + [0] * 16
+            q = BinaryForm(2 * a, 2 * n * b, 2 * (n * n * c - m))
+            if q.disc <= 0:
+                continue
+            zero = binary_represents_zero(q)
+            if zero.kind != "NO":
+                continue
+            minus2 = binary_represents(q, -2)
+            if minus2.kind != "NO":
+                continue
+            factors = snf_diagonal_minor_gcd([[x, y] for x, y in zip(vec_l, gen)])
+            if factors != [1, 1]:
+                continue
+            gram = [[_u3_pairing(u, v) for v in (vec_l, gen)] for u in (vec_l, gen)]
+            return {
+                "inputs": {"A": a, "B": b, "C": c},
+                "N": big_n,
+                "M": big_m,
+                "n": n,
+                "m": m,
+                "l": vec_l,
+                "generator": gen,
+                "gram": gram,
+                "zero": verdict_to_json(zero),
+                "minus2": verdict_to_json(minus2),
+                "invariant_factors": factors,
+            }
     return None

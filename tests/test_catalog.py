@@ -2,6 +2,7 @@
 example, and the aggregate verification table."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from k3lattice.k3 import PicardData, revalidate_report
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.ntheory import is_square
 from k3lattice.qform import BinaryForm, verify_certificate
+
+from oracles import claim3_reference_walk
 
 
 K3 = standard_lattice("K3")
@@ -74,6 +77,47 @@ def test_claim3_search_exhaustion():
         claim3_search(Claim3Input(1, 0, 0), bound=1)
     assert exc.value.bound == 1
     assert "1" in str(exc.value)
+
+
+def _assert_matches_reference_walk(a, b, c, bound):
+    want = claim3_reference_walk(a, b, c, bound)
+    if want is None:
+        with pytest.raises(SearchExhausted) as exc:
+            claim3_search(Claim3Input(a, b, c), bound)
+        assert str(exc.value) == f"no certified plane found with N, M <= {bound}"
+        assert exc.value.bound == bound
+    else:
+        assert claim3_result_to_json(claim3_search(Claim3Input(a, b, c), bound)) == want, (a, b, c, bound)
+
+
+def test_claim3_matches_reference_walk_on_full_grid():
+    # the benchmark grid A 1..12, B, C 0..11 at a small bound
+    for a in range(1, 13):
+        for b in range(12):
+            for c in range(12):
+                _assert_matches_reference_walk(a, b, c, 12)
+
+
+def test_claim3_matches_reference_walk_on_sampled_grid():
+    rng = random.Random(2001)
+    grid = [(a, b, c) for a in range(1, 13) for b in range(12) for c in range(12)]
+    for a, b, c in rng.sample(grid, 200):
+        _assert_matches_reference_walk(a, b, c, 50)
+
+
+def test_claim3_matches_reference_walk_by_discriminant_sign():
+    # B^2 - 4AC < 0 ends diagonals early; = 0 and > 0 never do
+    cases = {
+        -1: [(1, 0, 1), (3, 1, 5), (5, 3, 7), (12, 11, 11)],
+        0: [(1, 2, 1), (2, 4, 2), (3, 6, 3), (4, 4, 1)],
+        1: [(1, 3, 1), (1, 5, 0), (2, 1, 0), (7, 11, 2)],
+    }
+    for sign, triples in cases.items():
+        for a, b, c in triples:
+            d = b * b - 4 * a * c
+            assert (d > 0) - (d < 0) == sign
+            for bound in (1, 2, 7, 50):
+                _assert_matches_reference_walk(a, b, c, bound)
 
 
 def test_claim3_json():

@@ -15,6 +15,7 @@ from k3lattice.embeddings import (
     sublattice_to_json,
 )
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
+from k3lattice.matrices import smith_normal_form
 
 
 def _e(n, i, value=1):
@@ -45,6 +46,46 @@ def test_embedded_sublattice_validation():
         EmbeddedSublattice(u, [])  # no columns
     with pytest.raises(ValueError):
         EmbeddedSublattice(u, [[1, 0], [2, 0]])  # dependent columns
+
+
+def test_embedded_sublattice_rejects_dependent_columns():
+    k3 = standard_lattice("K3")
+    v = [3, -1, 0, 2, 0, 0, 1] + [0] * 14 + [5]
+    w = [0, 1] + [0] * 20
+    for cols in (
+        [v, [2 * x for x in v]],
+        [[2 * x for x in v], [3 * x for x in v]],
+        [v, [0] * 22],
+        [w, v, [x - 4 * y for x, y in zip(v, w)], [0] * 22],
+    ):
+        with pytest.raises(ValueError, match="basis columns are linearly dependent"):
+            EmbeddedSublattice(k3, cols)
+    u = standard_lattice("U")
+    with pytest.raises(ValueError, match="basis columns are linearly dependent"):
+        EmbeddedSublattice(u, [[1, 0], [0, 1], [1, 1]])  # more columns than the rank
+
+
+def test_independence_check_agrees_with_smith_rank():
+    rng = random.Random(104)
+    k3 = standard_lattice("K3")
+    dependent = 0
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        cols = [[rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(22)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.3:
+            i, *others = rng.sample(range(k), k)  # column i from the others
+            coeffs = {j: rng.randint(-2, 2) for j in others}
+            cols[i] = [sum(c * cols[j][r] for j, c in coeffs.items()) for r in range(22)]
+        basis = [[c[i] for c in cols] for i in range(22)]
+        independent = len(smith_normal_form(basis).invariant_factors()) == k
+        try:
+            EmbeddedSublattice(k3, cols)
+            built = True
+        except ValueError:
+            built = False
+        assert built == independent, cols
+        dependent += not independent
+    assert dependent > 10
 
 
 def test_is_primitive_and_closure():

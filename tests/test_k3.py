@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from k3lattice import matrices
 from k3lattice.embeddings import IsometryMap
 from k3lattice.k3 import (
     PicardData,
@@ -76,6 +77,22 @@ def test_classify_hyperbolic_plane():
     assert U.square(report.has_isotropic.witness) == 0
     assert report.aut.verdict == "FINITE"
     assert report.aut.status == "PROVEN"
+
+
+def test_classify_computes_the_signature_once(monkeypatch):
+    calls = []
+    inertia = matrices.inertia
+
+    def counted(m):
+        calls.append(len(m))
+        return inertia(m)
+
+    monkeypatch.setattr(matrices, "inertia", counted)
+    for lattice in (U, _diag(2), _diag(6, -2, -2), _diag(2, -2, -2, -2)):
+        calls.clear()
+        report = classify(PicardData(lattice))
+        assert calls == [lattice.rank]  # the check in PicardData, once
+        assert report.signature == (1, lattice.rank - 1, 0)
 
 
 def test_classify_rank_one():

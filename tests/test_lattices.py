@@ -59,6 +59,20 @@ def test_standard_lattices():
         standard_lattice("nope")
 
 
+def test_standard_lattice_is_built_once_per_name():
+    for names in (("U",), ("A1_neg", "A1(-1)"), ("E8_neg", "E8(-1)"), ("K3",)):
+        first = standard_lattice(names[0])
+        rows = first.gram_rows()
+        rows[0][0] += 1  # a mutable copy: must not reach the cached lattice
+        for name in names + names:
+            assert standard_lattice(name) is standard_lattice(name)
+            assert standard_lattice(name) == first
+            assert standard_lattice(name).gram_rows() != rows
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown lattice name"):
+            standard_lattice("nope")
+
+
 def test_gram_lattice_validation_and_pairing():
     u = standard_lattice("U")
     assert u.square((1, 1)) == 2

@@ -126,3 +126,29 @@ def test_smith_pivot_strategies_agree_on_diagonal():
         a = matrices.smith_normal_form(m, pivot="min_abs").diagonal()
         b = matrices.smith_normal_form(m, pivot="first").diagonal()
         assert a == b
+
+
+def _mat_mul_by_index(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+
+
+def test_mat_mul_matches_index_loop():
+    rng = random.Random(103)
+    shapes = [(1, 5, 3), (4, 5, 1), (1, 1, 1), (3, 0, 2), (2, 3, 0), (0, 3, 2)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)]
+    for rows, inner, cols in shapes:
+        a = random_matrix(rng, rows, inner)
+        b = random_matrix(rng, inner, cols)
+        assert matrices.mat_mul(a, b) == _mat_mul_by_index(a, b), (rows, inner, cols)
+        af = [[Fraction(x, rng.randint(1, 7)) for x in row] for row in a]
+        got = matrices.mat_mul(af, b)
+        assert got == _mat_mul_by_index(af, b)
+        assert all(isinstance(x, Fraction) for row in got for x in row if inner)
+
+
+def test_mat_mul_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        matrices.mat_mul([[1, 2, 3]], [[1], [2]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        matrices.mat_mul([[1, 2]], [])
