@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
+from operator import mul
 
 from . import elliptic, lattices, matrices, qform
 from .embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
@@ -125,7 +126,7 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    ambient = standard_lattice("K3")
+    u3_gram = [row[:6] for row in standard_lattice("K3").gram[:6]]
     a_, b_, c_ = inputs.A, inputs.B, inputs.C
     d_ = b_ * b_ - 4 * a_ * c_
     vec_l = _k3_vector({0: 1, 1: a_})
@@ -147,11 +148,12 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
                 continue
             # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32
             gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})
-            sub = EmbeddedSublattice(ambient, [vec_l, gen])
-            factors = _invariant_factors(sub)
+            # both vectors vanish off the U^3 coordinates 0..5; zero rows change neither SNF nor B^T G B
+            block = [[vec_l[i], gen[i]] for i in range(6)]
+            factors = tuple(matrices.smith_normal_form(block).invariant_factors())
             if any(f != 1 for f in factors):
                 continue
-            got = induced_gram(sub).gram
+            got = tuple(map(tuple, matrices.mat_mul(matrices.mat_mul(matrices.transpose(block), u3_gram), block)))
             expected = ((2 * a_, n * b_), (n * b_, 2 * (n * n * c_ - m)))
             if got != expected:
                 raise RuntimeError("internal error: induced Gram differs from the closed form")
@@ -169,10 +171,6 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
                 invariant_factors=factors,
             )
     raise SearchExhausted(f"no certified plane found with N, M <= {bound}", bound)
-
-
-def _invariant_factors(sub: EmbeddedSublattice) -> tuple[int, ...]:
-    return tuple(matrices.smith_normal_form(sub.basis_matrix()).invariant_factors())
 
 
 def claim3_result_to_json(res: Claim3Result) -> dict:
@@ -415,10 +413,6 @@ class Theorem3Example:
     height_bound: int
 
 
-def _ambient_u_a1() -> GramLattice:
-    return direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-
-
 def _small_primitive_vectors(lattice: GramLattice, box: int):
     out = []
     for v in product(range(-box, box + 1), repeat=lattice.rank):
@@ -431,49 +425,69 @@ def _small_primitive_vectors(lattice: GramLattice, box: int):
     return out
 
 
+def _shell(h: int, dim: int) -> list[tuple[int, ...]]:
+    """The vectors with max |x_i| = h, in the order of product(range(-h, h + 1), repeat=dim)."""
+    if dim == 0:
+        return []
+    side = range(-h, h + 1)
+    cube, inner = list(product(side, repeat=dim - 1)), _shell(h, dim - 1)
+    return [(x,) + t for x in side for t in (cube if abs(x) == h else inner)]
+
+
+def _plane_normal(u, w) -> tuple[int, int, int]:
+    """Primitive, sign-normalized normal of the rational plane span(u, w) in Q^3."""
+    n = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+    g = vec_gcd(n)
+    return qform._canonical_sign(tuple(x // g for x in n))
+
+
 def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None) -> Theorem3Example:
     """Search rank-2 primitive hyperbolic sublattices of U + A1(-1) for one
-    whose form is certified to represent neither 0 nor -2."""
-    ambient = _ambient_u_a1()
+    whose form is certified to represent neither 0 nor -2, walking the shells
+    max|w_i| = h in lexicographic order and deciding each rational plane once:
+    two decided verdicts, not both NO, settle it (UNDECIDED may depend on the
+    basis of the closure, so it settles nothing)."""
+    if height_bound < 0:
+        raise ValueError("height bound must be non-negative")
+    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
     pool = [u for u in _small_primitive_vectors(ambient, 2) if ambient.square(u) not in (0, -2)]
-    memo: dict = {}
+    g, rank = ambient.gram, ambient.rank
+    # (w, w) as a sum over the nonzero Gram entries, i <= j
+    terms = [(i, j, g[i][j] * (2 - (i == j))) for i in range(rank) for j in range(i, rank) if g[i][j]]
+    shells: list[list] = []  # shells[h - 1]: (w, ww) with ww not in (0, -2)
+    settled: set = set()
     for u in pool:
         uu = ambient.square(u)
+        gu = [sum(map(mul, row, u)) for row in g]
         for shell in range(1, height_bound + 1):
-            for w in product(range(-shell, shell + 1), repeat=3):
-                if max(abs(x) for x in w) != shell:
-                    continue
-                ww = ambient.square(w)
-                if ww in (0, -2):
-                    continue
-                uw = ambient.pairing(u, w)
+            if len(shells) < shell:
+                squares = ((w, sum(c * w[i] * w[j] for i, j, c in terms)) for w in _shell(shell, rank))
+                shells.append([(w, ww) for w, ww in squares if ww not in (0, -2)])
+            for w, ww in shells[shell - 1]:
+                uw = sum(map(mul, gu, w))
                 disc = 4 * (uw * uw - uu * ww)
                 if disc <= 0 or is_square(disc):
                     # not hyperbolic, or rationally isotropic (shared with the
                     # primitive closure, which spans the same rational plane)
                     continue
-                sub = EmbeddedSublattice(ambient, [list(u), list(w)])
-                closed = primitive_closure(sub)
+                normal = _plane_normal(u, w)
+                if normal in settled:
+                    continue
+                closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))
                 lat = induced_gram(closed)
-                key = lat.gram
-                if key in memo:
-                    verdicts = memo[key]
-                else:
-                    q = lattice_form(lat)
-                    verdicts = (
-                        qform.binary_represents_zero(q),
-                        qform.binary_represents(q, -2, limits),
-                    )
-                    memo[key] = verdicts
-                zero, minus2 = verdicts
+                q = lattice_form(lat)
+                zero = qform.binary_represents_zero(q)
+                minus2 = qform.binary_represents(q, -2, limits)
                 if zero.kind == "NO" and minus2.kind == "NO":
                     return Theorem3Example(
-                        generators=tuple(tuple(c) for c in closed.columns),
-                        gram=key,
+                        generators=closed.columns,
+                        gram=lat.gram,
                         zero_verdict=zero,
                         minus2_verdict=minus2,
                         height_bound=height_bound,
                     )
+                if "UNDECIDED" not in (zero.kind, minus2.kind):
+                    settled.add(normal)
     raise SearchExhausted(
         f"no double-NO primitive plane found with coordinate height <= {height_bound}",
         height_bound,

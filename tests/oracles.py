@@ -3,9 +3,10 @@
 Everything here recomputes results from first principles (cofactor
 expansions, minor gcds, brute-force witness scans, Moebius-counted
 generating tuples) and shares no code path with the package internals it
-checks. The one exception is claim3_reference_walk, a reference for the
-claim3 candidate walk only: it asks the package's binary deciders for its
-verdicts.
+checks. The two exceptions are references for candidate walks only:
+claim3_reference_walk asks the package's binary deciders for its verdicts,
+and theorem3_reference_walk is the plain theorem-3 walk built from package
+code (pool, primitive closure, induced Gram, deciders).
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
 
+from k3lattice import qform
+from k3lattice.catalog import Theorem3Example, _small_primitive_vectors, theorem3_to_json
+from k3lattice.embeddings import EmbeddedSublattice, induced_gram, primitive_closure
+from k3lattice.k3 import lattice_form
+from k3lattice.lattices import direct_sum, standard_lattice
+from k3lattice.ntheory import is_square
 from k3lattice.qform import BinaryForm, binary_represents, binary_represents_zero, verdict_to_json
 
 # ------------------------------------------------------------- determinants
@@ -436,4 +443,60 @@ def claim3_reference_walk(a: int, b: int, c: int, bound: int):
                 "minus2": verdict_to_json(minus2),
                 "invariant_factors": factors,
             }
+    return None
+
+
+# -------------------------------------------------------- theorem3 reference
+
+
+def theorem3_reference_walk(height_bound: int, limits=None):
+    """The theorem-3 search candidate by candidate, as theorem3_to_json would
+    print its result, or None when the height bound is exhausted.
+
+    Scans the full cube of each shell and filters it to max |w_i| = shell,
+    pairs with the generic Gram pairing, and closes every hyperbolic
+    candidate plane; verdicts are memoized by the closure's Gram. The
+    deciders are looked up on the qform module at call time, so a test that
+    patches them reaches this walk too.
+    """
+    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+    pool = [u for u in _small_primitive_vectors(ambient, 2) if ambient.square(u) not in (0, -2)]
+    memo: dict = {}
+    for u in pool:
+        uu = ambient.square(u)
+        for shell in range(1, height_bound + 1):
+            for w in product(range(-shell, shell + 1), repeat=3):
+                if max(abs(x) for x in w) != shell:
+                    continue
+                ww = ambient.square(w)
+                if ww in (0, -2):
+                    continue
+                uw = ambient.pairing(u, w)
+                disc = 4 * (uw * uw - uu * ww)
+                if disc <= 0 or is_square(disc):
+                    continue
+                sub = EmbeddedSublattice(ambient, [list(u), list(w)])
+                closed = primitive_closure(sub)
+                lat = induced_gram(closed)
+                key = lat.gram
+                if key in memo:
+                    verdicts = memo[key]
+                else:
+                    q = lattice_form(lat)
+                    verdicts = (
+                        qform.binary_represents_zero(q),
+                        qform.binary_represents(q, -2, limits),
+                    )
+                    memo[key] = verdicts
+                zero, minus2 = verdicts
+                if zero.kind == "NO" and minus2.kind == "NO":
+                    return theorem3_to_json(
+                        Theorem3Example(
+                            generators=tuple(tuple(c) for c in closed.columns),
+                            gram=key,
+                            zero_verdict=zero,
+                            minus2_verdict=minus2,
+                            height_bound=height_bound,
+                        )
+                    )
     return None

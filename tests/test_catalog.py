@@ -3,9 +3,11 @@ example, and the aggregate verification table."""
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
+from k3lattice import catalog, qform
 from k3lattice.catalog import (
     CatalogMismatch,
     Claim3Input,
@@ -22,9 +24,9 @@ from k3lattice.embeddings import EmbeddedSublattice, induced_gram, is_primitive,
 from k3lattice.k3 import PicardData, revalidate_report
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.ntheory import is_square
-from k3lattice.qform import BinaryForm, verify_certificate
+from k3lattice.qform import BinaryForm, RepresentationVerdict, SearchLimits, verify_certificate
 
-from oracles import claim3_reference_walk
+from oracles import claim3_reference_walk, theorem3_reference_walk
 
 
 K3 = standard_lattice("K3")
@@ -261,6 +263,76 @@ def test_theorem3_exhaustion():
     with pytest.raises(SearchExhausted) as exc:
         theorem3_example(height_bound=0)
     assert exc.value.bound == 0
+
+
+def test_theorem3_negative_height_raises():
+    for bad in (-1, -5):
+        with pytest.raises(ValueError):
+            theorem3_example(height_bound=bad)
+
+
+def _assert_theorem3_matches_reference_walk(height_bound, limits):
+    want = theorem3_reference_walk(height_bound, limits)
+    if want is None:
+        with pytest.raises(SearchExhausted) as exc:
+            theorem3_example(height_bound, limits)
+        assert str(exc.value) == f"no double-NO primitive plane found with coordinate height <= {height_bound}"
+        assert exc.value.bound == height_bound
+    else:
+        assert theorem3_to_json(theorem3_example(height_bound, limits)) == want, (height_bound, limits)
+
+
+def test_theorem3_matches_reference_walk():
+    for limits in (None, SearchLimits(search_bound=5), SearchLimits(sieve_moduli=(3,), search_bound=1)):
+        for height_bound in range(11):
+            _assert_theorem3_matches_reference_walk(height_bound, limits)
+
+
+def test_theorem3_undecided_plane_is_not_settled(monkeypatch):
+    # Every closure Gram the -2 decider really answers NO for comes back
+    # UNDECIDED, except `target`. Its plane (normal (18, -2, -1)) first shows
+    # up at height 7 with the Gram `first`, so the hit is that plane's second
+    # Gram: a walk that settled the plane on the UNDECIDED for `first` would
+    # skip it.
+    target = ((-18, 17), (17, -8))
+    first = ((-60, 25), (25, -8))
+    real = qform.binary_represents
+    undecided = set()
+
+    def patched(q, t, limits=None):
+        verdict = real(q, t, limits)
+        gram = ((q.a, q.b // 2), (q.b // 2, q.c))
+        if verdict.kind == "NO" and gram != target:
+            undecided.add(gram)
+            return RepresentationVerdict.undecided({"patched": 1})
+        return verdict
+
+    monkeypatch.setattr(qform, "binary_represents", patched)
+    want = theorem3_reference_walk(7)
+    assert want is not None and want["gram"] == [list(r) for r in target]
+    assert first in undecided
+    assert theorem3_to_json(theorem3_example(7)) == want
+
+
+def test_shell_matches_filtered_cube():
+    for dim in (1, 2, 3):
+        for h in range(9):
+            cube = product(range(-h, h + 1), repeat=dim)
+            assert list(catalog._shell(h, dim)) == [v for v in cube if max(abs(x) for x in v) == h], (dim, h)
+
+
+def test_theorem3_closes_each_plane_once(monkeypatch):
+    # 563 candidates up to the default hit span 57 rational planes
+    calls = []
+    real = catalog.primitive_closure
+
+    def counting(sub):
+        calls.append(sub.columns)
+        return real(sub)
+
+    monkeypatch.setattr(catalog, "primitive_closure", counting)
+    theorem3_example()
+    assert 0 < len(calls) <= 57
 
 
 def test_paper_verification_table():
