@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
-from operator import mul
 
 from . import elliptic, lattices, matrices, qform
 from .embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
@@ -451,20 +450,15 @@ def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None)
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
     pool = [u for u in _small_primitive_vectors(ambient, 2) if ambient.square(u) not in (0, -2)]
-    g, rank = ambient.gram, ambient.rank
-    # (w, w) as a sum over the nonzero Gram entries, i <= j
-    terms = [(i, j, g[i][j] * (2 - (i == j))) for i in range(rank) for j in range(i, rank) if g[i][j]]
-    shells: list[list] = []  # shells[h - 1]: (w, ww) with ww not in (0, -2)
     settled: set = set()
     for u in pool:
         uu = ambient.square(u)
-        gu = [sum(map(mul, row, u)) for row in g]
         for shell in range(1, height_bound + 1):
-            if len(shells) < shell:
-                squares = ((w, sum(c * w[i] * w[j] for i, j, c in terms)) for w in _shell(shell, rank))
-                shells.append([(w, ww) for w, ww in squares if ww not in (0, -2)])
-            for w, ww in shells[shell - 1]:
-                uw = sum(map(mul, gu, w))
+            for w in _shell(shell, 3):
+                ww = ambient.square(w)
+                if ww in (0, -2):
+                    continue
+                uw = ambient.pairing(u, w)
                 disc = 4 * (uw * uw - uu * ww)
                 if disc <= 0 or is_square(disc):
                     # not hyperbolic, or rationally isotropic (shared with the

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import NamedTuple
 
 from . import matrices
@@ -61,7 +62,7 @@ class GramLattice:
     def pairing(self, u, v) -> int:
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("vector length does not match the rank")
-        return sum(u[i] * self.gram[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
+        return sum(map(mul, u, (sum(map(mul, row, v)) for row in self.gram)))
 
     def square(self, v) -> int:
         return self.pairing(v, v)

@@ -15,12 +15,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
 
-from k3lattice import qform
-from k3lattice.catalog import Theorem3Example, _small_primitive_vectors, theorem3_to_json
-from k3lattice.embeddings import EmbeddedSublattice, induced_gram, primitive_closure
-from k3lattice.k3 import lattice_form
-from k3lattice.lattices import direct_sum, standard_lattice
-from k3lattice.ntheory import is_square
 from k3lattice.qform import BinaryForm, binary_represents, binary_represents_zero, verdict_to_json
 
 # ------------------------------------------------------------- determinants
@@ -454,26 +448,45 @@ def theorem3_reference_walk(height_bound: int, limits=None):
     print its result, or None when the height bound is exhausted.
 
     Scans the full cube of each shell and filters it to max |w_i| = shell,
-    pairs with the generic Gram pairing, and closes every hyperbolic
+    pairs by the double index loop over the Gram, and closes every hyperbolic
     candidate plane; verdicts are memoized by the closure's Gram. The
     deciders are looked up on the qform module at call time, so a test that
-    patches them reaches this walk too.
+    patches them reaches this walk too. The pool of vectors u is built here
+    from the box, the gcd and the sign, not taken from the package.
     """
+    from k3lattice import qform
+    from k3lattice.catalog import Theorem3Example, theorem3_to_json
+    from k3lattice.embeddings import EmbeddedSublattice, induced_gram, primitive_closure
+    from k3lattice.k3 import lattice_form
+    from k3lattice.lattices import direct_sum, standard_lattice
+
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-    pool = [u for u in _small_primitive_vectors(ambient, 2) if ambient.square(u) not in (0, -2)]
+    g = ambient.gram
+
+    def pair(u, v):
+        return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
+
+    # primitive vectors of the box |u_i| <= 2 whose first nonzero entry is positive
+    box = [
+        v
+        for v in product(range(-2, 3), repeat=3)
+        if gcd(*v) == 1 and next(x for x in v if x) > 0
+    ]
+    box.sort(key=lambda v: (max(map(abs, v)), v))
+    pool = [u for u in box if pair(u, u) not in (0, -2)]
     memo: dict = {}
     for u in pool:
-        uu = ambient.square(u)
+        uu = pair(u, u)
         for shell in range(1, height_bound + 1):
             for w in product(range(-shell, shell + 1), repeat=3):
                 if max(abs(x) for x in w) != shell:
                     continue
-                ww = ambient.square(w)
+                ww = pair(w, w)
                 if ww in (0, -2):
                     continue
-                uw = ambient.pairing(u, w)
+                uw = pair(u, w)
                 disc = 4 * (uw * uw - uu * ww)
-                if disc <= 0 or is_square(disc):
+                if disc <= 0 or isqrt(disc) ** 2 == disc:
                     continue
                 sub = EmbeddedSublattice(ambient, [list(u), list(w)])
                 closed = primitive_closure(sub)

@@ -86,6 +86,22 @@ def test_gram_lattice_validation_and_pairing():
         u.square((1, 0, 0))  # wrong length
 
 
+def test_pairing_matches_index_loop():
+    rng = random.Random(11)
+    for name in ("U", "A1_neg", "E8_neg", "K3"):
+        lat = standard_lattice(name)
+        g, n = lat.gram, lat.rank
+        for _ in range(20):
+            u = [rng.randint(-9, 9) for _ in range(n)]
+            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            for a, b in ((u, u), (u, v), (v, u)):
+                want = sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
+                assert lat.pairing(a, b) == want
+                assert lat.pairing(a, b) == lat.pairing(b, a)
+        with pytest.raises(ValueError):
+            lat.pairing([0] * n, [0] * (n + 1))
+
+
 def test_direct_sum_blocks():
     s = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
     assert s.gram == ((0, 1, 0), (1, 0, 0), (0, 0, -2))
