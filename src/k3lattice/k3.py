@@ -10,6 +10,8 @@ replayable certificates; nothing in this module asserts literature facts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from operator import mul
 
 from . import lattices, qform
 from .embeddings import IsometryMap, discriminant_action, lattice_or_sublattice_from_json
@@ -125,12 +127,17 @@ def _witness_scan(lattice: GramLattice, t: int):
                     v = [0] * n
                     v[i], v[j] = 1, s
                     return tuple(v)
-    if n <= 4:
-        from itertools import product
-
-        for v in product(range(-2, 3), repeat=n):
-            if any(v) and lattice.square(v) == t:
-                return qform._canonical_sign(v)
+    if 0 < n <= 4:
+        # the box in product order: q(head, x) = q(head, 0) + x * (lin2 + g[-1][-1] * x)
+        last = n - 1
+        head_rows = [row[:last] for row in g[:last]]
+        tail, corner = g[last][:last], g[last][last]
+        for head in product(range(-2, 3), repeat=last):
+            q0 = sum(map(mul, head, (sum(map(mul, row, head)) for row in head_rows)))
+            lin2 = 2 * sum(map(mul, tail, head))
+            for x in range(-2, 3):
+                if q0 + x * (lin2 + corner * x) == t and (x or any(head)):
+                    return qform._canonical_sign(head + (x,))
     return None
 
 

@@ -123,8 +123,8 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
 
 
 def signature(lattice: GramLattice) -> Signature:
-    """Counts of positive, negative, and zero diagonal entries after exact
-    rational congruence diagonalization."""
+    """Counts of positive, negative, and zero diagonal entries after
+    congruence diagonalization by fraction-free integer Bareiss elimination."""
     return Signature(*matrices.inertia(lattice.gram_rows()))
 
 

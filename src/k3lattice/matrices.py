@@ -133,13 +133,17 @@ def rational_solve(a, b) -> list[Fraction]:
 def inertia(m) -> tuple[int, int, int]:
     """(positive, negative, zero) counts of a symmetric matrix.
 
-    Exact congruence diagonalization over Q; never touches floats.
+    Congruence diagonalization by fraction-free symmetric Bareiss
+    elimination: the working block is always the last pivot prev times the
+    true Schur complement, so each true pivot has the sign of piv / prev and
+    every update divides exactly. Integers only.
     """
     n = len(m)
     if not is_symmetric(m):
         raise ValueError("inertia requires a symmetric matrix")
-    a = [[Fraction(x) for x in row] for row in m]
+    a = copy_matrix(m)
     pos = neg = zero = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -150,25 +154,26 @@ def inertia(m) -> tuple[int, int, int]:
             else:
                 off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if off is None:
-                    zero += 1
+                    zero += 1  # a zero row and column: drop it, prev stays
                     continue
                 # both diagonals vanish; adding row/col makes the pivot 2*a[k][off]
-                for j in range(n):
+                for j in range(k, n):
                     a[k][j] += a[off][j]
-                for i in range(n):
+                for i in range(k, n):
                     a[i][k] += a[i][off]
         piv = a[k][k]
-        if piv > 0:
+        if (piv > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        pivot_row = a[k]
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / piv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(k, n):
-                    a[j][i] = a[i][j]
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                # exact by Bareiss: prev divides the cross product
+                row[j] = (piv * row[j] - f * pivot_row[j]) // prev
+        prev = piv
     return pos, neg, zero
 
 

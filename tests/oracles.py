@@ -229,6 +229,32 @@ def ternary_witness(d1: int, d2: int, d3: int, t: int, box: int):
     return None
 
 
+def witness_scan_reference(gram, t: int):
+    """First vector of square t found by the k3 witness scan's plain walk:
+    basis vectors, then e_i +- e_j, then every nonzero vector of the box
+    |v_i| <= 2 (rank <= 4) in product order, squared by the index loop and
+    returned with its first nonzero entry positive. None when nothing hits."""
+    n = len(gram)
+    for i in range(n):
+        if gram[i][i] == t:
+            return tuple(int(k == i) for k in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in (1, -1):
+                if gram[i][i] + gram[j][j] + 2 * s * gram[i][j] == t:
+                    v = [0] * n
+                    v[i], v[j] = 1, s
+                    return tuple(v)
+    if n <= 4:
+        for v in product(range(-2, 3), repeat=n):
+            if not any(v):
+                continue
+            if sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)) == t:
+                first = next(x for x in v if x)
+                return v if first > 0 else tuple(-x for x in v)
+    return None
+
+
 # ----------------------------------------------------------- random helpers
 
 

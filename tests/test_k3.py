@@ -1,6 +1,7 @@
 """Hyperbolic-lattice classification: verdicts, provenance, cone proxies."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from k3lattice import matrices
 from k3lattice.embeddings import IsometryMap
 from k3lattice.k3 import (
     PicardData,
+    _witness_scan,
     classify,
     g_t_membership_proxy,
     has_isotropic_class,
@@ -26,6 +28,7 @@ from k3lattice.qform import (
     RepresentationVerdict,
     UnaryForm,
 )
+from oracles import random_symmetric, witness_scan_reference
 
 
 def _diag(*entries):
@@ -128,6 +131,46 @@ def test_classify_non_diagonal_rank_three():
     assert lat.square(report.has_minus2.witness) == -2
     assert report.has_isotropic.kind == "YES"
     assert report.aut.verdict == "UNKNOWN" and report.aut.status is None
+
+
+def test_witness_scan_matches_reference_walk():
+    rng = random.Random(131)
+    found = {"basis or pair": 0, "box": 0, "none": 0}
+    for _ in range(5000):
+        n = rng.randint(1, 5)
+        g = random_symmetric(rng, n, -12, 12)
+        lattice = GramLattice(n, g)
+        for t in (0, -2, rng.randint(-60, 60)):
+            got = _witness_scan(lattice, t)
+            assert got == witness_scan_reference(g, t), (g, t)
+            if got is None:
+                found["none"] += 1
+            elif sum(map(abs, got)) > 2 or max(map(abs, got)) > 1:
+                found["box"] += 1
+            else:
+                found["basis or pair"] += 1
+    assert min(found.values()) >= 100, found
+
+
+def test_classify_makes_no_pairing_calls_when_the_box_misses(monkeypatch):
+    # no vector of the box |v_i| <= 2 has square 0 or -2
+    gram = [[-6, -1, 1, 3], [-1, -8, -2, 3], [1, -2, -8, 2], [3, 3, 2, 6]]
+    lattice = GramLattice(4, gram)
+    assert witness_scan_reference(gram, 0) is None
+    assert witness_scan_reference(gram, -2) is None
+    data = PicardData(lattice)
+    calls = []
+    pairing = GramLattice.pairing
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return pairing(self, u, v)
+
+    monkeypatch.setattr(GramLattice, "pairing", counted)
+    report = classify(data)
+    assert calls == []
+    assert report.has_minus2.kind == "UNDECIDED"
+    assert report.has_isotropic.kind == "UNDECIDED"
 
 
 def test_verdict_helpers_match_classify():

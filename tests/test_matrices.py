@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from k3lattice import matrices
+from k3lattice.lattices import standard_lattice
 from oracles import (
     det_cofactor,
     random_matrix,
@@ -83,6 +84,40 @@ def test_inertia_matches_diagonalization_oracle():
         n = rng.randint(1, 6)
         g = random_symmetric(rng, n, -6, 6)
         assert tuple(matrices.inertia(g)) == signature_by_rational_diagonalization(g)
+
+
+def test_inertia_on_degenerate_and_large_matrices():
+    rng = random.Random(107)
+    u = [[0, 1], [1, 0]]
+    u_plus_u = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    cases = [[], [[0]], [[0] * 3 for _ in range(3)], u, u_plus_u]
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        bound = rng.choice((1, 10, 10**6))
+        g = random_symmetric(rng, n, -bound, bound)
+        shape = rng.randrange(4)
+        if shape == 1:  # zero diagonal, as in U + U blocks
+            for i in range(n):
+                g[i][i] = 0
+        elif shape == 2 and n >= 2:  # singular: row and column j duplicate i
+            i, j = rng.sample(range(n), 2)
+            g[j] = list(g[i])
+            for row in g:
+                row[j] = row[i]
+        elif shape == 3:  # pad with zero rows and columns
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randint(0, len(g))
+                for row in g:
+                    row.insert(k, 0)
+                g.insert(k, [0] * (len(g) + 1))
+        cases.append(g)
+    for g in cases:
+        assert tuple(matrices.inertia(g)) == signature_by_rational_diagonalization(g), g
+    assert matrices.inertia([]) == (0, 0, 0)
+    assert matrices.inertia([[0] * 3 for _ in range(3)]) == (0, 0, 3)
+    assert matrices.inertia(u_plus_u) == (2, 2, 0)
+    assert matrices.inertia(standard_lattice("K3").gram_rows()) == (3, 19, 0)
+    assert matrices.inertia(standard_lattice("E8_neg").gram_rows()) == (0, 8, 0)
 
 
 def test_smith_normal_form_properties():
