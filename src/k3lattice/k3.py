@@ -114,7 +114,11 @@ def _basis_vector(n: int, i: int, sign: int = 1) -> tuple[int, ...]:
 
 def _witness_scan(lattice: GramLattice, t: int):
     """Cheap YES-only scan for shapes without a certified decider: basis
-    vectors, pairwise sums/differences, then a small box at low rank."""
+    vectors, pairwise sums/differences, then the box |v_i| <= 2 at rank <= 4
+    in product order. The box splits each vector as (head, y, x):
+    q = q(head, 0, 0) + ly * y + lx * x + q(0, y, x), where the 25 tail
+    terms q(0, y, x) are computed once per lattice and q(head, 0, 0), ly and
+    lx once per head, so each (y, x) costs two products."""
     g = lattice.gram_rows()
     n = lattice.rank
     for i in range(n):
@@ -127,17 +131,25 @@ def _witness_scan(lattice: GramLattice, t: int):
                     v = [0] * n
                     v[i], v[j] = 1, s
                     return tuple(v)
-    if 0 < n <= 4:
-        # the box in product order: q(head, x) = q(head, 0) + x * (lin2 + g[-1][-1] * x)
-        last = n - 1
-        head_rows = [row[:last] for row in g[:last]]
-        tail, corner = g[last][:last], g[last][last]
-        for head in product(range(-2, 3), repeat=last):
-            q0 = sum(map(mul, head, (sum(map(mul, row, head)) for row in head_rows)))
-            lin2 = 2 * sum(map(mul, tail, head))
-            for x in range(-2, 3):
-                if q0 + x * (lin2 + corner * x) == t and (x or any(head)):
-                    return qform._canonical_sign(head + (x,))
+    if n == 1:
+        # the basis check covered x = +-1, so the box adds only x = +-2
+        return (2,) if 4 * g[0][0] == t else None
+    if 2 <= n <= 4:
+        h = n - 2
+        gyy, gyx, gxx = g[h][h], g[h][h + 1], g[h + 1][h + 1]
+        tail = [
+            (y, x, y * (gyy * y + 2 * gyx * x) + gxx * x * x)
+            for y, x in product(range(-2, 3), repeat=2)
+        ]
+        head_rows = [row[:h] for row in g[:h]]
+        col_y = [2 * row[h] for row in g[:h]]
+        col_x = [2 * row[h + 1] for row in g[:h]]
+        for head in product(range(-2, 3), repeat=h):
+            r = t - sum(map(mul, head, (sum(map(mul, row, head)) for row in head_rows)))
+            ly, lx = sum(map(mul, col_y, head)), sum(map(mul, col_x, head))
+            for y, x, c in tail:
+                if ly * y + lx * x + c == r and (x or y or any(head)):
+                    return qform._canonical_sign(head + (y, x))
     return None
 
 

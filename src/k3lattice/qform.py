@@ -641,9 +641,20 @@ def _ternary_residues(q: DiagonalTernaryForm, m: int):
     return {(u + v) % m for u in s12 for v in s3}
 
 
+def _ternary_hit(q: DiagonalTernaryForm, t: int, m: int) -> bool:
+    # x**2 = (m - x)**2 mod m, so x <= m // 2 gives every square
+    squares = {x * x % m for x in range(m // 2 + 1)}
+    s1, s2, s3 = ({d * s % m for s in squares} for d in q.coefficients())
+    return any((t - u - v) % m in s3 for u in s1 for v in s2)
+
+
 def _ternary_sieve(q: DiagonalTernaryForm, t: int, moduli) -> int | None:
+    """First modulus m at which t is not a value of q mod m, or None. Each
+    test is t % m in _ternary_residues(q, m) without building that set: it
+    stops at the first u + v + w = t (mod m) from the three coefficient-times-
+    square sets. The SIEVE verifier replays the full value set instead."""
     for m in moduli:
-        if t % m not in _ternary_residues(q, m):
+        if not _ternary_hit(q, t, m):
             return m
     return None
 

@@ -229,6 +229,18 @@ def ternary_witness(d1: int, d2: int, d3: int, t: int, box: int):
     return None
 
 
+def ternary_residue_hit_reference(d1: int, d2: int, d3: int, t: int, m: int) -> bool:
+    """Whether d1 x^2 + d2 y^2 + d3 z^2 = t (mod m) has a solution, by trying
+    every (x, y, z) in (Z/m)^3."""
+    tm = t % m
+    return any(
+        (d1 * x * x + d2 * y * y + d3 * z * z) % m == tm
+        for x in range(m)
+        for y in range(m)
+        for z in range(m)
+    )
+
+
 def witness_scan_reference(gram, t: int):
     """First vector of square t found by the k3 witness scan's plain walk:
     basis vectors, then e_i +- e_j, then every nonzero vector of the box

@@ -1,6 +1,7 @@
 """Command-line interface: output shape, exit codes, config layering."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,14 @@ def test_paper_verify_table_format(capsys):
     assert lines[0].startswith("family-1(n=5)")
     assert all(line.rstrip().endswith("pass") for line in lines[:8])
     assert lines[-1].split() == ["all_passed", "true"]
+
+
+@pytest.mark.parametrize("fmt, golden", [("json", "paper_verify.json"), ("table", "paper_verify.txt")])
+def test_paper_verify_matches_golden_output(capsys, fmt, golden):
+    # a change that alters verdicts on purpose regenerates these files
+    code, out, _ = run(capsys, "paper-verify", "--format", fmt)
+    assert code == EXIT_OK
+    assert out == (Path(__file__).parent / "data" / golden).read_text()
 
 
 def test_table_format_flattens_nested_json(capsys):

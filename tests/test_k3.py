@@ -150,6 +150,38 @@ def test_witness_scan_matches_reference_walk():
             else:
                 found["basis or pair"] += 1
     assert min(found.values()) >= 100, found
+    # every box vector of square t has a zero head: only the last two
+    # coordinates are nonzero, and one of them is +-2
+    zero_head = [
+        ([[6, 3, -8], [3, -2, -5], [-8, -5, -12]], 0, (0, 2, -1)),
+        ([[4, 11, -6], [11, 10, 11], [-6, 11, 8]], -2, (0, 1, -2)),
+        ([[1, 0, -9], [0, 0, -2], [-9, -2, 6]], -2, (0, 2, 1)),
+        ([[-6, 1, 5, 6], [1, -1, -9, 11], [5, -9, -11, 7], [6, 11, 7, 3]], 29, (0, 0, 1, 2)),
+        ([[10, 3, 6, -12], [3, -12, -6, -5], [6, -6, 8, 1], [-12, -5, 1, -1]], 0, (0, 0, 1, -2)),
+        ([[12, -3, -9, -5], [-3, -9, 5, 10], [-9, 5, -5, 7], [-5, 10, 7, -2]], -50, (0, 0, 2, -1)),
+    ]
+    # t = 0 with a zero last-two block: q(0, y, x) = 0 for every (y, x),
+    # the zero vector among them, which must never be the answer
+    zero_tail = [
+        ([[0, 0], [0, 0]], 0, (1, 0)),
+        ([[-2, 1, 3], [1, 0, 0], [3, 0, 0]], 0, (0, 1, 0)),
+        ([[4, 1, 0, 2], [1, -6, 3, -1], [0, 3, 0, 0], [2, -1, 0, 0]], 0, (0, 0, 1, 0)),
+    ]
+    rank_one = [([[-3]], -12, (2,)), ([[-3]], -3, (1,)), ([[0]], 0, (1,)), ([[5]], -2, None), ([[0]], -2, None)]
+    # rank 2 has an empty head: the whole box is the two-coordinate tail
+    rank_two = [
+        ([[8, -1], [-1, -3]], 0, (1, -2)),
+        ([[-3, -1], [-1, 1]], -7, (2, -1)),
+        ([[3, 5], [5, 2]], 31, (1, 2)),
+        ([[2, 1], [1, -4]], -4, (0, 1)),
+        ([[2, 3], [3, 4]], 0, (1, -1)),
+        ([[2, 0], [0, 2]], -2, None),
+        ([[0, 1], [1, 0]], 0, (1, 0)),
+        ([[6, 1], [1, 8]], 0, None),
+    ]
+    for g, t, expected in zero_head + zero_tail + rank_one + rank_two:
+        got = _witness_scan(GramLattice(len(g), g), t)
+        assert got == expected == witness_scan_reference(g, t), (g, t, got)
 
 
 def test_classify_makes_no_pairing_calls_when_the_box_misses(monkeypatch):

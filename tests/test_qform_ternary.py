@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from k3lattice import qform
 from k3lattice.ntheory import sqrt_exact
 from k3lattice.qform import (
+    DEFAULT_SIEVE_MODULI,
     DiagonalTernaryForm,
     SearchLimits,
     enumerate_primitive_zeros,
@@ -14,7 +16,7 @@ from k3lattice.qform import (
     verify_certificate,
 )
 
-from oracles import ternary_zero_witness, ternary_witness
+from oracles import ternary_residue_hit_reference, ternary_zero_witness, ternary_witness
 
 
 def _value(q: DiagonalTernaryForm, xyz) -> int:
@@ -134,6 +136,44 @@ def test_values_against_search_oracle():
             assert found is None, (d, t, found)
         if found is not None:
             assert v.kind == "YES", (d, t, found, v)
+
+
+def test_ternary_hit_against_brute_force():
+    # 720720 = lcm(1..16) and 10**12 are 0 mod many of the moduli;
+    # 43243200 = 2**6 3**3 5**2 7 11 13 is 0 mod every m <= 27 but 17, 19, 23
+    rng = random.Random(63)
+    forms = [(1, 1, 1), (1, -1, -1), (720720, 3, -5), (10**12, -(10**12), 7), (-(10**12) + 1, 10**12 - 3, -2)]
+    forms += [tuple(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 12)) for _ in range(3)) for _ in range(7)]
+    targets = (0, -2, 43243200, -43243200 + 5)
+    hits = misses = 0
+    for d in forms:
+        q = DiagonalTernaryForm(*d)
+        for t in targets + (rng.randint(-(10**6), 10**6),):
+            for m in range(2, 28):
+                hit = qform._ternary_hit(q, t, m)
+                assert hit == ternary_residue_hit_reference(*d, t, m), (d, t, m)
+                hits, misses = hits + hit, misses + (not hit)
+            # the rest of the default ladder and the verifier's largest modulus
+            for m in (32, 64, 512):
+                assert qform._ternary_hit(q, t, m) == (t % m in qform._ternary_residues(q, m)), (d, t, m)
+    assert hits >= 100 and misses >= 100, (hits, misses)
+
+
+def test_sieve_certificates_replay_without_the_deciders_kernel(monkeypatch):
+    # every t is a value of these forms mod every modulus (each has a witness),
+    # so a decider whose membership test always misses emits false SIEVE
+    # certificates, and the verifier's own value-set replay rejects them all
+    cases = [((1, 1, -1), 5), ((2, 3, -7), -2), ((1, -2, 3), 2), ((5, -3, -1), -2)]
+    for d, t in cases:
+        assert ternary_represents(DiagonalTernaryForm(*d), t).kind == "YES"
+    monkeypatch.setattr(qform, "_ternary_hit", lambda q, t, m: False)
+    for d, t in cases:
+        q = DiagonalTernaryForm(*d)
+        v = ternary_represents(q, t)
+        assert v.kind == "NO" and v.certificate.kind == "SIEVE", (d, t, v)
+        assert v.certificate.data == {"modulus": DEFAULT_SIEVE_MODULI[0]}
+        for m in DEFAULT_SIEVE_MODULI:
+            assert not verify_certificate(q, t, {"kind": "SIEVE", "data": {"modulus": m}}), (d, t, m)
 
 
 def test_enumerate_primitive_zeros_frozen():
