@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, product
+from math import gcd
 
 from . import elliptic, lattices, matrices, qform
 from .embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
@@ -433,19 +434,27 @@ def _shell(h: int, dim: int) -> list[tuple[int, ...]]:
     return [(x,) + t for x in side for t in (cube if abs(x) == h else inner)]
 
 
-def _plane_normal(u, w) -> tuple[int, int, int]:
-    """Primitive, sign-normalized normal of the rational plane span(u, w) in Q^3."""
-    n = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
-    g = vec_gcd(n)
-    return qform._canonical_sign(tuple(x // g for x in n))
+def _plane_normal(u, w) -> tuple[int, int, int] | None:
+    """Primitive, sign-normalized normal of the rational plane span(u, w) in Q^3,
+    or None when w is parallel to u."""
+    n0, n1, n2 = u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]
+    g = gcd(n0, n1, n2)
+    if g == 0:
+        return None
+    if n0 < 0 or (n0 == 0 and (n1 < 0 or (n1 == 0 and n2 < 0))):
+        g = -g
+    return n0 // g, n1 // g, n2 // g
 
 
 def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None) -> Theorem3Example:
     """Search rank-2 primitive hyperbolic sublattices of U + A1(-1) for one
     whose form is certified to represent neither 0 nor -2, walking the shells
-    max|w_i| = h in lexicographic order and deciding each rational plane once:
-    two decided verdicts, not both NO, settle it (UNDECIDED may depend on the
-    basis of the closure, so it settles nothing)."""
+    max|w_i| = h in lexicographic order and testing each rational plane
+    span(u, w) once, looked up by its normal before anything is paired. A new
+    plane is retired at once if its discriminant is <= 0 or a square (this
+    covers w.w == 0) or if w.w == -2 (its closure holds w, so no sound -2
+    decider says NO); else once both verdicts are decided and not both NO
+    (UNDECIDED may depend on the closure's basis, so it retires nothing)."""
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
@@ -455,17 +464,14 @@ def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None)
         uu = ambient.square(u)
         for shell in range(1, height_bound + 1):
             for w in _shell(shell, 3):
-                ww = ambient.square(w)
-                if ww in (0, -2):
+                normal = _plane_normal(u, w)
+                if normal is None or normal in settled:
                     continue
+                ww = ambient.square(w)
                 uw = ambient.pairing(u, w)
                 disc = 4 * (uw * uw - uu * ww)
-                if disc <= 0 or is_square(disc):
-                    # not hyperbolic, or rationally isotropic (shared with the
-                    # primitive closure, which spans the same rational plane)
-                    continue
-                normal = _plane_normal(u, w)
-                if normal in settled:
+                if disc <= 0 or is_square(disc) or ww == -2:
+                    settled.add(normal)
                     continue
                 closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))
                 lat = induced_gram(closed)

@@ -97,7 +97,4 @@ def prime_power_split(n: int) -> tuple[int, int] | None:
 
 def vec_gcd(values) -> int:
     """gcd of an iterable of integers (0 for an empty or all-zero input)."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
+    return gcd(*values)

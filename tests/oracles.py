@@ -481,6 +481,23 @@ def claim3_reference_walk(a: int, b: int, c: int, bound: int):
 # -------------------------------------------------------- theorem3 reference
 
 
+def plane_normal_reference(u, w):
+    """Normal of the rational plane span(u, w) in Q^3: the cross product
+    divided by the gcd of its entries, first nonzero entry positive; None
+    when the cross product is 0."""
+    n = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+    g = 0
+    for x in n:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return None
+    n = [x // g for x in n]
+    if next(x for x in n if x) < 0:
+        n = [-x for x in n]
+    return tuple(n)
+
+
+
 def theorem3_reference_walk(height_bound: int, limits=None):
     """The theorem-3 search candidate by candidate, as theorem3_to_json would
     print its result, or None when the height bound is exhausted.

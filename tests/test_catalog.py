@@ -4,6 +4,7 @@ example, and the aggregate verification table."""
 import dataclasses
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -21,12 +22,12 @@ from k3lattice.catalog import (
     theorem3_to_json,
 )
 from k3lattice.embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
-from k3lattice.k3 import PicardData, revalidate_report
+from k3lattice.k3 import PicardData, lattice_form, revalidate_report
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.ntheory import is_square
 from k3lattice.qform import BinaryForm, RepresentationVerdict, SearchLimits, verify_certificate
 
-from oracles import claim3_reference_walk, theorem3_reference_walk
+from oracles import claim3_reference_walk, plane_normal_reference, theorem3_reference_walk
 
 
 K3 = standard_lattice("K3")
@@ -321,8 +322,33 @@ def test_shell_matches_filtered_cube():
             assert list(catalog._shell(h, dim)) == [v for v in cube if max(abs(x) for x in v) == h], (dim, h)
 
 
+def test_plane_normal_matches_oracle():
+    def direction(v):
+        # the primitive vector on the line of v, up to sign; None for v = 0
+        g = gcd(*v)
+        return None if g == 0 else tuple(x // g for x in v)
+
+    box = list(product(range(-3, 4), repeat=3))
+    for u in box:
+        du = direction(u)
+        for w in box:
+            normal = catalog._plane_normal(u, w)
+            assert normal == plane_normal_reference(u, w), (u, w)
+            dw = direction(w)
+            parallel = du is None or dw is None or dw in (du, tuple(-x for x in du))
+            assert (normal is None) == parallel, (u, w)
+            if normal is None:
+                continue
+            assert gcd(*normal) == 1 and next(x for x in normal if x) > 0, (u, w)
+            assert catalog._plane_normal(u, tuple(-x for x in w)) == normal, (u, w)
+            for k in (-2, -1, 1, 2):
+                assert catalog._plane_normal(u, tuple(x + k * y for x, y in zip(w, u))) == normal, (u, w, k)
+
+
 def test_theorem3_closes_each_plane_once(monkeypatch):
-    # 563 candidates up to the default hit span 57 rational planes
+    # Up to and including the default hit, u = (1, -1, -1) meets 140 rational
+    # planes over 2,200 vectors w: 77 are not hyperbolic, 6 are rationally
+    # isotropic and 3 are first seen through a w of square -2, so 54 are closed.
     calls = []
     real = catalog.primitive_closure
 
@@ -332,7 +358,47 @@ def test_theorem3_closes_each_plane_once(monkeypatch):
 
     monkeypatch.setattr(catalog, "primitive_closure", counting)
     theorem3_example()
-    assert 0 < len(calls) <= 57
+    assert len(calls) == 54
+
+
+def test_theorem3_pairs_nothing_on_a_seen_plane(monkeypatch):
+    # a seen plane is looked up by its normal before w is squared or paired
+    calls = [0]
+    real = GramLattice.pairing
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return real(self, u, v)
+
+    monkeypatch.setattr(GramLattice, "pairing", counting)
+    theorem3_example()
+    assert 0 < calls[0] <= 330
+
+
+def test_theorem3_minus2_retirement_premise():
+    # theorem3_example retires a plane first seen through a w with w.w == -2:
+    # the closure contains w, so the -2 decider must answer YES there.
+    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+    pool = [u for u in catalog._small_primitive_vectors(ambient, 2) if ambient.square(u) not in (0, -2)]
+    roots = [w for h in range(1, 8) for w in catalog._shell(h, 3) if ambient.square(w) == -2]
+    checked = 0
+    for u in pool:
+        uu = ambient.square(u)
+        seen = set()
+        for w in roots:
+            normal = catalog._plane_normal(u, w)
+            if normal is None or normal in seen:
+                continue
+            uw = ambient.pairing(u, w)
+            disc = 4 * (uw * uw + 2 * uu)
+            if disc <= 0 or is_square(disc):
+                continue
+            seen.add(normal)
+            closed = primitive_closure(EmbeddedSublattice(ambient, [list(u), list(w)]))
+            verdict = qform.binary_represents(lattice_form(induced_gram(closed)), -2)
+            assert verdict.kind == "YES", (u, w, verdict.kind)
+        checked += len(seen)
+    assert checked == 948
 
 
 def test_paper_verification_table():

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -92,3 +93,18 @@ def test_vec_gcd():
     assert vec_gcd([4, -6]) == 2
     assert vec_gcd([5]) == 5
     assert vec_gcd([-5]) == 5
+    assert vec_gcd(x for x in (12, -18, 30)) == 6
+    assert vec_gcd(iter(())) == 0
+
+    def fold(values):
+        g = 0
+        for v in values:
+            g = gcd(g, v)
+        return g
+
+    rng = random.Random(7)
+    for _ in range(2000):
+        values = [
+            rng.choice((0, rng.randint(-60, 60), rng.randint(-(10**20), 10**20))) for _ in range(rng.randint(0, 6))
+        ]
+        assert vec_gcd(values) == vec_gcd(iter(values)) == fold(values), values
