@@ -30,7 +30,7 @@ from .k3 import (
     revalidate_report,
 )
 from .lattices import GramLattice, direct_sum, discriminant_group, standard_lattice
-from .ntheory import is_square, vec_gcd
+from .ntheory import is_square
 from .qform import (
     BinaryForm,
     RepresentationVerdict,
@@ -413,18 +413,6 @@ class Theorem3Example:
     height_bound: int
 
 
-def _small_primitive_vectors(lattice: GramLattice, box: int):
-    out = []
-    for v in product(range(-box, box + 1), repeat=lattice.rank):
-        if vec_gcd(v) != 1:
-            continue
-        if qform._canonical_sign(v) != v:
-            continue
-        out.append(v)
-    out.sort(key=lambda v: (max(abs(x) for x in v), v))
-    return out
-
-
 def _shell(h: int, dim: int) -> list[tuple[int, ...]]:
     """The vectors with max |x_i| = h, in the order of product(range(-h, h + 1), repeat=dim)."""
     if dim == 0:
@@ -458,7 +446,13 @@ def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None)
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-    pool = [u for u in _small_primitive_vectors(ambient, 2) if ambient.square(u) not in (0, -2)]
+    # primitive u with max |u_i| <= 2 and first nonzero entry positive, by height
+    pool = [
+        u
+        for h in (1, 2)
+        for u in _shell(h, 3)
+        if gcd(*u) == 1 and next(x for x in u if x) > 0 and ambient.square(u) not in (0, -2)
+    ]
     settled: set = set()
     for u in pool:
         uu = ambient.square(u)

@@ -161,8 +161,11 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
     acting as the identity on the orthogonal complement.
 
     Requires the induced action on the sublattice discriminant group to be
-    trivial; the construction solves over Q on sublattice + complement and
-    then checks integrality and the pairing on a full ambient basis.
+    trivial. The map sends F = [B | C] (sublattice basis, then complement
+    basis) to [B g | C], so it is (B g | C) F^-1; from the Smith form
+    U F V = D that is (B g | C) V D^-1 U, integral exactly when column j of
+    (B g | C) V is divisible by d_j. The pairing is then checked on a full
+    ambient basis.
     """
     ind = induced_gram(sub)
     if g.domain.gram != ind.gram:
@@ -182,19 +185,13 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
     b = sub.basis_matrix()
     c = comp.basis_matrix()
     bg = matrices.mat_mul(b, g.matrix_rows())
-    full = [[b[i][j] for j in range(sub.rank)] + [c[i][j] for j in range(comp.rank)] for i in range(n)]
-    mapped = [[bg[i][j] for j in range(sub.rank)] + [c[i][j] for j in range(comp.rank)] for i in range(n)]
-    inv = matrices.rational_inverse(full)
-    ext = matrices.mat_mul(mapped, inv)
-    out = []
-    for row in ext:
-        ints = []
-        for x in row:
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise ValueError("extension is not integral on the ambient lattice")
-            ints.append(int(fx))
-        out.append(ints)
+    full = [b[i] + c[i] for i in range(n)]
+    mapped = [bg[i] + c[i] for i in range(n)]
+    v, d, u = matrices._inverse_factors(full)
+    mv = matrices.mat_mul(mapped, v)
+    if any(x % dj for row in mv for x, dj in zip(row, d)):
+        raise ValueError("extension is not integral on the ambient lattice")
+    out = matrices.mat_mul([[x // dj for x, dj in zip(row, d)] for row in mv], u)
     result = IsometryMap(sub.ambient, out)
     if matrices.mat_mul(result.matrix_rows(), b) != bg:
         raise ValueError("extension does not restrict to the given isometry")

@@ -1,7 +1,10 @@
 """Exact integer and rational matrix algebra.
 
-Matrices are plain lists of row lists. Everything runs on Python ints or
-fractions.Fraction, so no overflow and no rounding anywhere.
+Matrices are plain lists of row lists of Python ints, with fractions.Fraction
+only in rational_inverse's output, so no overflow and no rounding anywhere.
+Two eliminations do all the work: fraction-free Bareiss for det and inertia,
+and the Smith normal form, which also gives every inverse the package needs
+(from U M V = D, M^-1 = V D^-1 U).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ __all__ = [
     "det",
     "rational_inverse",
     "unimodular_inverse",
-    "rational_solve",
     "inertia",
     "SmithDecomposition",
     "smith_normal_form",
@@ -92,42 +94,17 @@ def det(m) -> int:
 
 
 def rational_inverse(m) -> list[list[Fraction]]:
-    """Inverse over Q by Gauss-Jordan; raises ValueError when singular."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse requires a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    """Inverse over Q; raises ValueError when singular."""
+    v, d, u = _inverse_factors(m)
+    return mat_mul([[Fraction(x, dj) for x, dj in zip(row, d)] for row in v], u)
 
 
 def unimodular_inverse(m) -> Matrix:
     """Integer inverse of a matrix with determinant +-1."""
-    d = det(m)
-    if d not in (1, -1):
+    if det(m) not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    inv = rational_inverse(m)
-    return [[int(x) for x in row] for row in inv]
-
-
-def rational_solve(a, b) -> list[Fraction]:
-    """Solve the square system a x = b over Q; raises ValueError when singular."""
-    inv = rational_inverse(a)
-    return [sum(inv[i][k] * Fraction(b[k]) for k in range(len(b))) for i in range(len(b))]
+    v, _, u = _inverse_factors(m)
+    return mat_mul(v, u)
 
 
 def inertia(m) -> tuple[int, int, int]:
@@ -205,26 +182,9 @@ def _pivot_min_abs(a, k, rows, cols):
     return best
 
 
-def _pivot_first(a, k, rows, cols):
-    for i in range(k, rows):
-        for j in range(k, cols):
-            if a[i][j] != 0:
-                return (i, j)
-    return None
-
-
-_PIVOTS = {"min_abs": _pivot_min_abs, "first": _pivot_first}
-
-
-def smith_normal_form(m, pivot: str = "min_abs") -> SmithDecomposition:
-    """Smith normal form with tracked unimodular factors.
-
-    pivot selects the elimination order ("min_abs" or "first"); the resulting
-    diagonal is the same either way.
-    """
-    if pivot not in _PIVOTS:
-        raise ValueError(f"unknown pivot strategy {pivot!r}")
-    choose = _PIVOTS[pivot]
+def smith_normal_form(m) -> SmithDecomposition:
+    """Smith normal form with tracked unimodular factors; each step pivots on
+    an entry of least absolute value in the remaining block."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if any(len(row) != cols for row in m):
@@ -255,7 +215,7 @@ def smith_normal_form(m, pivot: str = "min_abs") -> SmithDecomposition:
 
     for k in range(min(rows, cols)):
         while True:
-            pos = choose(a, k, rows, cols)
+            pos = _pivot_min_abs(a, k, rows, cols)
             if pos is None:
                 break
             if pos != (k, k):
@@ -265,7 +225,7 @@ def smith_normal_form(m, pivot: str = "min_abs") -> SmithDecomposition:
                     col_swap(k, pos[1])
             # Euclidean descent: a remainder that survives reduction is
             # strictly smaller than the pivot, so promoting it guarantees
-            # termination for every pivot strategy.
+            # termination.
             restart = False
             for i in range(k + 1, rows):
                 if a[i][k] != 0:
@@ -306,3 +266,16 @@ def smith_normal_form(m, pivot: str = "min_abs") -> SmithDecomposition:
         if a[i][i] < 0:
             col_add(i, i, -2)  # negate column i keeping V unimodular
     return SmithDecomposition(a, u, v)
+
+
+def _inverse_factors(m) -> tuple[Matrix, list[int], Matrix]:
+    """(V, d, U) with m^-1 = V diag(d)^-1 U, read off the Smith form
+    U m V = diag(d); raises ValueError when m is not square or is singular."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse requires a square matrix")
+    snf = smith_normal_form(m)
+    d = snf.diagonal()
+    if 0 in d:
+        raise ValueError("matrix is singular")
+    return snf.v, d, snf.u

@@ -63,6 +63,10 @@ CYCLE = "CYCLE"
 DEFAULT_SIEVE_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 64)
 DEFAULT_SEARCH_BOUND = 10_000
 
+# cells a definite exhaust may scan, in the decider and again in its replay;
+# past it the decider answers UNDECIDED, so every DEFINITE_EXHAUST NO replays
+_EXHAUST_CELL_LIMIT = 4_000_000
+
 
 @dataclass(frozen=True)
 class UnaryForm:
@@ -472,6 +476,10 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
         if t1 * sign < 0:
             return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
         bx, by = _definite_bounds(a1, c1, t1, d1)
+        if by + 1 > _EXHAUST_CELL_LIMIT:
+            return RepresentationVerdict.undecided(
+                {"bound_x": bx, "bound_y": by, "cell_limit": _EXHAUST_CELL_LIMIT}
+            )
         for y in range(by + 1):
             for x in _solve_quadratic(a1, b1 * y, c1 * y * y - t1):
                 return _checked_yes(q, t, (x, y))
@@ -593,25 +601,21 @@ def _exact_roots(d1: int, d2: int, d3: int, t: int, xs, ys):
 
 
 def _holzer_scan(a: int, b: int, c: int):
-    """Witness of a x**2 + b y**2 + c z**2 = 0 inside the Holzer box; the box
-    is guaranteed nonempty once the residue conditions hold."""
-    bound_x = isqrt(abs(b * c))
-    bound_y = isqrt(abs(a * c))
-    while True:
-        ys = range(bound_y + 1)
-        for w in _exact_roots(a, b, c, 0, range(bound_x + 1), lambda x: ys):
-            if any(w):
-                return w
-        bound_x *= 2
-        bound_y *= 2
-        if max(bound_x, bound_y) > 10**9:
-            raise RuntimeError("isotropy witness scan exceeded its safety bound")
+    """Witness of a x**2 + b y**2 + c z**2 = 0 in the box |x| <= sqrt|bc|,
+    |y| <= sqrt|ac|. For squarefree, pairwise coprime a, b, c of mixed sign
+    that meet the residue conditions, Holzer's theorem puts a nontrivial zero
+    there, so one scan of the box is complete."""
+    ys = range(isqrt(abs(a * c)) + 1)
+    for w in _exact_roots(a, b, c, 0, range(isqrt(abs(b * c)) + 1), lambda x: ys):
+        if any(w):
+            return w
+    raise AssertionError("internal error: no zero in the Holzer box")
 
 
 def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
     """Complete decision of nontrivial isotropy for diagonal ternary forms:
-    squarefree pairwise-coprime reduction, then the residue criterion, with a
-    bounded witness scan on the solvable side."""
+    squarefree pairwise-coprime reduction, then the residue criterion, and on
+    the solvable side one scan of the Holzer box for the witness."""
     _require_nonzero_diag(q)
     sign = q.definite_sign
     if sign is not None:
@@ -675,6 +679,8 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
         if t * sign < 0:
             return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
         bounds = [isqrt(abs(t) // abs(x)) for x in d]
+        if (bounds[0] + 1) * (bounds[1] + 1) > _EXHAUST_CELL_LIMIT:
+            return RepresentationVerdict.undecided({"bounds": bounds, "cell_limit": _EXHAUST_CELL_LIMIT})
         ys = range(bounds[1] + 1)
         for w in _exact_roots(*d, t, range(bounds[0] + 1), lambda x: ys):
             return _checked_yes(q, t, w)
@@ -738,7 +744,6 @@ def represents(q, t: int, limits: SearchLimits | None = None) -> RepresentationV
 
 # ---------------------------------------------------------------- verifier
 
-_VERIFY_BOX_LIMIT = 4_000_000
 _VERIFY_SIEVE_LIMIT = 512
 _VERIFY_CYCLE_LIMIT = 100_000
 
@@ -799,33 +804,35 @@ def _verify_definite(q, t, data) -> bool:
 
 
 def _verify_definite_exhaust(q, t, data) -> bool:
+    # (x, y, z) -> -(x, y, z) and, for a diagonal form, each single sign flip
+    # keep the value, so the replay scans the nonnegative cells of the box
+    # and solves the last coordinate exactly, as the deciders do
     if t == 0 or q.definite_sign is None:
         return False
     if isinstance(q, UnaryForm):
-        bound = isqrt(abs(t) // abs(q.d))
-        return all(q.evaluate((x,)) != t for x in range(-bound, bound + 1))
+        return t % q.d != 0 or sqrt_exact(t // q.d) is None
     if isinstance(q, BinaryForm):
-        bx, by = _definite_bounds(q.a, q.c, t, q.disc)
-        if (2 * bx + 1) * (2 * by + 1) > _VERIFY_BOX_LIMIT:
+        # 4a q(x, y) = (2ax + by)**2 - D y**2 with D < 0 caps y**2 at 4at / |D|
+        a, b, disc = q.a, q.b, q.disc
+        by = isqrt(abs(4 * a * t) // -disc)
+        if by + 1 > _EXHAUST_CELL_LIMIT:
             return False
-        return all(
-            q.evaluate((x, y)) != t
-            for x in range(-bx, bx + 1)
-            for y in range(-by, by + 1)
-        )
+        for y in range(by + 1):
+            s = sqrt_exact(4 * a * t + disc * y * y)
+            if s is not None and ((s - b * y) % (2 * a) == 0 or (-s - b * y) % (2 * a) == 0):
+                return False
+        return True
     if isinstance(q, DiagonalTernaryForm):
-        bounds = [isqrt(abs(t) // abs(x)) for x in q.coefficients()]
-        cells = 1
-        for b in bounds:
-            cells *= 2 * b + 1
-        if cells > _VERIFY_BOX_LIMIT:
+        d1, d2, d3 = q.coefficients()
+        bx, by = isqrt(abs(t) // abs(d1)), isqrt(abs(t) // abs(d2))
+        if (bx + 1) * (by + 1) > _EXHAUST_CELL_LIMIT:
             return False
-        return all(
-            q.evaluate((x, y, z)) != t
-            for x in range(-bounds[0], bounds[0] + 1)
-            for y in range(-bounds[1], bounds[1] + 1)
-            for z in range(-bounds[2], bounds[2] + 1)
-        )
+        for x in range(bx + 1):
+            for y in range(by + 1):
+                rest = t - d1 * x * x - d2 * y * y
+                if rest % d3 == 0 and sqrt_exact(rest // d3) is not None:
+                    return False
+        return True
     return False
 
 

@@ -56,6 +56,31 @@ def snf_diagonal_minor_gcd(m) -> list[int]:
     return out
 
 
+def rational_inverse_reference(m) -> list[list[Fraction]]:
+    """Inverse over Q by Fraction Gauss-Jordan; ValueError when the matrix is
+    not square or is singular."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse requires a square matrix")
+    a = [[Fraction(x) for x in row] for row in m]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
 # ------------------------------------------------- finite abelian aut counts
 
 

@@ -258,13 +258,12 @@ def test_criterion_7_snf_and_signature_properties():
                 for i in range(rows)
             ]
 
-        for trial in range(1000):
+        for _ in range(1000):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             m = random_matrix(rng, rows, cols)
-            pivot = "min_abs" if trial % 2 == 0 else "first"
-            snf = smith_normal_form(m, pivot=pivot)
-            assert mm(mm(snf.u, m), snf.v) == snf.d, (m, pivot)
+            snf = smith_normal_form(m)
+            assert mm(mm(snf.u, m), snf.v) == snf.d, m
             assert abs(det_subset_dp(snf.u)) == 1
             assert abs(det_subset_dp(snf.v)) == 1
             diag = snf.diagonal()
@@ -286,7 +285,7 @@ def test_criterion_7_snf_and_signature_properties():
             sig = inertia(g)
             assert inertia(h) == sig
             assert signature_by_rational_diagonalization(g) == sig
-        detail["note"] = "1000 SNF matrices (both pivots), 500 congruences"
+        detail["note"] = "1000 SNF matrices, 500 congruences"
 
 
 def test_criterion_8_shioda_unit_identities():

@@ -379,7 +379,8 @@ def test_theorem3_minus2_retirement_premise():
     # theorem3_example retires a plane first seen through a w with w.w == -2:
     # the closure contains w, so the -2 decider must answer YES there.
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-    pool = [u for u in catalog._small_primitive_vectors(ambient, 2) if ambient.square(u) not in (0, -2)]
+    box = [u for u in product(range(-2, 3), repeat=3) if gcd(*u) == 1 and next(x for x in u if x) > 0]
+    pool = [u for u in box if ambient.square(u) not in (0, -2)]
     roots = [w for h in range(1, 8) for w in catalog._shell(h, 3) if ambient.square(w) == -2]
     checked = 0
     for u in pool:

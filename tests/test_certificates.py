@@ -2,6 +2,7 @@
 and malformed input never raises."""
 
 import copy
+import random
 
 from k3lattice.qform import (
     BinaryForm,
@@ -14,6 +15,8 @@ from k3lattice.qform import (
     unary_represents,
     verify_certificate,
 )
+
+from oracles import binary_witness, ternary_witness
 
 
 def _no_cert(decide, q, t):
@@ -148,6 +151,57 @@ def test_definite_kind_mismatches():
     assert not verify_certificate(BinaryForm(1, 0, -2), 0, {"kind": "LEGENDRE", "data": {"reduced": [1, 0, -2], "condition": 0}})
     # SQUARE_DISC_EXHAUST on a form whose discriminant is not a square
     assert not verify_certificate(BinaryForm(1, 0, -2), 3, {"kind": "SQUARE_DISC_EXHAUST", "data": {"content": 1}})
+
+
+def test_definite_exhaust_replay_matches_box_scan():
+    # the replay completes the square in the last coordinate; it must accept
+    # exactly the definite (q, t) that the full box scan finds no value t for
+    rng = random.Random(53)
+    exhaust = {"kind": "DEFINITE_EXHAUST", "data": {}}
+    for _ in range(400):
+        sign = rng.choice((-1, 1))
+        t = rng.choice((-1, 1)) * rng.randint(1, 60)
+        d = sign * rng.randint(1, 6)
+        assert verify_certificate(UnaryForm(d), t, exhaust) == all(d * x * x != t for x in range(9))
+        a, c = sign * rng.randint(1, 6), sign * rng.randint(1, 6)
+        b = rng.randint(-2, 2) * min(abs(a), abs(c))
+        if b * b < 4 * a * c:
+            want = binary_witness(a, b, c, t, 24) is None
+            assert verify_certificate(BinaryForm(a, b, c), t, exhaust) == want, (a, b, c, t)
+        d3 = [sign * rng.randint(1, 6) for _ in range(3)]
+        want = ternary_witness(*d3, t, 8) is None
+        assert verify_certificate(DiagonalTernaryForm(*d3), t, exhaust) == want, (d3, t)
+
+
+def test_definite_exhaust_past_the_full_box_limit_replays():
+    # each full box (169**3, 3465**2, 3265**2 cells, and 2 * 10**7 + 1 for the
+    # unary form) is past the 4,000,000-cell limit; the replays scan 85**2,
+    # 1733 and 1633 cells and take one square root for the unary form
+    for decide, q, t in (
+        (ternary_represents, DiagonalTernaryForm(1, 1, 1), 7168),
+        (binary_represents, BinaryForm(1, 0, 1), 3_000_003),
+        (binary_represents, BinaryForm(1, 1, 1), 2_000_005),
+        (unary_represents, UnaryForm(1), 10**14 + 1),
+    ):
+        assert _no_cert(decide, q, t).kind == "DEFINITE_EXHAUST", (q, t)
+
+
+def test_definite_scan_past_the_cell_limit_is_undecided():
+    # 7 * 4**12 is no sum of three squares, but the replay would scan
+    # 10837**2 cells; 3 * 10**13 is no sum of two squares, but it would scan
+    # 5477226 values of y. Both answer UNDECIDED naming the box, and a
+    # DEFINITE_EXHAUST certificate for either does not replay.
+    q3, t3 = DiagonalTernaryForm(1, 1, 1), 7 * 4**12
+    v = ternary_represents(q3, t3)
+    assert v.kind == "UNDECIDED"
+    assert v.bounds == {"bounds": [10836] * 3, "cell_limit": 4_000_000}
+    q2, t2 = BinaryForm(1, 0, 1), 3 * 10**13
+    v = binary_represents(q2, t2)
+    assert v.kind == "UNDECIDED"
+    assert v.bounds == {"bound_x": 5477225, "bound_y": 5477225, "cell_limit": 4_000_000}
+    exhaust = {"kind": "DEFINITE_EXHAUST", "data": {}}
+    assert not verify_certificate(q3, t3, exhaust)
+    assert not verify_certificate(q2, t2, exhaust)
 
 
 def test_malformed_input_never_raises():

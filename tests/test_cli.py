@@ -145,6 +145,20 @@ def test_paper_verify_matches_golden_output(capsys, fmt, golden):
     assert out == (Path(__file__).parent / "data" / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (("lattice", "info", '{"name": "K3"}'), "lattice_info_k3.json"),
+        (("lattice", "disc-group", '{"sum": [{"name": "U"}, {"gram": [[-8]]}]}'), "disc_group_u_m8.json"),
+    ],
+)
+def test_lattice_commands_match_golden_output(capsys, args, golden):
+    # the same commands and files are compared in CI through the entry point
+    code, out, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
 def test_table_format_flattens_nested_json(capsys):
     code, out, _ = run(capsys, "lattice", "info", '{"name": "U"}', "--format", "table")
     assert code == EXIT_OK

@@ -16,6 +16,7 @@ from k3lattice.embeddings import (
 )
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.matrices import smith_normal_form
+from oracles import rational_inverse_reference
 
 
 def _e(n, i, value=1):
@@ -119,14 +120,12 @@ def test_primitive_closure_keeps_rational_span():
         assert is_primitive(closed)
         assert closed.rank == sub.rank
         # every original column is an integer combination of the closure
-        from k3lattice import matrices
-
         b = closed.basis_matrix()
+        k = closed.rank
+        inv = rational_inverse_reference([[sum(b[i][r] * b[i][j] for i in range(3)) for j in range(k)] for r in range(k)])
         for col in sub.columns:
-            sol = matrices.rational_solve(
-                [[sum(b[i][k] * b[i][j] for i in range(3)) for j in range(closed.rank)] for k in range(closed.rank)],
-                [sum(b[i][k] * col[i] for i in range(3)) for k in range(closed.rank)],
-            )
+            rhs = [sum(b[i][r] * col[i] for i in range(3)) for r in range(k)]
+            sol = [sum(inv[r][j] * rhs[j] for j in range(k)) for r in range(k)]
             assert all(x.denominator == 1 for x in sol)
 
 
@@ -180,6 +179,21 @@ def test_extend_by_identity_across_k3():
 
     gm = [list(r) for r in k3.gram]
     assert matrices.mat_mul(matrices.mat_mul(matrices.transpose(rows), gm), rows) == gm
+
+
+def test_extend_minus_one_on_a_root_is_its_reflection():
+    # -1 on <r> for r.r = -2, extended by the identity on r-perp, is the
+    # reflection x -> x + (x.r) r; checked for the 16 simple roots e_6..e_21
+    # of the two E8(-1) blocks of the K3 lattice
+    k3 = standard_lattice("K3")
+    gram = k3.gram_rows()
+    minus_one = IsometryMap(GramLattice(1, ((-2,),)), [[-1]])
+    for i in range(6, 22):
+        r = _e(22, i)
+        gr = [sum(gram[j][k] * r[k] for k in range(22)) for j in range(22)]
+        reflection = [[int(a == b) + r[a] * gr[b] for b in range(22)] for a in range(22)]
+        ext = extend_by_identity(minus_one, EmbeddedSublattice(k3, [r]))
+        assert ext.matrix_rows() == reflection, i
 
 
 def test_extend_blocked_by_discriminant_action():

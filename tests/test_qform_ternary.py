@@ -97,6 +97,26 @@ def test_undecided_reports_bounds():
     assert _value(DiagonalTernaryForm(1, -1, -1), v.witness) == 7
 
 
+def test_holzer_box_scan_finds_a_zero_at_once():
+    # after the Legendre reduction a, b, c are squarefree, pairwise coprime
+    # and of mixed sign; once the residue conditions hold, Holzer's theorem
+    # puts a nontrivial zero in |x| <= sqrt|bc|, |y| <= sqrt|ac|, so the one
+    # box scan must return one there (it raises AssertionError otherwise)
+    rng = random.Random(29)
+    solvable = 0
+    while solvable < 500:
+        d = [rng.choice((-1, 1)) * rng.randint(1, 400) for _ in range(3)]
+        if all(x > 0 for x in d) or all(x < 0 for x in d):
+            continue
+        (a, b, c), _ = qform._legendre_reduce(DiagonalTernaryForm(*d))
+        if not all(qform._is_qr(v, m) for m, v in qform._legendre_conditions(a, b, c)):
+            continue
+        x, y, z = qform._holzer_scan(a, b, c)
+        assert a * x * x + b * y * y + c * z * z == 0 and (x, y, z) != (0, 0, 0), d
+        assert x * x <= abs(b * c) and y * y <= abs(a * c), d
+        solvable += 1
+
+
 def test_isotropy_against_search_oracle():
     rng = random.Random(97)
     checked = 0
