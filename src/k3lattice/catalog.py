@@ -501,17 +501,18 @@ def theorem3_to_json(ex: Theorem3Example) -> dict:
 # ---------------------------------------------------------------- aggregate
 
 
-def paper_verification(limits: SearchLimits | None = None, claim3_bound: int = 50) -> dict:
+def paper_verification() -> dict:
     """The aggregate check behind the paper-verify command: certify the five
-    families, two claim3 smoke inputs, and the theorem-3 example; every NO is
-    replayed through verify_certificate before a row may pass."""
+    families, two claim3 smoke inputs, and the theorem-3 example, each at the
+    default search limits; every NO is replayed through verify_certificate
+    before a row may pass."""
     rows = []
     ok_all = True
 
     family_params = {1: 5}  # family 1 is exercised at n = 5
     for fid in range(1, 6):
         spec = family(fid, family_params.get(fid))
-        report = certify_family(spec, limits)
+        report = certify_family(spec)
         sub = EmbeddedSublattice(standard_lattice("K3"), spec.generators)
         data = PicardData(induced_gram(sub))
         row_ok = revalidate_report(data, report)
@@ -544,7 +545,7 @@ def paper_verification(limits: SearchLimits | None = None, claim3_bound: int = 5
         (1, 0, 0, {"N": 1, "M": 2, "gram": [[2, 0], [0, -16]]}),
         (2, 1, 0, {"minus2_kind": "DIVISIBILITY", "divisor": 4}),
     ):
-        res = claim3_search(Claim3Input(a_, b_, c_), claim3_bound)
+        res = claim3_search(Claim3Input(a_, b_, c_))
         q = lattice_form(GramLattice(2, res.gram))
         row_ok = (
             verify_certificate(q, 0, res.zero_verdict.certificate)
@@ -568,7 +569,7 @@ def paper_verification(limits: SearchLimits | None = None, claim3_bound: int = 5
             }
         )
 
-    ex = theorem3_example(10, limits)
+    ex = theorem3_example(10)
     q = lattice_form(GramLattice(2, ex.gram))
     row_ok = verify_certificate(q, 0, ex.zero_verdict.certificate) and verify_certificate(
         q, -2, ex.minus2_verdict.certificate

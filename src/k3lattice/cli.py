@@ -4,6 +4,11 @@ Output is deterministic: the JSON format renders with sorted keys, two-space
 indent, and a trailing newline; the table format is a flattened view of the
 same object. Inputs may be a file path, "-" for stdin, or inline JSON.
 
+Every subcommand takes --format. --search-bound is read only by "qform
+represents" and "k3 classify", and --claim3-bound only by "claim3"; no other
+subcommand accepts them. The K3LATTICE_CONFIG file may set the same three
+settings, each applying where its flag does.
+
 Exit codes: 0 for a decided result, 2 when a verdict is UNDECIDED or a search
 reports NOT_FOUND, 1 for errors (bad input, config, or a failed aggregate
 verification).
@@ -30,7 +35,7 @@ EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
 _CONFIG_ENV = "K3LATTICE_CONFIG"
-_CONFIG_KEYS = ("format", "sieve_max", "search_bound", "claim3_bound")
+_CONFIG_KEYS = ("format", "search_bound", "claim3_bound")
 
 
 class CliError(Exception):
@@ -40,10 +45,11 @@ class CliError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings: defaults, overridden by the JSON file named by
-    K3LATTICE_CONFIG, overridden by command-line flags."""
+    K3LATTICE_CONFIG, overridden by command-line flags. search_bound is the
+    witness-search bound of "qform represents" and "k3 classify";
+    claim3_bound is the N, M bound of "claim3"."""
 
     format: str = "json"
-    sieve_max: int | None = None
     search_bound: int = qform.DEFAULT_SEARCH_BOUND
     claim3_bound: int = 50
 
@@ -54,14 +60,9 @@ class RunConfig:
             raise CliError("search_bound must be positive")
         if self.claim3_bound < 1:
             raise CliError("claim3_bound must be positive")
-        if self.sieve_max is not None and self.sieve_max < 2:
-            raise CliError("sieve_max must be at least 2")
 
     def limits(self) -> SearchLimits:
-        moduli = qform.DEFAULT_SIEVE_MODULI
-        if self.sieve_max is not None:
-            moduli = tuple(m for m in moduli if m <= self.sieve_max)
-        return SearchLimits(sieve_moduli=moduli, search_bound=self.search_bound)
+        return SearchLimits(search_bound=self.search_bound)
 
 
 def load_config(environ, args=None) -> RunConfig:
@@ -85,7 +86,7 @@ def load_config(environ, args=None) -> RunConfig:
             flag = getattr(args, key, None)
             if flag is not None:
                 values[key] = flag
-    for key in ("sieve_max", "search_bound", "claim3_bound"):
+    for key in ("search_bound", "claim3_bound"):
         if key in values and values[key] is not None:
             if not isinstance(values[key], int) or isinstance(values[key], bool):
                 raise CliError(f"config value {key} must be an integer")
@@ -101,25 +102,33 @@ def _parse_json(raw: str, source: str):
         ) from exc
 
 
-def _read_json_argument(text: str):
-    """A file path, "-" for stdin, or inline JSON (starts with { or [)."""
+def _load_input(text: str, from_json):
+    """Build an input with from_json from a JSON argument: a file path, "-"
+    for stdin, or inline JSON (starts with { or [). A value of the wrong JSON
+    type (a number where a list belongs, a list as a name) surfaces as a
+    TypeError inside the builders; it is bad input and reported as such."""
     if text == "-":
-        return _parse_json(sys.stdin.read(), "<stdin>")
-    if text.lstrip().startswith(("{", "[")):
-        return _parse_json(text, "<inline>")
+        obj = _parse_json(sys.stdin.read(), "<stdin>")
+    elif text.lstrip().startswith(("{", "[")):
+        obj = _parse_json(text, "<inline>")
+    else:
+        try:
+            with open(text, encoding="utf-8") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {text}: {exc}") from exc
+        obj = _parse_json(raw, text)
     try:
-        with open(text, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {text}: {exc}") from exc
-    return _parse_json(raw, text)
+        return from_json(obj)
+    except TypeError as exc:
+        raise CliError(f"malformed input JSON: {exc}") from exc
 
 
 # ------------------------------------------------------------------ commands
 
 
 def _cmd_lattice_info(args, cfg: RunConfig):
-    lattice, sub = lattice_or_sublattice_from_json(_read_json_argument(args.lattice))
+    lattice, sub = _load_input(args.lattice, lattice_or_sublattice_from_json)
     d = lattices.det(lattice)
     out = {
         "rank": lattice.rank,
@@ -135,7 +144,7 @@ def _cmd_lattice_info(args, cfg: RunConfig):
 
 
 def _cmd_lattice_disc_group(args, cfg: RunConfig):
-    lattice, _ = lattice_or_sublattice_from_json(_read_json_argument(args.lattice))
+    lattice, _ = _load_input(args.lattice, lattice_or_sublattice_from_json)
     group = discriminant_group(lattice)
     factors = group.invariant_factors
     out = {
@@ -148,7 +157,7 @@ def _cmd_lattice_disc_group(args, cfg: RunConfig):
 
 
 def _cmd_qform_represents(args, cfg: RunConfig):
-    form = qform.form_from_json(_read_json_argument(args.form))
+    form = _load_input(args.form, qform.form_from_json)
     t = args.t
     verdict = qform.represents(form, t, cfg.limits())
     out = {"form": qform.form_to_json(form), "t": t, "verdict": qform.verdict_to_json(verdict)}
@@ -156,7 +165,7 @@ def _cmd_qform_represents(args, cfg: RunConfig):
 
 
 def _cmd_k3_classify(args, cfg: RunConfig):
-    data = k3.picard_from_json(_read_json_argument(args.picard))
+    data = _load_input(args.picard, k3.picard_from_json)
     report = k3.classify(data, cfg.limits())
     undecided = "UNDECIDED" in (report.has_minus2.kind, report.has_isotropic.kind)
     return k3.report_to_json(report), EXIT_UNDECIDED if undecided else EXIT_OK
@@ -180,7 +189,7 @@ def _cmd_claim3(args, cfg: RunConfig):
 
 
 def _cmd_mw_rank(args, cfg: RunConfig):
-    data = elliptic.fibration_from_json(_read_json_argument(args.fibration))
+    data = _load_input(args.fibration, elliptic.fibration_from_json)
     out = elliptic.fibration_to_json(data)
     out["mordell_weil_rank"] = elliptic.mordell_weil_rank(data)
     out["max_singular_fibers"] = elliptic.max_singular_fibers_bound()
@@ -188,7 +197,7 @@ def _cmd_mw_rank(args, cfg: RunConfig):
 
 
 def _cmd_paper_verify(args, cfg: RunConfig):
-    result = catalog.paper_verification(cfg.limits(), cfg.claim3_bound)
+    result = catalog.paper_verification()
     return result, EXIT_OK if result["all_passed"] else EXIT_ERROR
 
 
@@ -258,9 +267,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default=None, help="output format")
-    common.add_argument("--sieve-max", dest="sieve_max", type=int, default=None, help="drop sieve moduli above this value")
-    common.add_argument("--search-bound", dest="search_bound", type=int, default=None, help="coordinate bound for witness searches")
-    common.add_argument("--claim3-bound", dest="claim3_bound", type=int, default=None, help="N, M bound for the claim3 search")
+    searched = argparse.ArgumentParser(add_help=False, parents=[common])
+    searched.add_argument("--search-bound", dest="search_bound", type=int, default=None, help="coordinate bound for witness searches")
 
     parser = _Parser(prog="k3lattice", description="exact-arithmetic toolkit for K3 Picard lattices")
     sub = parser.add_subparsers(dest="command")
@@ -276,14 +284,14 @@ def _build_parser() -> _Parser:
 
     qf = sub.add_parser("qform", help="quadratic-form deciders")
     qf_sub = qf.add_subparsers(dest="subcommand")
-    p = qf_sub.add_parser("represents", parents=[common], help="decide q = t with a certificate")
+    p = qf_sub.add_parser("represents", parents=[searched], help="decide q = t with a certificate")
     p.add_argument("form", help="form JSON (path, -, or inline)")
     p.add_argument("--t", type=int, required=True, help="target value")
     p.set_defaults(handler=_cmd_qform_represents)
 
     k3p = sub.add_parser("k3", help="Picard-lattice predicates")
     k3_sub = k3p.add_subparsers(dest="subcommand")
-    p = k3_sub.add_parser("classify", parents=[common], help="full verdict report")
+    p = k3_sub.add_parser("classify", parents=[searched], help="full verdict report")
     p.add_argument("picard", help="Picard data JSON (path, -, or inline)")
     p.set_defaults(handler=_cmd_k3_classify)
 
@@ -291,6 +299,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--C", type=int, required=True)
+    p.add_argument("--claim3-bound", dest="claim3_bound", type=int, default=None, help="N, M bound for the claim3 search")
     p.set_defaults(handler=_cmd_claim3)
 
     mw = sub.add_parser("mw", help="Mordell-Weil arithmetic")

@@ -160,24 +160,18 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
     """Extend an isometry of a primitive sublattice to the ambient lattice,
     acting as the identity on the orthogonal complement.
 
-    Requires the induced action on the sublattice discriminant group to be
-    trivial. The map sends F = [B | C] (sublattice basis, then complement
-    basis) to [B g | C], so it is (B g | C) F^-1; from the Smith form
-    U F V = D that is (B g | C) V D^-1 U, integral exactly when column j of
-    (B g | C) V is divisible by d_j. The pairing is then checked on a full
-    ambient basis.
+    The map sends F = [B | C] (sublattice basis, then complement basis) to
+    [B g | C], so it is (B g | C) F^-1; from the Smith form U F V = D that is
+    (B g | C) V D^-1 U. The extension exists exactly when this is integral,
+    that is when column j of (B g | C) V is divisible by d_j; otherwise the
+    call raises "extension is not integral on the ambient lattice". The
+    pairing is then checked on a full ambient basis.
     """
     ind = induced_gram(sub)
     if g.domain.gram != ind.gram:
         raise ValueError("isometry domain does not match the induced pairing")
     if not is_primitive(sub):
         raise ValueError("sublattice is not primitive")
-    action = discriminant_action(g, ind)
-    if not action.trivial:
-        raise ValueError(
-            "extension blocked: generator cosets moved by the isometry: "
-            + ", ".join(str(i) for i in action.moved)
-        )
     comp = orthogonal_complement(sub)
     n = sub.ambient.rank
     if sub.rank + comp.rank != n:

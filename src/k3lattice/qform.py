@@ -67,6 +67,10 @@ DEFAULT_SEARCH_BOUND = 10_000
 # past it the decider answers UNDECIDED, so every DEFINITE_EXHAUST NO replays
 _EXHAUST_CELL_LIMIT = 4_000_000
 
+# steps the cycle walk may take, and the longest cycle its replay accepts;
+# past it the decider answers UNDECIDED, so every CYCLE NO replays
+_CYCLE_LIMIT = 100_000
+
 
 @dataclass(frozen=True)
 class UnaryForm:
@@ -143,16 +147,14 @@ class DiagonalTernaryForm:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Bounds shared by the sieve ladder and the witness searches."""
+    """Coordinate bound of the witness searches that run after the sieve
+    ladder (always DEFAULT_SIEVE_MODULI) has found no obstruction."""
 
-    sieve_moduli: tuple[int, ...] = DEFAULT_SIEVE_MODULI
     search_bound: int = DEFAULT_SEARCH_BOUND
 
     def __post_init__(self):
         if self.search_bound < 1:
             raise ValueError("search bound must be positive")
-        if any(m < 2 for m in self.sieve_moduli):
-            raise ValueError("sieve moduli must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -305,9 +307,6 @@ def _rho_step(form, disc: int, s: int):
     return nxt, m
 
 
-_T_STEP_LIMIT = 100_000
-
-
 def _mat2_mul(p, q):
     return (
         (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
@@ -316,7 +315,9 @@ def _mat2_mul(p, q):
 
 
 def _cycle_of(form, disc: int):
-    """Reduced cycle of the proper class of form, with transforms from form.
+    """Reduced cycle of the proper class of form, with transforms from form,
+    or None when reducing form and closing its cycle take more than
+    _CYCLE_LIMIT steps in all.
 
     Returns (cycle, transforms): cycle[i] results from form by the
     unimodular transforms[i].
@@ -324,36 +325,31 @@ def _cycle_of(form, disc: int):
     s = isqrt(disc)
     t = ((1, 0), (0, 1))
     f = form
-    for _ in range(_T_STEP_LIMIT):
-        if _is_reduced(*f, s):
-            break
+    cycle, transforms = [], []
+    for _ in range(_CYCLE_LIMIT):
+        if cycle and f == cycle[0]:
+            return cycle, transforms
+        # every successor of a reduced form is reduced
+        if cycle or _is_reduced(*f, s):
+            cycle.append(f)
+            transforms.append(t)
         f, m = _rho_step(f, disc, s)
         t = _mat2_mul(t, ((0, -1), (1, m)))
-    else:
-        raise RuntimeError("reduction did not terminate")
-    first = f
-    cycle = [f]
-    transforms = [t]
-    for _ in range(_T_STEP_LIMIT):
-        f, m = _rho_step(f, disc, s)
-        t = _mat2_mul(t, ((0, -1), (1, m)))
-        if f == first:
-            break
-        cycle.append(f)
-        transforms.append(t)
-    else:
-        raise RuntimeError("cycle did not close")
-    return cycle, transforms
+    return None
 
 
-def _cycle_decide(q1: BinaryForm, t1: int, g: int):
-    """Decide representation of t1 under 4 t1**2 < disc (nonsquare).
+def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
+    """Decide q1 = t1 under 4 t1**2 < disc (nonsquare), for q1 the primitive
+    part of a form of content g; the verdict holds for g q1 = g t1 too.
 
     A value u with 4 u**2 < disc is primitively represented exactly when u
     is a leading coefficient on the reduced cycle.
     """
     disc = q1.disc
-    cycle, transforms = _cycle_of((q1.a, q1.b, q1.c), disc)
+    walk = _cycle_of((q1.a, q1.b, q1.c), disc)
+    if walk is None:
+        return RepresentationVerdict.undecided({"cycle_limit": _CYCLE_LIMIT})
+    cycle, transforms = walk
     leading = {}
     for i, f in enumerate(cycle):
         leading.setdefault(f[0], i)
@@ -363,7 +359,7 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int):
             u = t1 // (f * f)
             if u in leading:
                 t = transforms[leading[u]]
-                return (f * t[0][0], f * t[1][0]), None
+                return _checked_yes(q1, t1, (f * t[0][0], f * t[1][0]))
         f += 1
     cert = Certificate(
         CYCLE,
@@ -374,7 +370,7 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int):
             "cycle": [list(x) for x in cycle],
         },
     )
-    return None, cert
+    return RepresentationVerdict.no(cert)
 
 
 def _definite_bounds(a: int, c: int, t: int, disc: int) -> tuple[int, int]:
@@ -428,8 +424,8 @@ def _square_disc_search(q1: BinaryForm, t1: int):
     return None, pairs
 
 
-def _binary_sieve(q: BinaryForm, t: int, moduli) -> int | None:
-    for m in moduli:
+def _binary_sieve(q: BinaryForm, t: int) -> int | None:
+    for m in DEFAULT_SIEVE_MODULI:
         hit = False
         tm = t % m
         for x in range(m):
@@ -494,18 +490,15 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
             Certificate(SQUARE_DISC_EXHAUST, {"content": g, "pairs_tried": pairs})
         )
     if 4 * t1 * t1 < d1:
-        w, cert = _cycle_decide(q1, t1, g)
-        if w is not None:
-            return _checked_yes(q, t, w)
-        return RepresentationVerdict.no(cert)
-    m = _binary_sieve(q, t, limits.sieve_moduli)
+        return _cycle_decide(q1, t1, g)
+    m = _binary_sieve(q, t)
     if m is not None:
         return RepresentationVerdict.no(Certificate(SIEVE, {"modulus": m}))
     w = _binary_bounded_search(q1, t1, limits.search_bound)
     if w is not None:
         return _checked_yes(q, t, w)
     return RepresentationVerdict.undecided(
-        {"search_bound": limits.search_bound, "sieve_moduli": list(limits.sieve_moduli)}
+        {"search_bound": limits.search_bound, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
     )
 
 
@@ -652,12 +645,12 @@ def _ternary_hit(q: DiagonalTernaryForm, t: int, m: int) -> bool:
     return any((t - u - v) % m in s3 for u in s1 for v in s2)
 
 
-def _ternary_sieve(q: DiagonalTernaryForm, t: int, moduli) -> int | None:
+def _ternary_sieve(q: DiagonalTernaryForm, t: int) -> int | None:
     """First modulus m at which t is not a value of q mod m, or None. Each
     test is t % m in _ternary_residues(q, m) without building that set: it
     stops at the first u + v + w = t (mod m) from the three coefficient-times-
     square sets. The SIEVE verifier replays the full value set instead."""
-    for m in moduli:
+    for m in DEFAULT_SIEVE_MODULI:
         if not _ternary_hit(q, t, m):
             return m
     return None
@@ -687,7 +680,7 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
         return RepresentationVerdict.no(
             Certificate(DEFINITE_EXHAUST, {"bounds": bounds})
         )
-    m = _ternary_sieve(q, t, limits.sieve_moduli)
+    m = _ternary_sieve(q, t)
     if m is not None:
         return RepresentationVerdict.no(Certificate(SIEVE, {"modulus": m}))
     # separable search: negate if needed so exactly one coefficient is
@@ -707,7 +700,7 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
         w[p_axis], w[n1], w[n2] = x, y, z
         return _checked_yes(q, t, w)
     return RepresentationVerdict.undecided(
-        {"search_bound": limits.search_bound, "sieve_moduli": list(limits.sieve_moduli)}
+        {"search_bound": limits.search_bound, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
     )
 
 
@@ -745,7 +738,6 @@ def represents(q, t: int, limits: SearchLimits | None = None) -> RepresentationV
 # ---------------------------------------------------------------- verifier
 
 _VERIFY_SIEVE_LIMIT = 512
-_VERIFY_CYCLE_LIMIT = 100_000
 
 
 def _verify_divisibility(q, t, data) -> bool:
@@ -882,7 +874,7 @@ def _verify_cycle(q, t, data) -> bool:
         return False
     cycle = data.get("cycle")
     tr = data.get("transform")
-    if not isinstance(cycle, list) or not cycle or len(cycle) > _VERIFY_CYCLE_LIMIT:
+    if not isinstance(cycle, list) or not cycle or len(cycle) > _CYCLE_LIMIT:
         return False
     try:
         cycle = [(int(x), int(y), int(z)) for x, y, z in cycle]

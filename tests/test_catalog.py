@@ -284,7 +284,7 @@ def _assert_theorem3_matches_reference_walk(height_bound, limits):
 
 
 def test_theorem3_matches_reference_walk():
-    for limits in (None, SearchLimits(search_bound=5), SearchLimits(sieve_moduli=(3,), search_bound=1)):
+    for limits in (None, SearchLimits(search_bound=5), SearchLimits(search_bound=1)):
         for height_bound in range(11):
             _assert_theorem3_matches_reference_walk(height_bound, limits)
 

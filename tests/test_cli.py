@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from k3lattice.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, RunConfig, load_config, main
+from k3lattice.qform import SearchLimits
 
 
 def run(capsys, *argv):
@@ -56,15 +57,15 @@ def test_qform_represents_yes_no_undecided(capsys):
     assert obj["verdict"]["kind"] == "NO"
     assert obj["verdict"]["certificate"]["kind"] == "SIEVE"
 
-    # drop the mod-8 sieve and cap the scan: the question becomes undecided
+    # no sieve modulus obstructs x**2 - 7 y**2 = 8 and its witness (6, ±2)
+    # lies past the capped scan: the question becomes undecided
     code, out, _ = run(
-        capsys, "qform", "represents", '{"binary": [1, 0, -2]}',
-        "--t", "3", "--sieve-max", "7", "--search-bound", "2",
+        capsys, "qform", "represents", '{"binary": [1, 0, -7]}', "--t", "8", "--search-bound", "1",
     )
     assert code == EXIT_UNDECIDED
     obj = json.loads(out)
     assert obj["verdict"]["kind"] == "UNDECIDED"
-    assert obj["verdict"]["bounds"]["search_bound"] == 2
+    assert obj["verdict"]["bounds"]["search_bound"] == 1
 
     code, out, _ = run(capsys, "qform", "represents", '{"diag": [4, -4, -4]}', "--t", "-2")
     assert code == EXIT_OK
@@ -159,6 +160,14 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
     assert out == (Path(__file__).parent / "data" / golden).read_text()
 
 
+def test_undecided_bounds_match_golden_output(capsys):
+    # UNDECIDED bounds list the whole sieve ladder; compared in CI as well
+    args = ("qform", "represents", '{"diag": [1, -1, -1]}', "--t", "7", "--search-bound", "1")
+    code, out, _ = run(capsys, *args)
+    assert code == EXIT_UNDECIDED
+    assert out == (Path(__file__).parent / "data" / "qform_represents_undecided.json").read_text()
+
+
 def test_table_format_flattens_nested_json(capsys):
     code, out, _ = run(capsys, "lattice", "info", '{"name": "U"}', "--format", "table")
     assert code == EXIT_OK
@@ -223,6 +232,44 @@ def test_error_reporting(capsys, tmp_path):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lattice", "info", '{"gram": 5}'),
+        ("lattice", "info", '{"gram": [5]}'),
+        ("lattice", "info", '{"name": []}'),
+        ("lattice", "info", '{"ambient": {"name": "U"}, "basis": 5}'),
+        ("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": 5}'),
+        ("k3", "classify", '{"lattice": {"name": "U"}, "polarization": 5}'),
+        ("k3", "classify", '{"lattice": {"name": "U"}, "known_minus2_classes": 5}'),
+    ],
+)
+def test_json_of_the_wrong_type_is_an_input_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# the flags each subcommand accepts besides --format, which all of them take
+_SUBCOMMAND_FLAGS = [
+    (("lattice", "info", '{"name": "U"}'), set()),
+    (("lattice", "disc-group", '{"name": "U"}'), set()),
+    (("qform", "represents", '{"unary": [2]}', "--t", "8"), {"--search-bound"}),
+    (("k3", "classify", '{"lattice": {"name": "U"}}'), {"--search-bound"}),
+    (("claim3", "--A", "1", "--B", "0", "--C", "0"), {"--claim3-bound"}),
+    (("mw", "rank", '{"rho": 5}'), set()),
+    (("paper-verify",), set()),
+]
+
+
+@pytest.mark.parametrize("args, accepted", _SUBCOMMAND_FLAGS)
+def test_each_flag_parses_only_where_it_acts(capsys, args, accepted):
+    for flag, value in (("--format", "table"), ("--search-bound", "1"), ("--claim3-bound", "1"), ("--sieve-max", "7")):
+        code, _, err = run(capsys, *args, flag, value)
+        rejected = code == EXIT_ERROR and "unrecognized arguments" in err
+        assert rejected == (flag != "--format" and flag not in accepted), (args, flag, err)
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -231,31 +278,43 @@ def test_help_exits_zero(capsys):
 
 def test_config_file_layering(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"format": "table", "search_bound": 2, "sieve_max": 7}', encoding="utf-8")
+    cfg.write_text('{"format": "table", "search_bound": 1, "claim3_bound": 1}', encoding="utf-8")
     monkeypatch.setenv("K3LATTICE_CONFIG", str(cfg))
 
-    # config file applies: the sieve is truncated and the scan capped
-    code, out, _ = run(capsys, "qform", "represents", '{"binary": [1, 0, -2]}', "--t", "3")
+    # config file applies: the scan is capped before the witness (6, ±2)
+    code, out, _ = run(capsys, "qform", "represents", '{"binary": [1, 0, -7]}', "--t", "8")
     assert code == EXIT_UNDECIDED
     assert "bounds.search_bound" in out  # table format came from the config
+    code, out, _ = run(capsys, "claim3", "--A", "1", "--B", "0", "--C", "0")
+    assert code == EXIT_UNDECIDED and "NOT_FOUND" in out
 
     # flags beat the file
     code, out, _ = run(
-        capsys, "qform", "represents", '{"binary": [1, 0, -2]}',
-        "--t", "3", "--format", "json", "--sieve-max", "8",
+        capsys, "qform", "represents", '{"binary": [1, 0, -7]}',
+        "--t", "8", "--format", "json", "--search-bound", "10",
     )
     assert code == EXIT_OK
-    assert json.loads(out)["verdict"]["certificate"]["kind"] == "SIEVE"
+    assert json.loads(out)["verdict"]["witness"] == [6, -2]
+
+    # paper-verify reads no search setting: its table is the committed one
+    code, out, _ = run(capsys, "paper-verify")
+    assert code == EXIT_OK
+    assert out == (Path(__file__).parent / "data" / "paper_verify.txt").read_text()
 
 
 def test_config_file_errors(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"sieve_max": 7, "mystery": 1}', encoding="utf-8")
+    cfg.write_text('{"search_bound": 7, "mystery": 1}', encoding="utf-8")
     monkeypatch.setenv("K3LATTICE_CONFIG", str(cfg))
     code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
     assert code == EXIT_ERROR and "unknown config key 'mystery'" in err
 
-    cfg.write_text('{"sieve_max": 7,}', encoding="utf-8")
+    # the sieve ladder is fixed, so its old cap is an unknown key too
+    cfg.write_text('{"sieve_max": 7}', encoding="utf-8")
+    code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
+    assert code == EXIT_ERROR and "unknown config key 'sieve_max'" in err
+
+    cfg.write_text('{"search_bound": 7,}', encoding="utf-8")
     code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
     assert code == EXIT_ERROR and "invalid JSON" in err and "line 1" in err
 
@@ -271,18 +330,15 @@ def test_config_file_errors(tmp_path, capsys, monkeypatch):
 def test_load_config_and_runconfig_direct():
     cfg = load_config({})
     assert cfg == RunConfig()
-    assert cfg.limits().sieve_moduli == tuple(
-        m for m in cfg.limits().sieve_moduli
-    )  # stable
-    capped = RunConfig(sieve_max=9)
-    assert max(capped.limits().sieve_moduli) == 9
+    assert cfg.limits() == SearchLimits()
+    assert RunConfig(search_bound=9).limits() == SearchLimits(search_bound=9)
     from k3lattice.cli import CliError
 
     with pytest.raises(CliError):
         RunConfig(format="yaml")
     with pytest.raises(CliError):
         RunConfig(search_bound=0)
-    with pytest.raises(CliError):
-        RunConfig(sieve_max=1)
+    with pytest.raises(TypeError):
+        RunConfig(sieve_max=9)
     with pytest.raises(CliError):
         RunConfig(claim3_bound=0)

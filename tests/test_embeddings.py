@@ -14,6 +14,7 @@ from k3lattice.embeddings import (
     sublattice_from_json,
     sublattice_to_json,
 )
+from k3lattice.catalog import family
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.matrices import smith_normal_form
 from oracles import rational_inverse_reference
@@ -196,12 +197,18 @@ def test_extend_minus_one_on_a_root_is_its_reflection():
         assert ext.matrix_rows() == reflection, i
 
 
-def test_extend_blocked_by_discriminant_action():
+def test_extend_minus_one_on_minus8():
+    # -1 moves the Z/8 generator coset of <-8>, yet on U + <-8> the
+    # complement U is unimodular and diag(1, 1, -1) extends it
+    minus_one = IsometryMap(GramLattice(1, ((-8,),)), [[-1]])
     amb = direct_sum(standard_lattice("U"), GramLattice(1, ((-8,),)))
-    sub = EmbeddedSublattice(amb, [[0, 0, 1]])
-    g = IsometryMap(GramLattice(1, ((-8,),)), [[-1]])
-    with pytest.raises(ValueError):
-        extend_by_identity(g, sub)  # -1 moves the Z/8 generator coset
+    ext = extend_by_identity(minus_one, EmbeddedSublattice(amb, [[0, 0, 1]]))
+    assert ext.matrix_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    # inside the unimodular K3 lattice the complement of family 3's <-8>
+    # vector glues to it along Z/8, where -1 is not the identity
+    sub = EmbeddedSublattice(standard_lattice("K3"), [family(3).generators[2]])
+    with pytest.raises(ValueError, match="extension is not integral on the ambient lattice"):
+        extend_by_identity(minus_one, sub)
 
 
 def test_sublattice_json_roundtrip():

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from k3lattice import qform
 from k3lattice.qform import (
+    DEFAULT_SIEVE_MODULI,
     BinaryForm,
+    RepresentationVerdict,
     SearchLimits,
     binary_represents,
     binary_represents_zero,
@@ -82,17 +85,29 @@ def test_degenerate_form_rejected():
 def test_search_limit_validation():
     with pytest.raises(ValueError):
         SearchLimits(search_bound=0)
-    with pytest.raises(ValueError):
-        SearchLimits(sieve_moduli=(1, 3))
+    with pytest.raises(TypeError):
+        SearchLimits(sieve_moduli=(3,))  # the sieve ladder is fixed
 
 
 def test_undecided_reports_bounds():
-    limits = SearchLimits(sieve_moduli=(3, 4), search_bound=2)
-    v = binary_represents(BinaryForm(1, 0, -2), 3, limits)
+    # x**2 - 7 y**2 = 8 passes the whole sieve ladder; its smallest witness
+    # (6, ±2) lies past search bound 1
+    v = binary_represents(BinaryForm(1, 0, -7), 8, SearchLimits(search_bound=1))
     assert v.kind == "UNDECIDED"
-    assert v.bounds == {"search_bound": 2, "sieve_moduli": [3, 4]}
-    # with the full default ladder the same question is settled
-    assert binary_represents(BinaryForm(1, 0, -2), 3).kind == "NO"
+    assert v.bounds == {"search_bound": 1, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
+    assert binary_represents(BinaryForm(1, 0, -7), 8).witness == (6, -2)
+
+
+def test_cycle_past_its_limit_is_undecided(monkeypatch):
+    # x**2 - 94 y**2 has a reduced cycle of 16 forms, and -2 falls in the
+    # cycle regime (4 * 2**2 < 376); capped at 4 steps the walk stops
+    q = BinaryForm(1, 0, -94)
+    v = binary_represents(q, -2)
+    assert v.kind == "NO" and len(v.certificate.data["cycle"]) == 16
+    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 4)
+    assert binary_represents(q, -2) == RepresentationVerdict.undecided({"cycle_limit": 4})
+    # the replay shares the cap, so the longer certificate no longer replays
+    assert not verify_certificate(q, -2, v.certificate)
 
 
 def test_against_search_oracle():

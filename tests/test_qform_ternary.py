@@ -87,10 +87,9 @@ def test_zero_diagonal_rejected():
 
 
 def test_undecided_reports_bounds():
-    limits = SearchLimits(sieve_moduli=(3, 4), search_bound=1)
-    v = ternary_represents(DiagonalTernaryForm(1, -1, -1), 7, limits)
+    v = ternary_represents(DiagonalTernaryForm(1, -1, -1), 7, SearchLimits(search_bound=1))
     assert v.kind == "UNDECIDED"
-    assert v.bounds == {"search_bound": 1, "sieve_moduli": [3, 4]}
+    assert v.bounds == {"search_bound": 1, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
     # the default bound finds the witness (4, 3, 0)
     v = ternary_represents(DiagonalTernaryForm(1, -1, -1), 7)
     assert v.kind == "YES"
