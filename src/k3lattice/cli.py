@@ -4,13 +4,14 @@ Output is deterministic: the JSON format renders with sorted keys, two-space
 indent, and a trailing newline; the table format is a flattened view of the
 same object. Inputs may be a file path, "-" for stdin, or inline JSON.
 
-Every subcommand takes --format. --search-bound is read only by "qform
-represents" and "k3 classify", and --claim3-bound only by "claim3"; no other
-subcommand accepts them. The K3LATTICE_CONFIG file may set the same three
-settings, each applying where its flag does.
+Flags are the only settings. Every subcommand takes --format (default
+json). --search-bound (default qform.DEFAULT_SEARCH_BOUND) is read only by
+"qform represents" and "k3 classify", and --claim3-bound (default 50) only by
+"claim3"; no other subcommand accepts them. Their range checks are the
+library's: SearchLimits and claim3_search raise ValueError on a bound below 1.
 
 Exit codes: 0 for a decided result, 2 when a verdict is UNDECIDED or a search
-reports NOT_FOUND, 1 for errors (bad input, config, or a failed aggregate
+reports NOT_FOUND, 1 for errors (bad input or a failed aggregate
 verification).
 """
 
@@ -18,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from . import catalog, elliptic, k3, lattices, qform
 from .catalog import Claim3Input, SearchExhausted
@@ -28,69 +27,15 @@ from .embeddings import is_primitive, lattice_or_sublattice_from_json
 from .lattices import aut_index_bound, aut_order_finite_abelian, discriminant_group
 from .qform import SearchLimits
 
-__all__ = ["RunConfig", "main", "load_config", "EXIT_OK", "EXIT_ERROR", "EXIT_UNDECIDED"]
+__all__ = ["main", "EXIT_OK", "EXIT_ERROR", "EXIT_UNDECIDED"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
-_CONFIG_ENV = "K3LATTICE_CONFIG"
-_CONFIG_KEYS = ("format", "search_bound", "claim3_bound")
-
 
 class CliError(Exception):
     """User-facing error: message goes to stderr, process exits 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings: defaults, overridden by the JSON file named by
-    K3LATTICE_CONFIG, overridden by command-line flags. search_bound is the
-    witness-search bound of "qform represents" and "k3 classify";
-    claim3_bound is the N, M bound of "claim3"."""
-
-    format: str = "json"
-    search_bound: int = qform.DEFAULT_SEARCH_BOUND
-    claim3_bound: int = 50
-
-    def __post_init__(self):
-        if self.format not in ("json", "table"):
-            raise CliError(f'format must be "json" or "table", got {self.format!r}')
-        if self.search_bound < 1:
-            raise CliError("search_bound must be positive")
-        if self.claim3_bound < 1:
-            raise CliError("claim3_bound must be positive")
-
-    def limits(self) -> SearchLimits:
-        return SearchLimits(search_bound=self.search_bound)
-
-
-def load_config(environ, args=None) -> RunConfig:
-    values: dict = {}
-    path = environ.get(_CONFIG_ENV)
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read config file {path}: {exc}") from exc
-        obj = _parse_json(raw, path)
-        if not isinstance(obj, dict):
-            raise CliError(f"config file {path} must hold a JSON object")
-        for key in obj:
-            if key not in _CONFIG_KEYS:
-                raise CliError(f"unknown config key {key!r} in {path}")
-        values.update(obj)
-    if args is not None:
-        for key in _CONFIG_KEYS:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                values[key] = flag
-    for key in ("search_bound", "claim3_bound"):
-        if key in values and values[key] is not None:
-            if not isinstance(values[key], int) or isinstance(values[key], bool):
-                raise CliError(f"config value {key} must be an integer")
-    return RunConfig(**values)
 
 
 def _parse_json(raw: str, source: str):
@@ -127,7 +72,7 @@ def _load_input(text: str, from_json):
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_lattice_info(args, cfg: RunConfig):
+def _cmd_lattice_info(args):
     lattice, sub = _load_input(args.lattice, lattice_or_sublattice_from_json)
     d = lattices.det(lattice)
     out = {
@@ -143,7 +88,7 @@ def _cmd_lattice_info(args, cfg: RunConfig):
     return out, EXIT_OK
 
 
-def _cmd_lattice_disc_group(args, cfg: RunConfig):
+def _cmd_lattice_disc_group(args):
     lattice, _ = _load_input(args.lattice, lattice_or_sublattice_from_json)
     group = discriminant_group(lattice)
     factors = group.invariant_factors
@@ -156,25 +101,25 @@ def _cmd_lattice_disc_group(args, cfg: RunConfig):
     return out, EXIT_OK
 
 
-def _cmd_qform_represents(args, cfg: RunConfig):
+def _cmd_qform_represents(args):
     form = _load_input(args.form, qform.form_from_json)
     t = args.t
-    verdict = qform.represents(form, t, cfg.limits())
+    verdict = qform.represents(form, t, SearchLimits(args.search_bound))
     out = {"form": qform.form_to_json(form), "t": t, "verdict": qform.verdict_to_json(verdict)}
     return out, EXIT_OK if verdict.kind in ("YES", "NO") else EXIT_UNDECIDED
 
 
-def _cmd_k3_classify(args, cfg: RunConfig):
+def _cmd_k3_classify(args):
     data = _load_input(args.picard, k3.picard_from_json)
-    report = k3.classify(data, cfg.limits())
+    report = k3.classify(data, SearchLimits(args.search_bound))
     undecided = "UNDECIDED" in (report.has_minus2.kind, report.has_isotropic.kind)
     return k3.report_to_json(report), EXIT_UNDECIDED if undecided else EXIT_OK
 
 
-def _cmd_claim3(args, cfg: RunConfig):
+def _cmd_claim3(args):
     inputs = Claim3Input(args.A, args.B, args.C)
     try:
-        res = catalog.claim3_search(inputs, cfg.claim3_bound)
+        res = catalog.claim3_search(inputs, args.claim3_bound)
     except SearchExhausted as exc:
         out = {
             "status": "NOT_FOUND",
@@ -188,7 +133,7 @@ def _cmd_claim3(args, cfg: RunConfig):
     return out, EXIT_OK
 
 
-def _cmd_mw_rank(args, cfg: RunConfig):
+def _cmd_mw_rank(args):
     data = _load_input(args.fibration, elliptic.fibration_from_json)
     out = elliptic.fibration_to_json(data)
     out["mordell_weil_rank"] = elliptic.mordell_weil_rank(data)
@@ -196,7 +141,7 @@ def _cmd_mw_rank(args, cfg: RunConfig):
     return out, EXIT_OK
 
 
-def _cmd_paper_verify(args, cfg: RunConfig):
+def _cmd_paper_verify(args):
     result = catalog.paper_verification()
     return result, EXIT_OK if result["all_passed"] else EXIT_ERROR
 
@@ -204,8 +149,8 @@ def _cmd_paper_verify(args, cfg: RunConfig):
 # ----------------------------------------------------------------- rendering
 
 
-def render(obj, cfg: RunConfig) -> str:
-    if cfg.format == "json":
+def render(obj, fmt: str) -> str:
+    if fmt == "json":
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     return _render_table(obj)
 
@@ -266,9 +211,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default=None, help="output format")
+    common.add_argument("--format", choices=("json", "table"), default="json", help="output format")
     searched = argparse.ArgumentParser(add_help=False, parents=[common])
-    searched.add_argument("--search-bound", dest="search_bound", type=int, default=None, help="coordinate bound for witness searches")
+    searched.add_argument("--search-bound", dest="search_bound", type=int, default=qform.DEFAULT_SEARCH_BOUND, help="coordinate bound for witness searches")
 
     parser = _Parser(prog="k3lattice", description="exact-arithmetic toolkit for K3 Picard lattices")
     sub = parser.add_subparsers(dest="command")
@@ -299,7 +244,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--C", type=int, required=True)
-    p.add_argument("--claim3-bound", dest="claim3_bound", type=int, default=None, help="N, M bound for the claim3 search")
+    p.add_argument("--claim3-bound", dest="claim3_bound", type=int, default=50, help="N, M bound for the claim3 search")
     p.set_defaults(handler=_cmd_claim3)
 
     mw = sub.add_parser("mw", help="Mordell-Weil arithmetic")
@@ -328,15 +273,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_ERROR
     try:
-        cfg = load_config(os.environ, args)
-        out, code = handler(args, cfg)
-    except CliError as exc:
+        out, code = handler(args)
+    except (CliError, ValueError, catalog.CatalogMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    except (ValueError, catalog.CatalogMismatch) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    sys.stdout.write(render(out, cfg))
+    sys.stdout.write(render(out, args.format))
     return code
 
 

@@ -112,9 +112,6 @@ def orthogonal_complement(sub: EmbeddedSublattice) -> EmbeddedSublattice:
     ambient = sub.ambient
     if matrices.det(ambient.gram_rows()) == 0:
         raise ValueError("orthogonal complement requires a nondegenerate ambient lattice")
-    if sub.rank == 0:
-        eye = matrices.identity(ambient.rank)
-        return EmbeddedSublattice(ambient, [tuple(row[j] for row in eye) for j in range(ambient.rank)])
     b = sub.basis_matrix()
     pair = matrices.mat_mul(matrices.transpose(b), ambient.gram_rows())
     snf = smith_normal_form(pair)

@@ -108,8 +108,8 @@ def lattice_form(lattice: GramLattice):
     return None
 
 
-def _basis_vector(n: int, i: int, sign: int = 1) -> tuple[int, ...]:
-    return tuple(sign if k == i else 0 for k in range(n))
+def _basis_vector(n: int, i: int) -> tuple[int, ...]:
+    return tuple(int(k == i) for k in range(n))
 
 
 def _witness_scan(lattice: GramLattice, t: int):

@@ -11,7 +11,6 @@ __all__ = [
     "factorize",
     "divisors",
     "squarefree_split",
-    "prime_power_split",
     "vec_gcd",
 ]
 
@@ -82,17 +81,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
         if e % 2:
             s *= p
     return s, f
-
-
-def prime_power_split(n: int) -> tuple[int, int] | None:
-    """(p, e) with n = p**e and p prime, or None when n is not a prime power."""
-    if n < 2:
-        return None
-    fac = factorize(n)
-    if len(fac) != 1:
-        return None
-    ((p, e),) = fac.items()
-    return p, e
 
 
 def vec_gcd(values) -> int:

@@ -15,7 +15,6 @@ from .ntheory import (
     divisors,
     factorize,
     is_square,
-    prime_power_split,
     sqrt_exact,
     squarefree_split,
     vec_gcd,
@@ -748,28 +747,11 @@ def _verify_divisibility(q, t, data) -> bool:
 
 
 def _verify_sieve(q, t, data) -> bool:
+    # no decider emits SIEVE for t = 0: NONSQUARE_DISC, LEGENDRE or DEFINITE
+    # settle every such question
     m = data["modulus"]
-    if not isinstance(m, int) or not 2 <= m <= _VERIFY_SIEVE_LIMIT:
+    if t == 0 or not isinstance(m, int) or not 2 <= m <= _VERIFY_SIEVE_LIMIT:
         return False
-    if t == 0:
-        # primitive-tuple sieve needs a prime-power modulus
-        p = data.get("prime")
-        split = prime_power_split(m)
-        if split is None or not isinstance(p, int) or split[0] != p:
-            return False
-        rng = range(m)
-        if isinstance(q, BinaryForm):
-            tuples = ((x, y) for x in rng for y in rng)
-        elif isinstance(q, DiagonalTernaryForm):
-            tuples = ((x, y, z) for x in rng for y in rng for z in rng)
-        else:
-            return False
-        for v in tuples:
-            if all(c % p == 0 for c in v):
-                continue
-            if q.evaluate(v) % m == 0:
-                return False
-        return True
     if isinstance(q, BinaryForm):
         tm = t % m
         return all(

@@ -10,6 +10,7 @@ from k3lattice.qform import (
     DiagonalTernaryForm,
     UnaryForm,
     binary_represents,
+    represents,
     ternary_represents,
     ternary_represents_zero,
     unary_represents,
@@ -74,16 +75,26 @@ def test_sieve_tampering():
 
 
 def test_sieve_primitive_zero_certificates():
-    # x**2 + y**2 is never 0 mod 4 on primitive pairs
-    cert = {"kind": "SIEVE", "data": {"modulus": 4, "prime": 2}}
-    assert verify_certificate(BinaryForm(1, 0, 1), 0, cert)
-    assert verify_certificate(DiagonalTernaryForm(1, 1, 1), 0, {"kind": "SIEVE", "data": {"modulus": 4, "prime": 2}})
-    # modulus must be a power of the declared prime
-    assert not verify_certificate(BinaryForm(1, 0, 1), 0, {"kind": "SIEVE", "data": {"modulus": 4, "prime": 3}})
-    assert not verify_certificate(BinaryForm(1, 0, 1), 0, {"kind": "SIEVE", "data": {"modulus": 6, "prime": 2}})
-    assert not verify_certificate(BinaryForm(1, 0, 1), 0, {"kind": "SIEVE", "data": {"modulus": 4}})
-    # x**2 - y**2 has the primitive zero (1, 1): no modulus can certify it
-    assert not verify_certificate(BinaryForm(1, 0, -1), 0, cert)
+    # the primitive-tuple sieve at a prime power is no certificate format:
+    # t = 0 is settled by NONSQUARE_DISC, LEGENDRE or DEFINITE instead
+    for q in (BinaryForm(1, 0, 1), DiagonalTernaryForm(1, 1, 1), BinaryForm(1, 0, -1)):
+        for data in ({"modulus": 4, "prime": 2}, {"modulus": 4}, {"modulus": 8, "prime": 2}, {"modulus": 9, "prime": 3}):
+            assert not verify_certificate(q, 0, {"kind": "SIEVE", "data": data})
+
+
+def test_no_zero_verdict_carries_a_sieve_certificate():
+    rng = random.Random(29)
+    nonzero = [c for c in range(-12, 13) if c]
+    for _ in range(300):
+        binary = BinaryForm(*(rng.randint(-12, 12) for _ in range(3)))
+        ternary = DiagonalTernaryForm(*(rng.choice(nonzero) for _ in range(3)))
+        for q in (binary, ternary) if any(binary.coefficients()) else (ternary,):
+            v = represents(q, 0)
+            if v.kind == "NO":
+                assert v.certificate.kind != "SIEVE", (q, v)
+                assert verify_certificate(q, 0, v.certificate), (q, v)
+                for m in (2, 3, 4, 8, 9, 16):
+                    assert not verify_certificate(q, 0, {"kind": "SIEVE", "data": {"modulus": m}})
 
 
 def test_legendre_tampering():

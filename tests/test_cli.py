@@ -1,12 +1,11 @@
-"""Command-line interface: output shape, exit codes, config layering."""
+"""Command-line interface: output shape, exit codes, flag handling."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from k3lattice.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, RunConfig, load_config, main
-from k3lattice.qform import SearchLimits
+from k3lattice.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, main
 
 
 def run(capsys, *argv):
@@ -160,6 +159,22 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
     assert out == (Path(__file__).parent / "data" / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "args, expected_code, golden",
+    [
+        (("k3", "classify", '{"lattice": {"gram": [[0,1,0],[1,0,0],[0,0,-8]]}}'), EXIT_OK, "k3_classify_u_m8.json"),
+        (("claim3", "--A", "1", "--B", "0", "--C", "0", "--format", "table"), EXIT_OK, "claim3_a1_table.txt"),
+        (("claim3", "--A", "1", "--B", "0", "--C", "0", "--claim3-bound", "1"), EXIT_UNDECIDED, "claim3_a1_not_found.json"),
+        (("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": [9, 9, 3]}'), EXIT_OK, "mw_rank.json"),
+    ],
+)
+def test_other_commands_match_golden_output(capsys, args, expected_code, golden):
+    # the same commands and files are compared in CI through the entry point
+    code, out, _ = run(capsys, *args)
+    assert code == expected_code
+    assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
 def test_undecided_bounds_match_golden_output(capsys):
     # UNDECIDED bounds list the whole sieve ladder; compared in CI as well
     args = ("qform", "represents", '{"diag": [1, -1, -1]}', "--t", "7", "--search-bound", "1")
@@ -276,69 +291,39 @@ def test_help_exits_zero(capsys):
     assert "paper-verify" in out
 
 
-def test_config_file_layering(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"format": "table", "search_bound": 1, "claim3_bound": 1}', encoding="utf-8")
-    monkeypatch.setenv("K3LATTICE_CONFIG", str(cfg))
-
-    # config file applies: the scan is capped before the witness (6, ±2)
-    code, out, _ = run(capsys, "qform", "represents", '{"binary": [1, 0, -7]}', "--t", "8")
-    assert code == EXIT_UNDECIDED
-    assert "bounds.search_bound" in out  # table format came from the config
-    code, out, _ = run(capsys, "claim3", "--A", "1", "--B", "0", "--C", "0")
-    assert code == EXIT_UNDECIDED and "NOT_FOUND" in out
-
-    # flags beat the file
-    code, out, _ = run(
-        capsys, "qform", "represents", '{"binary": [1, 0, -7]}',
-        "--t", "8", "--format", "json", "--search-bound", "10",
-    )
-    assert code == EXIT_OK
-    assert json.loads(out)["verdict"]["witness"] == [6, -2]
-
-    # paper-verify reads no search setting: its table is the committed one
-    code, out, _ = run(capsys, "paper-verify")
-    assert code == EXIT_OK
-    assert out == (Path(__file__).parent / "data" / "paper_verify.txt").read_text()
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("qform", "represents", '{"binary": [1, 0, -7]}', "--t", "8"),
+        ("qform", "represents", '{"binary": [1, 0, -7]}', "--t", "0"),
+        ("qform", "represents", '{"diag": [1, 1, -3]}', "--t", "0"),
+        ("k3", "classify", '{"lattice": {"name": "U"}}'),
+    ],
+)
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_search_bound_below_one_is_an_error(capsys, args, bound):
+    # refused even at t = 0, where no decider reads the bound
+    code, out, err = run(capsys, *args, "--search-bound", bound)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and "search bound must be positive" in err
 
 
-def test_config_file_errors(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"search_bound": 7, "mystery": 1}', encoding="utf-8")
-    monkeypatch.setenv("K3LATTICE_CONFIG", str(cfg))
-    code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
-    assert code == EXIT_ERROR and "unknown config key 'mystery'" in err
-
-    # the sieve ladder is fixed, so its old cap is an unknown key too
-    cfg.write_text('{"sieve_max": 7}', encoding="utf-8")
-    code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
-    assert code == EXIT_ERROR and "unknown config key 'sieve_max'" in err
-
-    cfg.write_text('{"search_bound": 7,}', encoding="utf-8")
-    code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
-    assert code == EXIT_ERROR and "invalid JSON" in err and "line 1" in err
-
-    cfg.write_text('{"search_bound": "many"}', encoding="utf-8")
-    code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
-    assert code == EXIT_ERROR and "must be an integer" in err
-
-    monkeypatch.setenv("K3LATTICE_CONFIG", str(tmp_path / "absent.json"))
-    code, _, err = run(capsys, "lattice", "info", '{"name": "U"}')
-    assert code == EXIT_ERROR and "cannot read config file" in err
+def test_claim3_bound_below_one_is_an_error(capsys):
+    code, out, err = run(capsys, "claim3", "--A", "1", "--B", "0", "--C", "0", "--claim3-bound", "0")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and "bound must be positive" in err
 
 
-def test_load_config_and_runconfig_direct():
-    cfg = load_config({})
-    assert cfg == RunConfig()
-    assert cfg.limits() == SearchLimits()
-    assert RunConfig(search_bound=9).limits() == SearchLimits(search_bound=9)
-    from k3lattice.cli import CliError
-
-    with pytest.raises(CliError):
-        RunConfig(format="yaml")
-    with pytest.raises(CliError):
-        RunConfig(search_bound=0)
-    with pytest.raises(TypeError):
-        RunConfig(sieve_max=9)
-    with pytest.raises(CliError):
-        RunConfig(claim3_bound=0)
+@pytest.mark.parametrize("config", [None, '{"format": "table", "search_bound": 1}'])
+def test_config_env_var_is_ignored(tmp_path, capsys, monkeypatch, config):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config, encoding="utf-8")
+    monkeypatch.setenv("K3LATTICE_CONFIG", str(path))
+    data = Path(__file__).parent / "data"
+    code, out, err = run(capsys, "paper-verify")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (data / "paper_verify.json").read_text()
+    code, out, err = run(capsys, "qform", "represents", '{"diag": [1, -1, -1]}', "--t", "7", "--search-bound", "1")
+    assert (code, err) == (EXIT_UNDECIDED, "")
+    assert out == (data / "qform_represents_undecided.json").read_text()

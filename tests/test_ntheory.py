@@ -8,7 +8,6 @@ from k3lattice.ntheory import (
     divisors,
     factorize,
     is_square,
-    prime_power_split,
     sqrt_exact,
     squarefree_split,
     vec_gcd,
@@ -76,15 +75,6 @@ def test_squarefree_split():
             # squarefree: no prime appears twice
             assert all(e == 1 for e in factorize(s).values())
             assert f >= 1
-
-
-def test_prime_power_split():
-    assert prime_power_split(8) == (2, 3)
-    assert prime_power_split(27) == (3, 3)
-    assert prime_power_split(7) == (7, 1)
-    assert prime_power_split(12) is None
-    assert prime_power_split(1) is None
-    assert prime_power_split(0) is None
 
 
 def test_vec_gcd():
