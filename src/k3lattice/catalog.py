@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from . import elliptic, lattices, matrices, qform
 from .embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
@@ -239,8 +240,11 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
                 _k3_vector({_E8_BLOCKS[1]: 1}),
             ),
             target_gram=((6 * n, 0, 0), (0, -2, 0), (0, 0, -2)),
-            expected={"has_minus2": "YES", "has_isotropic": "NO", "aut": INFINITE},
-            aut_overlay={
+            # n = 1: Vinberg's walk closes on a compact hexagon, so Aut is finite
+            expected={"has_minus2": "YES", "has_isotropic": "NO", "aut": FINITE if n == 1 else INFINITE},
+            aut_overlay=None
+            if n == 1
+            else {
                 "verdict": INFINITE,
                 "reason": "asserted for sufficiently large n via the finiteness of rank-3 "
                 "Picard lattices with finite automorphism group",
@@ -441,8 +445,10 @@ def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None)
     span(u, w) once, looked up by its normal before anything is paired. A new
     plane is retired at once if its discriminant is <= 0 or a square (this
     covers w.w == 0) or if w.w == -2 (its closure holds w, so no sound -2
-    decider says NO); else once both verdicts are decided and not both NO
-    (UNDECIDED may depend on the closure's basis, so it retires nothing)."""
+    decider says NO). Else it is decided on the basis read off the Smith form
+    of its normal and retired if both verdicts are decided and not both NO.
+    Otherwise the closure of (u, w) is decided: two NOs return it, and no
+    UNDECIDED retires it (UNDECIDED may depend on the basis)."""
     if height_bound < 0:
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
@@ -465,6 +471,15 @@ def theorem3_example(height_bound: int = 10, limits: SearchLimits | None = None)
                 uw = ambient.pairing(u, w)
                 disc = 4 * (uw * uw - uu * ww)
                 if disc <= 0 or is_square(disc) or ww == -2:
+                    settled.add(normal)
+                    continue
+                # columns 1, 2 of V span {x : normal.x = 0}, the closure of span(u, w)
+                v = matrices.smith_normal_form([list(normal)]).v
+                x, y = ([row[j] for row in v] for j in (1, 2))
+                gx, gy = ([sum(map(mul, row, s)) for row in ambient.gram] for s in (x, y))
+                q = BinaryForm(sum(map(mul, x, gx)), 2 * sum(map(mul, x, gy)), sum(map(mul, y, gy)))
+                kinds = (qform.binary_represents_zero(q).kind, qform.binary_represents(q, -2, limits).kind)
+                if "UNDECIDED" not in kinds and kinds != ("NO", "NO"):
                     settled.add(normal)
                     continue
                 closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))

@@ -3,12 +3,12 @@ example, and the aggregate verification table."""
 
 import dataclasses
 import random
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
-from k3lattice import catalog, qform
+from k3lattice import catalog, matrices, qform
 from k3lattice.catalog import (
     CatalogMismatch,
     Claim3Input,
@@ -158,6 +158,20 @@ def test_family_1_certification():
     for n in (1, 2, 4, 7):
         rep = certify_family(family(1, n))
         assert rep.extras["disc_group_order"] == 24 * n
+
+
+def test_family_1_at_n_1_asserts_no_aut_verdict():
+    # <6> + <-2> + <-2> has finite Aut (Vinberg's walk from (1, 0, 0) closes
+    # on a compact right-angled hexagon), so the Nikulin overlay, which holds
+    # only for large n, must not fire here; only the engine may decide it.
+    spec = family(1, 1)
+    assert spec.aut_overlay is None and spec.expected["aut"] == "FINITE"
+    for spec in (family(1), family(1, 1)):
+        aut = certify_family(spec).aut
+        assert aut.verdict != "INFINITE" and aut.status != "PAPER_ASSERTED" and aut.citation is None
+    for n in (2, 4, 5):
+        aut = certify_family(family(1, n)).aut
+        assert (aut.verdict, aut.status, aut.citation) == ("INFINITE", "PAPER_ASSERTED", "Nikulin [Ni4]")
 
 
 def test_family_2_certification():
@@ -345,20 +359,63 @@ def test_plane_normal_matches_oracle():
                 assert catalog._plane_normal(u, tuple(x + k * y for x, y in zip(w, u))) == normal, (u, w, k)
 
 
+def test_normal_basis_is_the_closure_of_the_plane():
+    # theorem3_example decides a plane on columns 1 and 2 of V from the Smith
+    # form of its 1 x 3 normal; they must span the same lattice as the
+    # primitive closure of any pair that spans the plane.
+    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+    checked = 0
+    for normal in product(range(-8, 9), repeat=3):
+        if gcd(*normal) != 1:
+            continue
+        v = matrices.smith_normal_form([list(normal)]).v
+        basis = [[row[j] for row in v] for j in (1, 2)]
+        for b in basis:
+            assert sum(x * y for x, y in zip(normal, b)) == 0, (normal, b)
+        sub = EmbeddedSublattice(ambient, basis)
+        assert is_primitive(sub), normal
+        # the cross products normal x e_i lie in the plane; two of them span it
+        n0, n1, n2 = normal
+        crosses = [(0, n2, -n1), (-n2, 0, n0), (n1, -n0, 0)]
+        pair = next(p for p in combinations(crosses, 2) if catalog._plane_normal(*p) is not None)
+        closed = primitive_closure(EmbeddedSublattice(ambient, pair))
+        want = matrices.det(induced_gram(closed).gram_rows())
+        assert matrices.det(induced_gram(sub).gram_rows()) == want, normal
+        checked += 1
+    assert checked == 4034
+
+
 def test_theorem3_closes_each_plane_once(monkeypatch):
     # Up to and including the default hit, u = (1, -1, -1) meets 140 rational
     # planes over 2,200 vectors w: 77 are not hyperbolic, 6 are rationally
-    # isotropic and 3 are first seen through a w of square -2, so 54 are closed.
-    calls = []
-    real = catalog.primitive_closure
+    # isotropic and 3 are first seen through a w of square -2, so 54 are
+    # decided, each once on the Smith-form basis of its normal. Only the
+    # returned plane is closed.
+    closures, normals, zero_calls = [], [], [0]
+    real_closure = catalog.primitive_closure
+    real_snf = matrices.smith_normal_form
+    real_zero = qform.binary_represents_zero
 
-    def counting(sub):
-        calls.append(sub.columns)
-        return real(sub)
+    def counting_closure(sub):
+        closures.append(sub.columns)
+        return real_closure(sub)
 
-    monkeypatch.setattr(catalog, "primitive_closure", counting)
+    def counting_snf(m):
+        normals.append(tuple(map(tuple, m)))
+        return real_snf(m)
+
+    def counting_zero(q):
+        zero_calls[0] += 1
+        return real_zero(q)
+
+    monkeypatch.setattr(catalog, "primitive_closure", counting_closure)
+    monkeypatch.setattr(matrices, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(qform, "binary_represents_zero", counting_zero)
     theorem3_example()
-    assert len(calls) == 54
+    assert closures == [((1, -1, -1), (-7, -7, -4))]
+    assert len(normals) == 54 and len(set(normals)) == 54
+    assert all(len(m) == 1 and len(m[0]) == 3 for m in normals)
+    assert zero_calls[0] == 54 + 1  # once per normal basis, once on the returned closure
 
 
 def test_theorem3_pairs_nothing_on_a_seen_plane(monkeypatch):
