@@ -6,185 +6,27 @@ rank-2 and rank-3 constructions.
 
 Everything runs on Python integers and fractions; there are no runtime
 dependencies and no floating point anywhere.
+
+The package republishes the API modules below: a name is public exactly when
+its module's __all__ lists it.
 """
 
-from .catalog import (
-    CatalogMismatch,
-    Claim3Input,
-    Claim3Result,
-    FamilySpec,
-    SearchExhausted,
-    Theorem3Example,
-    certify_family,
-    claim3_result_to_json,
-    claim3_search,
-    family,
-    paper_verification,
-    theorem3_example,
-    theorem3_to_json,
-)
-from .elliptic import (
-    FibrationData,
-    PencilClass,
-    SectionPair,
-    fibration_from_json,
-    fibration_to_json,
-    max_singular_fibers_bound,
-    mordell_weil_rank,
-    pencil_class_from_sections,
-    section_intersection_from_height,
-)
-from .embeddings import (
-    DiscriminantAction,
-    EmbeddedSublattice,
-    IsometryMap,
-    discriminant_action,
-    extend_by_identity,
-    induced_gram,
-    is_primitive,
-    orthogonal_complement,
-    primitive_closure,
-    sublattice_from_json,
-    sublattice_to_json,
-)
-from .k3 import (
-    AutReport,
-    K3Report,
-    PAPER_ASSERTED,
-    PROVEN,
-    PicardData,
-    aut_verdict,
-    classify,
-    g_t_membership_proxy,
-    has_isotropic_class,
-    has_minus2_class,
-    lattice_form,
-    picard_from_json,
-    report_to_json,
-    revalidate_report,
-    same_positive_cone_component,
-)
-from .lattices import (
-    AUT_INDEX_FACTOR,
-    DiscriminantGroup,
-    GramLattice,
-    Signature,
-    aut_index_bound,
-    aut_order_finite_abelian,
-    det,
-    direct_sum,
-    discriminant_group,
-    lattice_from_json,
-    lattice_to_json,
-    signature,
-    standard_lattice,
-)
-from .qform import (
-    BinaryForm,
-    Certificate,
-    DiagonalTernaryForm,
-    RepresentationVerdict,
-    SearchLimits,
-    UnaryForm,
-    binary_represents,
-    binary_represents_zero,
-    enumerate_primitive_zeros,
-    form_from_json,
-    form_to_json,
-    represents,
-    ternary_represents,
-    ternary_represents_zero,
-    unary_represents,
-    verdict_to_json,
-    verify_certificate,
-)
+from . import catalog, elliptic, embeddings, k3, lattices, qform
+from .catalog import *
+from .elliptic import *
+from .embeddings import *
+from .k3 import *
+from .lattices import *
+from .qform import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # lattices
-    "AUT_INDEX_FACTOR",
-    "GramLattice",
-    "Signature",
-    "DiscriminantGroup",
-    "standard_lattice",
-    "direct_sum",
-    "signature",
-    "det",
-    "discriminant_group",
-    "aut_order_finite_abelian",
-    "aut_index_bound",
-    "lattice_from_json",
-    "lattice_to_json",
-    # embeddings
-    "EmbeddedSublattice",
-    "IsometryMap",
-    "DiscriminantAction",
-    "induced_gram",
-    "is_primitive",
-    "primitive_closure",
-    "orthogonal_complement",
-    "discriminant_action",
-    "extend_by_identity",
-    "sublattice_from_json",
-    "sublattice_to_json",
-    # qform
-    "UnaryForm",
-    "BinaryForm",
-    "DiagonalTernaryForm",
-    "SearchLimits",
-    "Certificate",
-    "RepresentationVerdict",
-    "represents",
-    "unary_represents",
-    "binary_represents",
-    "binary_represents_zero",
-    "ternary_represents",
-    "ternary_represents_zero",
-    "enumerate_primitive_zeros",
-    "verify_certificate",
-    "form_from_json",
-    "form_to_json",
-    "verdict_to_json",
-    # k3
-    "PicardData",
-    "AutReport",
-    "K3Report",
-    "PROVEN",
-    "PAPER_ASSERTED",
-    "lattice_form",
-    "has_minus2_class",
-    "has_isotropic_class",
-    "aut_verdict",
-    "classify",
-    "revalidate_report",
-    "same_positive_cone_component",
-    "g_t_membership_proxy",
-    "picard_from_json",
-    "report_to_json",
-    # elliptic
-    "FibrationData",
-    "SectionPair",
-    "PencilClass",
-    "mordell_weil_rank",
-    "section_intersection_from_height",
-    "pencil_class_from_sections",
-    "max_singular_fibers_bound",
-    "fibration_from_json",
-    "fibration_to_json",
-    # catalog
-    "Claim3Input",
-    "Claim3Result",
-    "FamilySpec",
-    "Theorem3Example",
-    "SearchExhausted",
-    "CatalogMismatch",
-    "claim3_search",
-    "claim3_result_to_json",
-    "family",
-    "certify_family",
-    "theorem3_example",
-    "theorem3_to_json",
-    "paper_verification",
+    *lattices.__all__,
+    *embeddings.__all__,
+    *qform.__all__,
+    *k3.__all__,
+    *elliptic.__all__,
+    *catalog.__all__,
 ]

@@ -340,9 +340,10 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
     raise ValueError("family_id must be 1..5")
 
 
-def certify_family(spec: FamilySpec, limits: SearchLimits | None = None) -> K3Report:
+def certify_family(spec: FamilySpec) -> K3Report:
     """Realize the family inside the K3 lattice, check the Gram contract and
-    primitivity, run the predicates, and compare against the expected table.
+    primitivity, run the predicates at the default search limits, and compare
+    against the expected table.
     Any PROVEN disagreement raises CatalogMismatch naming the family."""
     ambient = standard_lattice("K3")
     sub = EmbeddedSublattice(ambient, spec.generators)
@@ -353,7 +354,7 @@ def certify_family(spec: FamilySpec, limits: SearchLimits | None = None) -> K3Re
         )
     if not is_primitive(sub):
         raise CatalogMismatch(f"{spec.label}: generators do not span a primitive sublattice")
-    report = classify(PicardData(lattice), limits, label=spec.label)
+    report = classify(PicardData(lattice), label=spec.label)
     for key, want in (("has_minus2", spec.expected["has_minus2"]), ("has_isotropic", spec.expected["has_isotropic"])):
         got = getattr(report, key).kind
         if got != want:

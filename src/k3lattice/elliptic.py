@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ntheory import exact_int
+
 __all__ = [
     "FibrationData",
     "SectionPair",
@@ -30,8 +32,8 @@ class FibrationData:
     has_section: bool = True
 
     def __init__(self, rho, reducible_fiber_component_counts=(), has_section=True):
-        rho = int(rho)
-        comps = tuple(int(m) for m in reducible_fiber_component_counts)
+        rho = exact_int(rho)
+        comps = tuple(map(exact_int, reducible_fiber_component_counts))
         if rho < 2:
             raise ValueError("a fibration needs Picard rank at least 2")
         if any(m < 2 for m in comps):
@@ -70,8 +72,8 @@ class SectionPair:
     zero_section_intersection: int
 
     def __init__(self, height: int, zero_section_intersection: int):
-        height = int(height)
-        zsi = int(zero_section_intersection)
+        height = exact_int(height)
+        zsi = exact_int(zero_section_intersection)
         if zsi < 0:
             raise ValueError("sections are distinct curves, so (P . O) >= 0")
         if height != 4 + 2 * zsi:
@@ -96,7 +98,7 @@ class PencilClass:
 def pencil_class_from_sections(c1_sq: int, c2_sq: int, c1_dot_c2: int) -> PencilClass:
     if c1_sq != -2 or c2_sq != -2:
         raise ValueError("both classes must have self-intersection -2")
-    square = -4 + 2 * int(c1_dot_c2)
+    square = -4 + 2 * exact_int(c1_dot_c2)
     return PencilClass(square=square, is_pencil=(square == 0))
 
 
@@ -109,7 +111,7 @@ def fibration_from_json(obj) -> FibrationData:
     if not isinstance(obj, dict) or "rho" not in obj:
         raise ValueError('fibration JSON needs "rho"')
     return FibrationData(
-        int(obj["rho"]),
+        obj["rho"],
         obj.get("reducible_fiber_component_counts", ()),
         bool(obj.get("has_section", True)),
     )

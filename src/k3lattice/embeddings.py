@@ -9,6 +9,7 @@ from operator import mul
 from . import matrices
 from .lattices import DiscriminantGroup, GramLattice, discriminant_group, lattice_from_json, lattice_to_json
 from .matrices import smith_normal_form
+from .ntheory import exact_int
 
 __all__ = [
     "EmbeddedSublattice",
@@ -34,7 +35,7 @@ class EmbeddedSublattice:
     columns: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient: GramLattice, columns) -> None:
-        cols = tuple(tuple(int(x) for x in c) for c in columns)
+        cols = tuple(tuple(map(exact_int, c)) for c in columns)
         if not cols:
             raise ValueError("a sublattice needs at least one basis vector")
         if any(len(c) != ambient.rank for c in cols):
@@ -62,7 +63,7 @@ class IsometryMap:
     matrix: tuple[tuple[int, ...], ...]
 
     def __init__(self, domain: GramLattice, matrix) -> None:
-        rows = tuple(tuple(int(x) for x in r) for r in matrix)
+        rows = tuple(tuple(map(exact_int, r)) for r in matrix)
         if len(rows) != domain.rank or any(len(r) != domain.rank for r in rows):
             raise ValueError("isometry matrix shape does not match the lattice rank")
         m = [list(r) for r in rows]

@@ -16,6 +16,7 @@ from operator import mul
 from . import lattices, qform
 from .embeddings import IsometryMap, discriminant_action, lattice_or_sublattice_from_json
 from .lattices import GramLattice, Signature
+from .ntheory import exact_int
 from .qform import (
     BinaryForm,
     DiagonalTernaryForm,
@@ -32,6 +33,9 @@ __all__ = [
     "K3Report",
     "PROVEN",
     "PAPER_ASSERTED",
+    "FINITE",
+    "INFINITE",
+    "UNKNOWN",
     "lattice_form",
     "has_minus2_class",
     "has_isotropic_class",
@@ -67,7 +71,7 @@ class PicardData:
             raise ValueError(
                 f"Picard lattice must be hyperbolic of signature (1, rank-1, 0); got {tuple(sig)}"
             )
-        known = tuple(tuple(int(x) for x in v) for v in known_minus2_classes)
+        known = tuple(tuple(map(exact_int, v)) for v in known_minus2_classes)
         for v in known:
             if len(v) != lattice.rank:
                 raise ValueError("curve class length does not match the rank")
@@ -75,7 +79,7 @@ class PicardData:
                 raise ValueError("every known curve class must have square -2")
         pol = None
         if polarization is not None:
-            pol = tuple(int(x) for x in polarization)
+            pol = tuple(map(exact_int, polarization))
             if len(pol) != lattice.rank:
                 raise ValueError("polarization length does not match the rank")
             if lattice.square(pol) <= 0:
@@ -314,8 +318,8 @@ def same_positive_cone_component(data: PicardData, u, v) -> bool:
     when u and v lie in the same component of the positive cone, which is the
     sign of their pairing."""
     lat = data.lattice if isinstance(data, PicardData) else data
-    u = tuple(int(x) for x in u)
-    v = tuple(int(x) for x in v)
+    u = tuple(map(exact_int, u))
+    v = tuple(map(exact_int, v))
     if lat.square(u) <= 0 or lat.square(v) <= 0:
         raise ValueError("positive-cone membership needs classes of positive square")
     return lat.pairing(u, v) > 0
@@ -378,6 +382,6 @@ def picard_from_json(obj) -> PicardData:
     lattice, _ = lattice_or_sublattice_from_json(obj["lattice"])
     return PicardData(
         lattice,
-        tuple(tuple(int(x) for x in v) for v in obj.get("known_minus2_classes", ())),
+        obj.get("known_minus2_classes", ()),
         obj.get("polarization"),
     )

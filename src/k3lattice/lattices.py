@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import matrices
 from .matrices import smith_normal_form
-from .ntheory import factorize
+from .ntheory import exact_int, factorize
 
 __all__ = [
     "GramLattice",
@@ -47,7 +47,8 @@ class GramLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, rank: int, gram) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        rank = exact_int(rank)
+        rows = tuple(tuple(map(exact_int, row)) for row in gram)
         if rank < 0 or len(rows) != rank or any(len(r) != rank for r in rows):
             raise ValueError("gram matrix shape does not match the rank")
         if not matrices.is_symmetric([list(r) for r in rows]):
@@ -154,13 +155,13 @@ class DiscriminantGroup:
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
     """Invariant factors and generator lifts of L*/L; order equals |det|."""
-    d = det(lattice)
-    if d == 0:
-        raise ValueError("degenerate lattice has no discriminant group")
     snf = smith_normal_form(lattice.gram_rows())
+    diagonal = snf.diagonal()
+    if 0 in diagonal:
+        raise ValueError("degenerate lattice has no discriminant group")
     factors = []
     lifts = []
-    for i, di in enumerate(snf.diagonal()):
+    for i, di in enumerate(diagonal):
         if di > 1:
             factors.append(di)
             col = [Fraction(snf.v[r][i], di) for r in range(lattice.rank)]
@@ -185,7 +186,7 @@ def _p_group_aut_order(p: int, exps: list[int]) -> int:
 
 def aut_order_finite_abelian(invariant_factors) -> int:
     """Order of Aut of the abelian group with the given divisibility chain."""
-    chain = [int(d) for d in invariant_factors]
+    chain = [exact_int(d) for d in invariant_factors]
     if any(d <= 1 for d in chain):
         raise ValueError("invariant factors must all exceed 1")
     for a, b in zip(chain, chain[1:]):

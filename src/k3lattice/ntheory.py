@@ -12,6 +12,7 @@ __all__ = [
     "divisors",
     "squarefree_split",
     "vec_gcd",
+    "exact_int",
 ]
 
 
@@ -86,3 +87,11 @@ def squarefree_split(n: int) -> tuple[int, int]:
 def vec_gcd(values) -> int:
     """gcd of an iterable of integers (0 for an empty or all-zero input)."""
     return gcd(*values)
+
+
+def exact_int(x) -> int:
+    """x itself when it is an int; ValueError for anything else (a float,
+    bool or string), so an input value is never rounded or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x

@@ -13,6 +13,7 @@ from math import gcd, isqrt
 from .ntheory import (
     divides,
     divisors,
+    exact_int,
     factorize,
     is_square,
     sqrt_exact,
@@ -208,7 +209,7 @@ def _coefficient_list(obj, key: str, count: int) -> list[int]:
     value = obj[key]
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise ValueError(f'form JSON "{key}" needs exactly {count} integers')
-    return [int(x) for x in value]
+    return [exact_int(x) for x in value]
 
 
 # JSON key, form class, coefficient count; the first key present wins
@@ -810,16 +811,22 @@ def _verify_definite_exhaust(q, t, data) -> bool:
     return False
 
 
-def _verify_square_disc(q, t, data) -> bool:
+def _content_reduced(q, t, data):
+    """(q / g, t / g) for the certificate's content g (default 1), or None
+    unless q is binary, t != 0 and g is a positive integer dividing q and t."""
     if not isinstance(q, BinaryForm) or t == 0:
-        return False
+        return None
     g = data.get("content", 1)
-    if not isinstance(g, int) or g < 1:
+    if not isinstance(g, int) or g < 1 or any(c % g for c in q.coefficients()) or t % g:
+        return None
+    return BinaryForm(q.a // g, q.b // g, q.c // g), t // g
+
+
+def _verify_square_disc(q, t, data) -> bool:
+    reduced = _content_reduced(q, t, data)
+    if reduced is None:
         return False
-    if any(c % g for c in q.coefficients()) or t % g:
-        return False
-    q1 = BinaryForm(q.a // g, q.b // g, q.c // g)
-    t1 = t // g
+    q1, t1 = reduced
     if q1.disc <= 0 or not is_square(q1.disc):
         return False
     w, _ = _square_disc_search(q1, t1)
@@ -842,16 +849,12 @@ def _verify_legendre(q, t, data) -> bool:
 
 
 def _verify_cycle(q, t, data) -> bool:
-    if not isinstance(q, BinaryForm) or t == 0:
+    reduced = _content_reduced(q, t, data)
+    if reduced is None:
         return False
-    g = data.get("content", 1)
-    if not isinstance(g, int) or g < 1:
-        return False
-    if any(c % g for c in q.coefficients()) or t % g:
-        return False
-    a1, b1, c1 = q.a // g, q.b // g, q.c // g
-    t1 = t // g
-    disc = b1 * b1 - 4 * a1 * c1
+    q1, t1 = reduced
+    a1, b1, c1 = q1.coefficients()
+    disc = q1.disc
     if disc <= 0 or is_square(disc) or 4 * t1 * t1 >= disc:
         return False
     cycle = data.get("cycle")

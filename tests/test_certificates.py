@@ -262,3 +262,15 @@ def test_fuzzed_dicts_never_raise():
         t = rng.choice([0, 1, -2, 3, 7])
         result = verify_certificate(q, t, cert)
         assert result in (True, False)
+
+
+def test_content_must_be_a_positive_integer_dividing_form_and_target():
+    # SQUARE_DISC_EXHAUST and CYCLE divide the form and t by the stated
+    # content before replaying; any other content is refused
+    for q, t, kind in ((BinaryForm(2, 6, 0), 4, "SQUARE_DISC_EXHAUST"), (BinaryForm(2, 0, -6), -2, "CYCLE")):
+        cert = binary_represents(q, t).certificate
+        assert cert.kind == kind and cert.data["content"] == 2
+        assert verify_certificate(q, t, cert)
+        for g in (0, -2, 3, 4, 2.0, "2"):
+            assert not verify_certificate(q, t, {"kind": kind, "data": dict(cert.data, content=g)}), g
+        assert not verify_certificate(q, 0, cert)

@@ -265,6 +265,25 @@ def test_json_of_the_wrong_type_is_an_input_error(capsys, args):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (("qform", "represents", '{"binary": [1.9, 0, -7]}', "--t", "2"), "1.9"),
+        (("lattice", "info", '{"rank": 2.0, "gram": [[1,0],[0,1]]}'), "2.0"),
+        (("lattice", "info", '{"ambient": {"name": "U"}, "basis": [[1.5, 0]]}'), "1.5"),
+        (("mw", "rank", '{"rho": 20.9, "reducible_fiber_component_counts": [2.5]}'), "20.9"),
+        (("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": [2.5]}'), "2.5"),
+        (("lattice", "info", '{"gram": [[true, 0], [0, 1]]}'), "True"),
+        (("k3", "classify", '{"lattice": {"name": "U"}, "polarization": ["1", 1]}'), "'1'"),
+        (("k3", "classify", '{"lattice": {"name": "U"}, "known_minus2_classes": [[1.0, -1]]}'), "1.0"),
+    ],
+)
+def test_non_integer_json_numbers_are_refused_not_truncated(capsys, args, bad):
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: expected an integer, got {bad}\n"
+
+
 # the flags each subcommand accepts besides --format, which all of them take
 _SUBCOMMAND_FLAGS = [
     (("lattice", "info", '{"name": "U"}'), set()),

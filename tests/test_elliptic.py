@@ -85,3 +85,16 @@ def test_json_roundtrip():
         fibration_from_json({"reducible_fiber_component_counts": []})
     with pytest.raises(ValueError):
         fibration_from_json(None)
+
+
+def test_fibration_refuses_non_integers():
+    with pytest.raises(ValueError, match="expected an integer, got 20.9"):
+        fibration_from_json({"rho": 20.9, "reducible_fiber_component_counts": [2.5]})
+    with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+        FibrationData(20, [2.5])
+    with pytest.raises(ValueError, match="expected an integer"):
+        FibrationData("20")
+    with pytest.raises(ValueError, match="expected an integer"):
+        SectionPair(8.0, 2)
+    with pytest.raises(ValueError, match="expected an integer"):
+        pencil_class_from_sections(-2, -2, 2.0)

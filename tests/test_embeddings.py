@@ -220,3 +220,14 @@ def test_sublattice_json_roundtrip():
     assert again.ambient.gram == k3.gram
     with pytest.raises(ValueError):
         sublattice_from_json({"ambient": {"name": "U"}})
+
+
+def test_embedded_sublattice_and_isometry_refuse_non_integers():
+    u = standard_lattice("U")
+    # truncated to [[1, 0]], the basis would be a primitive sublattice
+    with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+        sublattice_from_json({"ambient": {"name": "U"}, "basis": [[1.5, 0]]})
+    with pytest.raises(ValueError, match="expected an integer"):
+        EmbeddedSublattice(u, [[True, 0]])
+    with pytest.raises(ValueError, match="expected an integer"):
+        IsometryMap(u, [[0, 1.0], [1, 0]])

@@ -301,3 +301,12 @@ def test_picard_from_json():
         picard_from_json({"known_minus2_classes": []})
     with pytest.raises(ValueError):
         picard_from_json([])
+
+
+def test_picard_data_refuses_non_integers():
+    with pytest.raises(ValueError, match="expected an integer"):
+        PicardData(U, polarization=("1", 2))
+    with pytest.raises(ValueError, match="expected an integer"):
+        picard_from_json({"lattice": {"name": "U"}, "known_minus2_classes": [[1.0, -1]]})
+    with pytest.raises(ValueError, match="expected an integer"):
+        same_positive_cone_component(U, (1, 1), (1.0, 2))

@@ -210,3 +210,20 @@ def test_lattice_json_roundtrip():
         lattice_from_json({"nope": 1})
     with pytest.raises(ValueError):
         lattice_from_json([1, 2])
+
+
+def test_gram_lattice_refuses_non_integers():
+    # 2.0 == 2 passes the shape check, so the rank needs its own check
+    with pytest.raises(ValueError, match="expected an integer, got 2.0"):
+        lattice_from_json({"rank": 2.0, "gram": [[1, 0], [0, 1]]})
+    for gram in ([[1.0, 0], [0, 1]], [[True, 0], [0, 1]], [["1", 0], [0, 1]]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            GramLattice(2, gram)
+    with pytest.raises(ValueError, match="expected an integer"):
+        aut_order_finite_abelian((2.0, 4))
+
+
+def test_discriminant_group_refuses_degenerate_lattice():
+    for gram in ([[0]], [[1, 1], [1, 1]], [[0, 0, 0], [0, 2, 1], [0, 1, 2]]):
+        with pytest.raises(ValueError, match="degenerate lattice has no discriminant group"):
+            discriminant_group(GramLattice(len(gram), gram))

@@ -134,3 +134,10 @@ def test_against_search_oracle():
             assert v.kind == "YES", (a, b, c, t, found, v)
         checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("obj", [{"binary": [1.9, 0, -7]}, {"diag": [1, True, -1]}, {"unary": ["3"]}])
+def test_form_json_refuses_non_integer_coefficients(obj):
+    # truncated to 1, the first form would represent 2 = 3^2 - 7 * 1^2
+    with pytest.raises(ValueError, match="expected an integer"):
+        qform.form_from_json(obj)
