@@ -277,6 +277,8 @@ def main(argv=None) -> int:
     except (CliError, ValueError, catalog.CatalogMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
+    # a witness can have more digits than Python 3.11+ converts to str by default
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
     sys.stdout.write(render(out, args.format))
     return code
 

@@ -110,11 +110,10 @@ def max_singular_fibers_bound() -> int:
 def fibration_from_json(obj) -> FibrationData:
     if not isinstance(obj, dict) or "rho" not in obj:
         raise ValueError('fibration JSON needs "rho"')
-    return FibrationData(
-        obj["rho"],
-        obj.get("reducible_fiber_component_counts", ()),
-        bool(obj.get("has_section", True)),
-    )
+    has_section = obj.get("has_section", True)
+    if type(has_section) is not bool:
+        raise ValueError(f"expected true or false, got {has_section!r}")
+    return FibrationData(obj["rho"], obj.get("reducible_fiber_component_counts", ()), has_section)
 
 
 def fibration_to_json(data: FibrationData) -> dict:

@@ -314,27 +314,33 @@ def _mat2_mul(p, q):
     )
 
 
-def _cycle_of(form, disc: int):
-    """Reduced cycle of the proper class of form, with transforms from form,
-    or None when reducing form and closing its cycle take more than
-    _CYCLE_LIMIT steps in all.
+def _cycle_of(form, disc: int, stop: int | None = None):
+    """Reduced cycle of the proper class of form, or None when reducing form
+    and closing its cycle take more than _CYCLE_LIMIT steps in all. The walk
+    ends early, and cycle with it, at the first cycle form whose leading
+    coefficient is stop.
 
-    Returns (cycle, transforms): cycle[i] results from form by the
-    unimodular transforms[i].
+    Returns (transform, cycle, moves): the unimodular transform carries form
+    onto cycle[0], and _rho_step carries cycle[i] onto the next entry by the
+    move moves[i].
     """
     s = isqrt(disc)
     t = ((1, 0), (0, 1))
     f = form
-    cycle, transforms = [], []
+    cycle, moves = [], []
     for _ in range(_CYCLE_LIMIT):
         if cycle and f == cycle[0]:
-            return cycle, transforms
+            return t, cycle, moves
         # every successor of a reduced form is reduced
         if cycle or _is_reduced(*f, s):
             cycle.append(f)
-            transforms.append(t)
-        f, m = _rho_step(f, disc, s)
-        t = _mat2_mul(t, ((0, -1), (1, m)))
+            if f[0] == stop:
+                return t, cycle, moves
+            f, m = _rho_step(f, disc, s)
+            moves.append(m)
+        else:
+            f, m = _rho_step(f, disc, s)
+            t = _mat2_mul(t, ((0, -1), (1, m)))
     return None
 
 
@@ -346,10 +352,10 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
     is a leading coefficient on the reduced cycle.
     """
     disc = q1.disc
-    walk = _cycle_of((q1.a, q1.b, q1.c), disc)
+    walk = _cycle_of((q1.a, q1.b, q1.c), disc, stop=t1)
     if walk is None:
         return RepresentationVerdict.undecided({"cycle_limit": _CYCLE_LIMIT})
-    cycle, transforms = walk
+    transform, cycle, moves = walk
     leading = {}
     for i, f in enumerate(cycle):
         leading.setdefault(f[0], i)
@@ -358,15 +364,18 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
         if t1 % (f * f) == 0:
             u = t1 // (f * f)
             if u in leading:
-                t = transforms[leading[u]]
-                return _checked_yes(q1, t1, (f * t[0][0], f * t[1][0]))
+                # the first column of transform times [[0, -1], [1, m]] per move
+                ((x, x1), (y, y1)) = transform
+                for m in moves[: leading[u]]:
+                    x, x1, y, y1 = x1, m * x1 - x, y1, m * y1 - y
+                return _checked_yes(q1, t1, (f * x, f * y))
         f += 1
     cert = Certificate(
         CYCLE,
         {
             "content": g,
             "disc": disc,
-            "transform": [list(row) for row in transforms[0]],
+            "transform": [list(row) for row in transform],
             "cycle": [list(x) for x in cycle],
         },
     )

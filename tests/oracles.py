@@ -450,6 +450,64 @@ def binary_box_witness(a: int, b: int, c: int, t: int, box: int):
     return None
 
 
+def binary_cycle_reference(a: int, b: int, c: int, t: int, limit: int = 100_000):
+    """verdict_to_json of binary_represents for a x^2 + b x y + c y^2 = t in
+    the cycle regime (t != 0 divisible by the content g, and for the
+    primitive part a positive nonsquare discriminant D > 4 (t/g)^2), walked
+    the old way: the 2x2 transform from the form rides along every step and
+    the whole cycle is kept with one transform per form. None outside the
+    regime. limit caps reduction plus cycle steps, as the decider's does.
+    """
+    g = gcd(gcd(a, b), c)
+    if t == 0 or t % g:
+        return None
+    a, b, c, t = a // g, b // g, c // g, t // g
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc > 0 else 0
+    if disc <= 0 or s * s == disc or 4 * t * t >= disc:
+        return None
+
+    def reduced(f):
+        # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b
+        return 0 < f[1] <= s and s < 2 * abs(f[0]) + f[1] and 2 * abs(f[0]) - f[1] <= s
+
+    def step(f):
+        # move m picks the middle coefficient r = 2 c m - b in (lo, lo + 2|c|]
+        fa, fb, fc = f
+        lo = s - 2 * abs(fc) if abs(fc) <= s else -abs(fc)
+        r = -fb + 2 * abs(fc) * ((lo + fb) // (2 * abs(fc)) + 1)
+        m = (r + fb) // (2 * fc)
+        return (fc, 2 * fc * m - fb, fa - fb * m + fc * m * m), m
+
+    f, tr = (a, b, c), ((1, 0), (0, 1))
+    cycle, transforms = [], []
+    for _ in range(limit):
+        if cycle and f == cycle[0]:
+            break
+        if cycle or reduced(f):
+            cycle.append(f)
+            transforms.append(tr)
+        f, m = step(f)
+        (p, q), (u, v) = tr
+        tr = ((q, m * q - p), (v, m * v - u))
+    else:
+        return {"kind": "UNDECIDED", "bounds": {"cycle_limit": limit}}
+    k = 1
+    while k * k <= abs(t):
+        if t % (k * k) == 0:
+            for i, form in enumerate(cycle):
+                if form[0] == t // (k * k):
+                    return {"kind": "YES", "witness": [k * transforms[i][0][0], k * transforms[i][1][0]]}
+        k += 1
+    data = {
+        "content": g,
+        "disc": disc,
+        "transform": [list(row) for row in transforms[0]],
+        "cycle": [list(form) for form in cycle],
+    }
+    return {"kind": "NO", "certificate": {"kind": "CYCLE", "data": data}}
+
+
 # ---------------------------------------------------------- claim3 reference
 
 

@@ -75,6 +75,14 @@ def test_qform_represents_yes_no_undecided(capsys):
     assert json.loads(out)["verdict"]["witness"] == [2]
 
 
+def test_qform_represents_prints_witnesses_past_the_int_str_limit(capsys):
+    # the witness has more digits than Python 3.11+ converts to str by default
+    code, out, err = run(capsys, "qform", "represents", '{"binary": [53745, -67465, -20478]}', "--t", "-2")
+    assert code == EXIT_OK and err == ""
+    x, y = json.loads(out)["verdict"]["witness"]
+    assert 53745 * x * x - 67465 * x * y - 20478 * y * y == -2
+
+
 def test_k3_classify(capsys):
     picard = {"lattice": {"gram": [[4, 0, 0], [0, -4, 0], [0, 0, -4]]}}
     code, out, _ = run(capsys, "k3", "classify", json.dumps(picard))
@@ -282,6 +290,13 @@ def test_non_integer_json_numbers_are_refused_not_truncated(capsys, args, bad):
     code, out, err = run(capsys, *args)
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: expected an integer, got {bad}\n"
+
+
+@pytest.mark.parametrize("value, shown", [('"no"', "'no'"), ("0", "0"), ("null", "None")])
+def test_has_section_accepts_only_json_booleans(capsys, value, shown):
+    code, out, err = run(capsys, "mw", "rank", '{"rho": 20, "has_section": %s}' % value)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: expected true or false, got {shown}\n"
 
 
 # the flags each subcommand accepts besides --format, which all of them take

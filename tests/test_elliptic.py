@@ -85,6 +85,11 @@ def test_json_roundtrip():
         fibration_from_json({"reducible_fiber_component_counts": []})
     with pytest.raises(ValueError):
         fibration_from_json(None)
+    for bad in ("no", 0, None):
+        with pytest.raises(ValueError, match="expected true or false"):
+            fibration_from_json({"rho": 5, "has_section": bad})
+    with pytest.raises(ValueError, match="only fibrations with a section"):
+        fibration_from_json({"rho": 5, "has_section": False})
 
 
 def test_fibration_refuses_non_integers():

@@ -12,10 +12,11 @@ from k3lattice.qform import (
     SearchLimits,
     binary_represents,
     binary_represents_zero,
+    verdict_to_json,
     verify_certificate,
 )
 
-from oracles import binary_witness
+from oracles import binary_cycle_reference, binary_witness
 
 
 def _value(q: BinaryForm, xy) -> int:
@@ -108,6 +109,54 @@ def test_cycle_past_its_limit_is_undecided(monkeypatch):
     assert binary_represents(q, -2) == RepresentationVerdict.undecided({"cycle_limit": 4})
     # the replay shares the cap, so the longer certificate no longer replays
     assert not verify_certificate(q, -2, v.certificate)
+
+
+def test_cycle_limit_boundary_and_early_stop(monkeypatch):
+    # x**2 - 94 y**2 takes 2 reduction steps onto its 16-form cycle, so the
+    # walk closes the cycle under a limit of 19 steps and not under 18
+    q = BinaryForm(1, 0, -94)
+    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 18)
+    assert binary_represents(q, -2) == RepresentationVerdict.undecided({"cycle_limit": 18})
+    # 6 leads the third cycle form, 4 steps in: the walk stops there, so a
+    # limit of 5 answers it although it cannot close the cycle
+    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 5)
+    assert binary_represents(q, 6) == RepresentationVerdict.yes((10, 1))
+    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 4)
+    assert binary_represents(q, 6) == RepresentationVerdict.undecided({"cycle_limit": 4})
+    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 19)
+    v = binary_represents(q, -2)
+    assert v.kind == "NO" and verify_certificate(q, -2, v.certificate)
+
+
+def test_early_stop_answers_before_the_cycle_closes():
+    # the cycle of this form is longer than _CYCLE_LIMIT, but -2 leads one
+    # of its first forms; the witness has tens of thousands of digits
+    q = BinaryForm(53745, -67465, -20478)
+    assert qform._cycle_of((q.a, q.b, q.c), q.disc) is None
+    v = binary_represents(q, -2)
+    assert v.kind == "YES" and _value(q, v.witness) == -2
+
+
+def test_cycle_decide_matches_transform_carrying_reference():
+    rng = random.Random(20261018)
+    kinds = {}
+    checked = 0
+    while checked < 500:
+        a, b, c = (rng.randint(-1000, 1000) for _ in range(3))
+        choice = rng.randrange(3)
+        if choice == 0:
+            t = -2
+        elif choice == 1:
+            t = rng.randint(-100, 100)
+        else:
+            t = -2 * rng.randint(1, 6) ** 2  # reaches the f > 1 candidates
+        expected = binary_cycle_reference(a, b, c, t)
+        if expected is None:
+            continue
+        assert verdict_to_json(binary_represents(BinaryForm(a, b, c), t)) == expected, (a, b, c, t)
+        kinds[expected["kind"], choice] = kinds.get((expected["kind"], choice), 0) + 1
+        checked += 1
+    assert all(kinds.get((kind, choice), 0) > 5 for kind in ("YES", "NO") for choice in range(3)), kinds
 
 
 def test_against_search_oracle():
