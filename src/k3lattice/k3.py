@@ -185,9 +185,11 @@ def has_isotropic_class(data: PicardData, limits: SearchLimits | None = None) ->
 class AutReport:
     """Finiteness verdict for the automorphism group, with provenance.
 
-    status PROVEN means the verdict follows from the attached sub-verdicts by
-    the rank rules below; PAPER_ASSERTED entries (catalog overlays) carry a
-    citation instead. UNKNOWN verdicts have status None.
+    minus2 and isotropic are the report's own has_minus2 and has_isotropic.
+    status PROVEN means the verdict follows from them by the rank rules
+    below, and revalidate_report re-derives it from those checked verdicts;
+    PAPER_ASSERTED entries (catalog overlays) carry a citation instead.
+    UNKNOWN verdicts have status None.
     """
 
     verdict: str  # FINITE | INFINITE | UNKNOWN
@@ -243,14 +245,6 @@ def _aut_from_verdicts(rank: int, m2: RepresentationVerdict, iso: Representation
     )
 
 
-def aut_verdict(data: PicardData, limits: SearchLimits | None = None) -> AutReport:
-    """Rank-based finiteness verdict for the automorphism group, built from
-    the two representability sub-verdicts."""
-    m2 = has_minus2_class(data, limits)
-    iso = has_isotropic_class(data, limits)
-    return _aut_from_verdicts(data.rank, m2, iso)
-
-
 @dataclass(frozen=True)
 class K3Report:
     rank: int
@@ -278,6 +272,12 @@ def classify(data: PicardData, limits: SearchLimits | None = None, label: str | 
     )
 
 
+def aut_verdict(data: PicardData, limits: SearchLimits | None = None) -> AutReport:
+    """Rank-based finiteness verdict for the automorphism group: the aut
+    entry of classify, built from its two representability sub-verdicts."""
+    return classify(data, limits).aut
+
+
 def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
     if v.kind == "YES":
         w = v.witness
@@ -291,26 +291,21 @@ def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
         if q is None or v.certificate is None:
             return False
         return verify_certificate(q, t, v.certificate)
-    return True  # UNDECIDED carries no proof obligation
+    return v.kind == "UNDECIDED"  # the one kind with no proof obligation
 
 
 def revalidate_report(data: PicardData, report: K3Report) -> bool:
-    """Re-check every PROVEN item of a report: witnesses evaluate correctly
-    and certificates replay."""
+    """Re-check every PROVEN item of a report: witnesses evaluate correctly,
+    certificates replay, and a PROVEN aut entry is exactly what the rank
+    rules derive from the two sub-verdicts just checked."""
     if not _verdict_ok(data.lattice, -2, report.has_minus2):
         return False
     if not _verdict_ok(data.lattice, 0, report.has_isotropic):
         return False
     aut = report.aut
-    if aut.status == PROVEN:
-        fresh = _aut_from_verdicts(
-            data.rank,
-            aut.minus2 if aut.minus2 is not None else report.has_minus2,
-            aut.isotropic if aut.isotropic is not None else report.has_isotropic,
-        )
-        if fresh.verdict != aut.verdict or fresh.status != PROVEN:
-            return False
-    return True
+    if aut.minus2 != report.has_minus2 or aut.isotropic != report.has_isotropic:
+        return False
+    return aut.status != PROVEN or _aut_from_verdicts(data.rank, aut.minus2, aut.isotropic) == aut
 
 
 def same_positive_cone_component(data: PicardData, u, v) -> bool:

@@ -870,11 +870,9 @@ def _verify_cycle(q, t, data) -> bool:
     tr = data.get("transform")
     if not isinstance(cycle, list) or not cycle or len(cycle) > _CYCLE_LIMIT:
         return False
-    try:
-        cycle = [(int(x), int(y), int(z)) for x, y, z in cycle]
-        ((t00, t01), (t10, t11)) = ((int(tr[0][0]), int(tr[0][1])), (int(tr[1][0]), int(tr[1][1])))
-    except (TypeError, ValueError):
-        return False
+    # a malformed or non-integer entry raises, and verify_certificate answers False
+    cycle = [(exact_int(x), exact_int(y), exact_int(z)) for x, y, z in cycle]
+    (t00, t01), (t10, t11) = ([exact_int(x) for x in row] for row in tr)
     if abs(t00 * t11 - t01 * t10) != 1:
         return False
     # the transform must carry the form onto the cycle entry

@@ -226,6 +226,19 @@ def test_family_5_certification():
     assert "S3 x mu2" in statements
 
 
+def test_aut_overlays_carry_provenance_only():
+    # an overlay names its reason and citation; the asserted verdict is the
+    # expected table's, over the engine's own copies of the sub-verdicts
+    for fid, n in [(1, 5), (3, None), (5, None)]:
+        spec = family(fid, n)
+        assert set(spec.aut_overlay) == {"reason", "citation"}
+        report = certify_family(spec)
+        aut = report.aut
+        assert (aut.verdict, aut.status) == (spec.expected["aut"], "PAPER_ASSERTED")
+        assert (aut.reason, aut.citation) == (spec.aut_overlay["reason"], spec.aut_overlay["citation"])
+        assert (aut.minus2, aut.isotropic) == (report.has_minus2, report.has_isotropic)
+
+
 def test_certified_families_revalidate():
     for fid, n in [(1, 5), (2, None), (3, None), (4, None), (5, None)]:
         spec = family(fid, n)
@@ -290,14 +303,16 @@ def _assert_theorem3_matches_reference_walk(height_bound, limits):
     want = theorem3_reference_walk(height_bound, limits)
     if want is None:
         with pytest.raises(SearchExhausted) as exc:
-            theorem3_example(height_bound, limits)
+            theorem3_example(height_bound)
         assert str(exc.value) == f"no double-NO primitive plane found with coordinate height <= {height_bound}"
         assert exc.value.bound == height_bound
     else:
-        assert theorem3_to_json(theorem3_example(height_bound, limits)) == want, (height_bound, limits)
+        assert theorem3_to_json(theorem3_example(height_bound)) == want, (height_bound, limits)
 
 
 def test_theorem3_matches_reference_walk():
+    # the walk takes no search bound: the reference walk gives the same
+    # answer at the default bound and at bounds 5 and 1
     for limits in (None, SearchLimits(search_bound=5), SearchLimits(search_bound=1)):
         for height_bound in range(11):
             _assert_theorem3_matches_reference_walk(height_bound, limits)
@@ -390,7 +405,7 @@ def test_theorem3_closes_each_plane_once(monkeypatch):
     # planes over 2,200 vectors w: 77 are not hyperbolic, 6 are rationally
     # isotropic and 3 are first seen through a w of square -2, so 54 are
     # decided, each once on the Smith-form basis of its normal. Only the
-    # returned plane is closed.
+    # returned plane is closed, and only there is 0 decided.
     closures, normals, zero_calls = [], [], [0]
     real_closure = catalog.primitive_closure
     real_snf = matrices.smith_normal_form
@@ -415,7 +430,7 @@ def test_theorem3_closes_each_plane_once(monkeypatch):
     assert closures == [((1, -1, -1), (-7, -7, -4))]
     assert len(normals) == 54 and len(set(normals)) == 54
     assert all(len(m) == 1 and len(m[0]) == 3 for m in normals)
-    assert zero_calls[0] == 54 + 1  # once per normal basis, once on the returned closure
+    assert zero_calls[0] == 1  # on the returned closure only
 
 
 def test_theorem3_pairs_nothing_on_a_seen_plane(monkeypatch):

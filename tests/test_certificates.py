@@ -3,12 +3,15 @@ and malformed input never raises."""
 
 import copy
 import random
+from itertools import permutations
+from math import isqrt
 
 from k3lattice.qform import (
     BinaryForm,
     Certificate,
     DiagonalTernaryForm,
     UnaryForm,
+    _is_reduced,
     binary_represents,
     represents,
     ternary_represents,
@@ -144,6 +147,58 @@ def test_cycle_tampering():
 
     # 2 = q(1, 0) is represented; the honest cycle data must not certify it
     assert not verify_certificate(q, 2, good)
+
+
+def test_cycle_replay_refuses_non_integer_entries():
+    q = BinaryForm(2, 0, -16)
+    good = binary_represents(q, -2).certificate.to_json()
+    assert good["data"]["cycle"][0][0] == 1 and good["data"]["transform"][1][0] == 0
+    assert verify_certificate(q, -2, good)
+    for key, i, j, value in (
+        ("cycle", 0, 0, 1.0),
+        ("cycle", 0, 0, "1"),
+        ("cycle", 0, 0, True),
+        ("transform", 1, 0, 0.0),
+        ("transform", 1, 0, "0"),
+        ("transform", 1, 0, False),
+    ):
+        bad = copy.deepcopy(good)
+        bad["data"][key][i][j] = value
+        assert not verify_certificate(q, -2, bad), (key, i, j, value)
+
+
+def test_cycle_replay_checks_every_entry_past_the_first():
+    # cycle[0] and the transform stay honest, so each tampered certificate
+    # gets past the transform check and fails at the entry it breaks
+    q = BinaryForm(-4, 72, -242)
+    good = binary_represents(q, -2).certificate.to_json()
+    cycle = good["data"]["cycle"]
+    assert len(cycle) == 6 and verify_certificate(q, -2, good)
+    disc, s = good["data"]["disc"], isqrt(good["data"]["disc"])
+    # (1, 0, -82) has the cycle's discriminant but is not reduced
+    assert BinaryForm(1, 0, -82).disc == disc and not _is_reduced(1, 0, -82, s)
+    bad = copy.deepcopy(good)
+    bad["data"]["cycle"][3] = [1, 0, -82]
+    assert not verify_certificate(q, -2, bad)
+    # every entry stays reduced of the right discriminant; only the successors break
+    for perm in permutations(cycle[1:]):
+        if list(perm) != cycle[1:]:
+            bad = dict(good, data=dict(good["data"], cycle=[cycle[0], *perm]))
+            assert not verify_certificate(q, -2, bad), perm
+
+
+def test_replays_refuse_a_certificate_of_the_wrong_shape():
+    # SIEVE has no unary replay, although 2x^2 misses 3 mod 4
+    assert not verify_certificate(UnaryForm(2), 3, Certificate("SIEVE", {"modulus": 4}))
+    # the zero form represents 0
+    assert not verify_certificate(BinaryForm(0, 0, 0), 0, Certificate("NONSQUARE_DISC", {"disc": 0}))
+    # LEGENDRE needs three nonzero coefficients
+    legendre = Certificate("LEGENDRE", {"reduced": [1, 0, -3], "condition": 0})
+    assert not verify_certificate(DiagonalTernaryForm(1, 0, -3), 0, legendre)
+    # certificate data must be a dict
+    q = BinaryForm(1, 0, -2)
+    assert verify_certificate(q, 3, Certificate("SIEVE", {"modulus": 8}))
+    assert not verify_certificate(q, 3, Certificate("SIEVE", [("modulus", 8)]))
 
 
 def test_definite_kind_mismatches():

@@ -10,6 +10,7 @@ from k3lattice.embeddings import IsometryMap
 from k3lattice.k3 import (
     PicardData,
     _witness_scan,
+    aut_verdict,
     classify,
     g_t_membership_proxy,
     has_isotropic_class,
@@ -20,7 +21,7 @@ from k3lattice.k3 import (
     revalidate_report,
     same_positive_cone_component,
 )
-from k3lattice.lattices import GramLattice, lattice_to_json, standard_lattice
+from k3lattice.lattices import GramLattice, lattice_to_json, signature, standard_lattice
 from k3lattice.qform import (
     BinaryForm,
     Certificate,
@@ -239,6 +240,66 @@ def test_revalidate_report_accepts_honest_and_rejects_tampered():
     # flipped proven aut verdict
     bad = dataclasses.replace(report, aut=dataclasses.replace(report.aut, verdict="FINITE"))
     assert not revalidate_report(data, bad)
+
+
+def test_revalidate_report_rederives_aut_from_the_checked_sub_verdicts():
+    # Aut of U is finite; a PROVEN INFINITE entry resting on two forged NO
+    # copies must not pass, although the copies alone would derive INFINITE
+    data = PicardData(U)
+    report = classify(data)
+    assert revalidate_report(data, report)
+    forged = dataclasses.replace(
+        report.aut,
+        verdict="INFINITE",
+        status="PROVEN",
+        minus2=RepresentationVerdict.no(Certificate("DEFINITE", {"sign": 1})),
+        isotropic=RepresentationVerdict.no(Certificate("NONSQUARE_DISC", {"disc": 4})),
+    )
+    assert not revalidate_report(data, dataclasses.replace(report, aut=forged))
+    # the aut entry's copies must be the report's own sub-verdicts, whatever its status
+    other = RepresentationVerdict.undecided({"reason": "not the report's verdict"})
+    for status in ("PROVEN", "PAPER_ASSERTED", None):
+        for name in ("minus2", "isotropic"):
+            aut = dataclasses.replace(report.aut, status=status, **{name: other})
+            assert not revalidate_report(data, dataclasses.replace(report, aut=aut)), (status, name)
+
+
+def test_revalidate_report_rejects_malformed_sub_verdicts():
+    # each bad verdict is also copied into the aut entry, so only the
+    # sub-verdict check can reject it: U's aut stays FINITE on an isotropic YES
+    data = PicardData(U)
+    report = classify(data)
+    for bad in (
+        RepresentationVerdict.yes((1,)),  # a witness of the wrong length
+        RepresentationVerdict("NO"),  # a NO with no certificate
+        RepresentationVerdict("MAYBE"),  # an unknown kind
+    ):
+        aut = dataclasses.replace(report.aut, minus2=bad)
+        assert not revalidate_report(data, dataclasses.replace(report, has_minus2=bad, aut=aut)), bad
+
+
+def test_revalidate_report_accepts_undecided_sub_verdicts():
+    # the rank-4 Gram whose box scan misses both 0 and -2
+    gram = [[-6, -1, 1, 3], [-1, -8, -2, 3], [1, -2, -8, 2], [3, 3, 2, 6]]
+    data = PicardData(GramLattice(4, gram))
+    report = classify(data)
+    assert (report.has_minus2.kind, report.has_isotropic.kind) == ("UNDECIDED", "UNDECIDED")
+    assert revalidate_report(data, report)
+
+
+def test_every_seeded_classify_report_revalidates():
+    rng = random.Random(15)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 4)
+        lattice = GramLattice(n, random_symmetric(rng, n, -6, 6))
+        if signature(lattice) != (1, n - 1, 0):
+            continue
+        data = PicardData(lattice)
+        report = classify(data)
+        assert revalidate_report(data, report), lattice.gram
+        assert aut_verdict(data) == report.aut
+        checked += 1
 
 
 def test_same_positive_cone_component():
