@@ -30,7 +30,7 @@ from .k3 import (
     revalidate_report,
 )
 from .lattices import GramLattice, direct_sum, discriminant_group, standard_lattice
-from .ntheory import is_square
+from .ntheory import exact_int, is_square
 from .qform import (
     DIVISIBILITY,
     BinaryForm,
@@ -56,9 +56,8 @@ __all__ = [
     "theorem3_to_json",
 ]
 
-# Index layout of the fixed K3-lattice basis: three hyperbolic planes, then
-# two copies of the negated E8 root lattice.
-_U_PAIRS = ((0, 1), (2, 3), (4, 5))
+# Index layout of the fixed K3-lattice basis: three hyperbolic planes
+# (indices 0..5), then two copies of the negated E8 root lattice.
 _E8_BLOCKS = (6, 14)
 
 
@@ -84,6 +83,8 @@ class Claim3Input:
     C: int
 
     def __post_init__(self):
+        for x in (self.A, self.B, self.C):
+            exact_int(x)
         if self.A < 1:
             raise ValueError("A must be at least 1: 2A is the square of a polarization")
 
@@ -125,7 +126,7 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     only decreases and the diagonal ends at its first failure; for
     B^2 - 4AC >= 0 it is at least 4Am > 0 and never fails.
     """
-    if bound < 1:
+    if exact_int(bound) < 1:
         raise ValueError("bound must be positive")
     u3_gram = [row[:6] for row in standard_lattice("K3").gram[:6]]
     a_, b_, c_ = inputs.A, inputs.B, inputs.C
@@ -224,7 +225,11 @@ def _root_sum(block: int, locals_: tuple[int, ...]) -> tuple[int, ...]:
 def family(family_id: int, n: int | None = None) -> FamilySpec:
     """The five certified constructions inside the fixed K3 basis. Family 1
     takes the parameter n (positive, not divisible by 3); the others ignore n.
+    Both must be integers (ValueError otherwise).
     """
+    exact_int(family_id)
+    if n is not None:
+        exact_int(n)
     if family_id == 1:
         if n is None:
             n = 1
@@ -443,7 +448,7 @@ def theorem3_example(height_bound: int = 10) -> Theorem3Example:
     depend on the basis), and 0 is decided only on the returned plane. The
     ambient lattice is even, so DIVISIBILITY or the reduced cycle settles -2
     and no search bound can act."""
-    if height_bound < 0:
+    if exact_int(height_bound) < 0:
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
     # primitive u with max |u_i| <= 2 and first nonzero entry positive, by height

@@ -39,7 +39,6 @@ __all__ = [
     "lattice_form",
     "has_minus2_class",
     "has_isotropic_class",
-    "aut_verdict",
     "classify",
     "revalidate_report",
     "same_positive_cone_component",
@@ -185,18 +184,16 @@ def has_isotropic_class(data: PicardData, limits: SearchLimits | None = None) ->
 class AutReport:
     """Finiteness verdict for the automorphism group, with provenance.
 
-    minus2 and isotropic are the report's own has_minus2 and has_isotropic.
-    status PROVEN means the verdict follows from them by the rank rules
-    below, and revalidate_report re-derives it from those checked verdicts;
-    PAPER_ASSERTED entries (catalog overlays) carry a citation instead.
-    UNKNOWN verdicts have status None.
+    status PROVEN means the verdict follows by the rank rules below from the
+    report's own has_minus2 and has_isotropic, and revalidate_report
+    re-derives it from those checked verdicts; PAPER_ASSERTED entries
+    (catalog overlays) carry a citation instead. UNKNOWN verdicts have
+    status None.
     """
 
     verdict: str  # FINITE | INFINITE | UNKNOWN
     status: str | None
     reason: str
-    minus2: RepresentationVerdict | None = None
-    isotropic: RepresentationVerdict | None = None
     citation: str | None = None
 
 
@@ -206,8 +203,6 @@ def _aut_from_verdicts(rank: int, m2: RepresentationVerdict, iso: Representation
             FINITE,
             PROVEN,
             "rank-1 Picard lattice: the only isometries are plus and minus the identity",
-            m2,
-            iso,
         )
     if rank == 2:
         if m2.kind == "YES" or iso.kind == "YES":
@@ -215,33 +210,25 @@ def _aut_from_verdicts(rank: int, m2: RepresentationVerdict, iso: Representation
                 FINITE,
                 PROVEN,
                 "rank 2: a square(-2) class or an isotropic class makes the automorphism group finite",
-                m2,
-                iso,
             )
         if m2.kind == "NO" and iso.kind == "NO":
             return AutReport(
                 INFINITE,
                 PROVEN,
                 "rank 2: the form represents neither 0 nor -2, so the automorphism group is infinite",
-                m2,
-                iso,
             )
-        return AutReport(UNKNOWN, None, "rank 2 with an undecided sub-verdict", m2, iso)
+        return AutReport(UNKNOWN, None, "rank 2 with an undecided sub-verdict")
     if m2.kind == "NO":
         return AutReport(
             INFINITE,
             PROVEN,
             "rank >= 3 with no square(-2) class: the ample cone is the full positive cone "
             "and the isometry group of an indefinite lattice of rank >= 3 is infinite",
-            m2,
-            iso,
         )
     return AutReport(
         UNKNOWN,
         None,
         "rank >= 3 with square(-2) classes present (or undecided): finiteness is not decided here",
-        m2,
-        iso,
     )
 
 
@@ -272,12 +259,6 @@ def classify(data: PicardData, limits: SearchLimits | None = None, label: str | 
     )
 
 
-def aut_verdict(data: PicardData, limits: SearchLimits | None = None) -> AutReport:
-    """Rank-based finiteness verdict for the automorphism group: the aut
-    entry of classify, built from its two representability sub-verdicts."""
-    return classify(data, limits).aut
-
-
 def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
     if v.kind == "YES":
         w = v.witness
@@ -302,10 +283,9 @@ def revalidate_report(data: PicardData, report: K3Report) -> bool:
         return False
     if not _verdict_ok(data.lattice, 0, report.has_isotropic):
         return False
-    aut = report.aut
-    if aut.minus2 != report.has_minus2 or aut.isotropic != report.has_isotropic:
-        return False
-    return aut.status != PROVEN or _aut_from_verdicts(data.rank, aut.minus2, aut.isotropic) == aut
+    if report.aut.status != PROVEN:
+        return True
+    return _aut_from_verdicts(data.rank, report.has_minus2, report.has_isotropic) == report.aut
 
 
 def same_positive_cone_component(data: PicardData, u, v) -> bool:
@@ -337,16 +317,16 @@ def g_t_membership_proxy(data: PicardData, g: IsometryMap) -> bool:
     return all(data.lattice.pairing(gl, c) > 0 for c in data.known_minus2_classes)
 
 
-def _aut_to_json(aut: AutReport) -> dict:
+def _aut_to_json(report: K3Report) -> dict:
+    """The aut entry, repeating the report's own two sub-verdicts."""
+    aut = report.aut
     out: dict = {"verdict": aut.verdict, "reason": aut.reason}
     if aut.status is not None:
         out["status"] = aut.status
     if aut.citation is not None:
         out["citation"] = aut.citation
-    if aut.minus2 is not None:
-        out["minus2"] = verdict_to_json(aut.minus2)
-    if aut.isotropic is not None:
-        out["isotropic"] = verdict_to_json(aut.isotropic)
+    out["minus2"] = verdict_to_json(report.has_minus2)
+    out["isotropic"] = verdict_to_json(report.has_isotropic)
     return out
 
 
@@ -357,7 +337,7 @@ def report_to_json(report: K3Report) -> dict:
         "signature": list(report.signature),
         "has_minus2": verdict_to_json(report.has_minus2),
         "has_isotropic": verdict_to_json(report.has_isotropic),
-        "aut": _aut_to_json(report.aut),
+        "aut": _aut_to_json(report),
     }
     if report.label is not None:
         out["label"] = report.label

@@ -171,7 +171,10 @@ class Certificate:
     def from_json(obj) -> "Certificate":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("certificate JSON needs a kind")
-        return Certificate(str(obj["kind"]), dict(obj.get("data", {})))
+        data = obj.get("data", {})
+        if not isinstance(data, dict):
+            raise ValueError("certificate data must be a JSON object")
+        return Certificate(str(obj["kind"]), dict(data))
 
 
 @dataclass(frozen=True)
@@ -924,7 +927,7 @@ def verify_certificate(q, t, cert) -> bool:
             return False
         if not isinstance(cert.data, dict):
             return False
-        if not isinstance(t, int):
+        if type(t) is not int:  # the exact_int rule: a bool is not a target
             return False
         return bool(checker(q, t, cert.data))
     except Exception:

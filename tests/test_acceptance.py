@@ -24,7 +24,7 @@ from k3lattice.embeddings import (
     extend_by_identity,
     orthogonal_complement,
 )
-from k3lattice.k3 import PicardData, aut_verdict, lattice_form
+from k3lattice.k3 import PicardData, classify, lattice_form
 from k3lattice.lattices import (
     GramLattice,
     aut_index_bound,
@@ -152,20 +152,20 @@ def test_criterion_4_rank2_aut_cross_validation():
                 if a * c - b * b < 0:  # hyperbolic signature (1,1)
                     break
             lattice = GramLattice(2, [[a, b], [b, c]])
-            report = aut_verdict(PicardData(lattice))
+            report = classify(PicardData(lattice))
             q = lattice_form(lattice)
             w0 = binary_box_witness(q.a, q.b, q.c, 0, 2000)
             w2 = binary_box_witness(q.a, q.b, q.c, -2, 2000)
             oracle_found = w0 is not None or w2 is not None
-            assert report.verdict in ("FINITE", "INFINITE"), (a, b, c, report)
-            if report.verdict == "FINITE":
+            assert report.aut.verdict in ("FINITE", "INFINITE"), (a, b, c, report)
+            if report.aut.verdict == "FINITE":
                 assert oracle_found, ("decider FINITE, oracle found no witness", a, b, c)
                 finite += 1
             else:
                 assert not oracle_found, ("decider INFINITE, oracle found", a, b, c, w0, w2)
-                assert report.minus2.kind == "NO" and report.isotropic.kind == "NO"
-                assert verify_certificate(q, -2, report.minus2.certificate), (a, b, c)
-                assert verify_certificate(q, 0, report.isotropic.certificate), (a, b, c)
+                assert report.has_minus2.kind == "NO" and report.has_isotropic.kind == "NO"
+                assert verify_certificate(q, -2, report.has_minus2.certificate), (a, b, c)
+                assert verify_certificate(q, 0, report.has_isotropic.certificate), (a, b, c)
                 infinite += 1
         assert finite + infinite == 200
         detail["note"] = f"{finite} finite, {infinite} infinite, 0 disagreements"

@@ -195,10 +195,13 @@ def test_replays_refuse_a_certificate_of_the_wrong_shape():
     # LEGENDRE needs three nonzero coefficients
     legendre = Certificate("LEGENDRE", {"reduced": [1, 0, -3], "condition": 0})
     assert not verify_certificate(DiagonalTernaryForm(1, 0, -3), 0, legendre)
-    # certificate data must be a dict
+    # certificate data must be a dict, and JSON data an object, not a list of pairs
     q = BinaryForm(1, 0, -2)
     assert verify_certificate(q, 3, Certificate("SIEVE", {"modulus": 8}))
     assert not verify_certificate(q, 3, Certificate("SIEVE", [("modulus", 8)]))
+    q3 = DiagonalTernaryForm(1, 1, 1)
+    assert verify_certificate(q3, 7, {"kind": "SIEVE", "data": {"modulus": 8}})
+    assert not verify_certificate(q3, 7, {"kind": "SIEVE", "data": [["modulus", 8]]})
 
 
 def test_definite_kind_mismatches():
@@ -297,6 +300,10 @@ def test_malformed_input_never_raises():
     good = binary_represents(q, 3).certificate
     assert verify_certificate(q, "3", good) is False
     assert verify_certificate(q, 3.0, good) is False
+    # a bool is not an integer target, though 2x^2 + 2y^2 misses 1 == True
+    divisibility = {"kind": "DIVISIBILITY", "data": {"divisor": 2}}
+    assert verify_certificate(BinaryForm(2, 0, 2), 1, divisibility)
+    assert verify_certificate(BinaryForm(2, 0, 2), True, divisibility) is False
 
 
 def test_fuzzed_dicts_never_raise():

@@ -174,6 +174,8 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
         (("claim3", "--A", "1", "--B", "0", "--C", "0", "--format", "table"), EXIT_OK, "claim3_a1_table.txt"),
         (("claim3", "--A", "1", "--B", "0", "--C", "0", "--claim3-bound", "1"), EXIT_UNDECIDED, "claim3_a1_not_found.json"),
         (("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": [9, 9, 3]}'), EXIT_OK, "mw_rank.json"),
+        # rank-2 PROVEN INFINITE: the aut entry repeats two NO certificates
+        (("k3", "classify", '{"lattice": {"gram": [[2, 0], [0, -16]]}}'), EXIT_OK, "k3_classify_2_m16.json"),
     ],
 )
 def test_other_commands_match_golden_output(capsys, args, expected_code, golden):

@@ -10,7 +10,6 @@ from k3lattice.embeddings import IsometryMap
 from k3lattice.k3 import (
     PicardData,
     _witness_scan,
-    aut_verdict,
     classify,
     g_t_membership_proxy,
     has_isotropic_class,
@@ -28,6 +27,7 @@ from k3lattice.qform import (
     DiagonalTernaryForm,
     RepresentationVerdict,
     UnaryForm,
+    verdict_to_json,
 )
 from oracles import random_symmetric, witness_scan_reference
 
@@ -243,30 +243,23 @@ def test_revalidate_report_accepts_honest_and_rejects_tampered():
 
 
 def test_revalidate_report_rederives_aut_from_the_checked_sub_verdicts():
-    # Aut of U is finite; a PROVEN INFINITE entry resting on two forged NO
-    # copies must not pass, although the copies alone would derive INFINITE
+    # Aut of U is finite; a PROVEN INFINITE entry on U's honest sub-verdicts
+    # must not pass, since the rank rules derive FINITE from them
     data = PicardData(U)
     report = classify(data)
     assert revalidate_report(data, report)
     forged = dataclasses.replace(
         report.aut,
         verdict="INFINITE",
-        status="PROVEN",
-        minus2=RepresentationVerdict.no(Certificate("DEFINITE", {"sign": 1})),
-        isotropic=RepresentationVerdict.no(Certificate("NONSQUARE_DISC", {"disc": 4})),
+        reason="rank 2: the form represents neither 0 nor -2, so the automorphism group is infinite",
     )
+    assert forged.status == "PROVEN"
     assert not revalidate_report(data, dataclasses.replace(report, aut=forged))
-    # the aut entry's copies must be the report's own sub-verdicts, whatever its status
-    other = RepresentationVerdict.undecided({"reason": "not the report's verdict"})
-    for status in ("PROVEN", "PAPER_ASSERTED", None):
-        for name in ("minus2", "isotropic"):
-            aut = dataclasses.replace(report.aut, status=status, **{name: other})
-            assert not revalidate_report(data, dataclasses.replace(report, aut=aut)), (status, name)
 
 
 def test_revalidate_report_rejects_malformed_sub_verdicts():
-    # each bad verdict is also copied into the aut entry, so only the
-    # sub-verdict check can reject it: U's aut stays FINITE on an isotropic YES
+    # only the sub-verdict check can reject these: U's aut stays FINITE on
+    # an isotropic YES
     data = PicardData(U)
     report = classify(data)
     for bad in (
@@ -274,8 +267,7 @@ def test_revalidate_report_rejects_malformed_sub_verdicts():
         RepresentationVerdict("NO"),  # a NO with no certificate
         RepresentationVerdict("MAYBE"),  # an unknown kind
     ):
-        aut = dataclasses.replace(report.aut, minus2=bad)
-        assert not revalidate_report(data, dataclasses.replace(report, has_minus2=bad, aut=aut)), bad
+        assert not revalidate_report(data, dataclasses.replace(report, has_minus2=bad)), bad
 
 
 def test_revalidate_report_accepts_undecided_sub_verdicts():
@@ -298,7 +290,10 @@ def test_every_seeded_classify_report_revalidates():
         data = PicardData(lattice)
         report = classify(data)
         assert revalidate_report(data, report), lattice.gram
-        assert aut_verdict(data) == report.aut
+        # the JSON aut entry repeats the report's own two sub-verdicts
+        aut = report_to_json(report)["aut"]
+        assert aut["minus2"] == verdict_to_json(report.has_minus2)
+        assert aut["isotropic"] == verdict_to_json(report.has_isotropic)
         checked += 1
 
 
