@@ -9,6 +9,8 @@ __all__ = [
     "sqrt_exact",
     "divides",
     "factorize",
+    "FactorBudgetError",
+    "RHO_LIMIT",
     "divisors",
     "squarefree_split",
     "vec_gcd",
@@ -39,27 +41,116 @@ def divides(d: int, n: int) -> bool:
     return n % d == 0
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+# the primes below 1000, tried by division before any other test
+_SMALL_PRIMES = _primes_below(1000)
+# Miller-Rabin with the first 6 prime bases is deterministic below this bound
+# (Jaeschke, Math. Comp. 61, 1993), with the first 13 below _MR_LIMIT
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_SIX_BASES_LIMIT = 3_474_749_660_383
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# Pollard-Brent rho steps one factorize call may take in all
+RHO_LIMIT = 1 << 19
+_RHO_BATCH = 64
+
+
+class FactorBudgetError(ValueError):
+    """factorize ran past RHO_LIMIT rho steps, or met a cofactor above
+    _MR_LIMIT that passes every Miller-Rabin base, which proves nothing."""
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 41 (FactorBudgetError at or
+    above _MR_LIMIT when every base passes)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES[: 6 if n < _MR_SIX_BASES_LIMIT else 13]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise FactorBudgetError(f"{n} passes Miller-Rabin above its proven range")
+    return True
+
+
+def _rho_factor(n: int, steps: int) -> tuple[int, int]:
+    """A proper factor of the odd composite non-square n by Pollard-Brent rho
+    (Brent, BIT 20, 1980) and the step count so far, which may not pass
+    RHO_LIMIT. The step y -> y**2 + c is written out in each loop."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            steps += r + min(k, r)
+            if steps > RHO_LIMIT:
+                raise FactorBudgetError(f"no factor of {n} within {RHO_LIMIT} rho steps")
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, steps
+    raise AssertionError("internal error: rho found no factor")
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division; {} for n in {-1, 0, 1}."""
+    """Prime factorization of |n| in increasing order; {} for n in {-1, 0, 1}.
+
+    Trial division by the primes below 1000, then deterministic Miller-Rabin
+    and Pollard-Brent rho on the cofactor; FactorBudgetError past RHO_LIMIT
+    rho steps."""
     n = abs(n)
     out: dict[int, int] = {}
-    if n <= 1:
-        return out
-    for p in (2, 3):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # remaining factors are of the form 6k +- 1
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    # no prime below the last p tried divides n, so a factor below p**2 is prime
+    if n < p * p:
+        if n > 1:
+            out[n] = 1
+        return out
+    stack, steps = [n], 0
+    while stack:
+        m = stack.pop()
+        r = isqrt(m)
+        if m < p * p or _strong_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+        elif r * r == m:
+            stack += (r, r)
+        else:
+            f, steps = _rho_factor(m, steps)
+            stack += (f, m // f)
+    return dict(sorted(out.items()))
 
 
 def divisors(n: int) -> list[int]:

@@ -11,13 +11,14 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .ntheory import (
+    RHO_LIMIT,
+    FactorBudgetError,
     divides,
     divisors,
     exact_int,
     factorize,
     is_square,
     sqrt_exact,
-    squarefree_split,
     vec_gcd,
 )
 
@@ -186,7 +187,7 @@ class RepresentationVerdict:
 
     @staticmethod
     def yes(witness) -> "RepresentationVerdict":
-        return RepresentationVerdict("YES", witness=tuple(int(x) for x in witness))
+        return RepresentationVerdict("YES", witness=tuple(exact_int(x) for x in witness))
 
     @staticmethod
     def no(certificate: Certificate) -> "RepresentationVerdict":
@@ -245,10 +246,10 @@ def _canonical_sign(vec):
 
 
 def _checked_yes(q, t, witness) -> RepresentationVerdict:
-    w = tuple(int(x) for x in witness)
-    if q.evaluate(w) != t or (t == 0 and not any(w)):
+    v = RepresentationVerdict.yes(witness)
+    if q.evaluate(v.witness) != t or (t == 0 and not any(v.witness)):
         raise AssertionError("internal error: invalid witness")
-    return RepresentationVerdict.yes(w)
+    return v
 
 
 # ---------------------------------------------------------------- unary
@@ -495,7 +496,10 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
             Certificate(DEFINITE_EXHAUST, {"content": g, "bound_x": bx, "bound_y": by})
         )
     if is_square(d1):
-        w, pairs = _square_disc_search(q1, t1)
+        try:
+            w, pairs = _square_disc_search(q1, t1)
+        except FactorBudgetError:
+            return RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
         if w is not None:
             return _checked_yes(q, t, w)
         return RepresentationVerdict.no(
@@ -529,32 +533,41 @@ def _legendre_reduce(q: DiagonalTernaryForm):
     division keeps zeros unchanged; removing a square factor f**2 from one
     coefficient multiplies the other two witness coordinates by f; merging a
     prime shared by two coefficients multiplies the third coordinate by it.
+
+    Each coefficient is factored once and the steps move its primes: returns
+    (reduced coefficients, steps, primes[i] dividing reduced coefficient i).
     """
-    d = list(q.coefficients())
-    steps = []
-    g = vec_gcd(d)
-    if g > 1:
-        d = [x // g for x in d]
-        steps.append({"op": "content", "g": g})
+    g = vec_gcd(q.coefficients())
+    d = [x // g for x in q.coefficients()]
+    steps = [{"op": "content", "g": g}] if g > 1 else []
+    primes = []
     for i in range(3):
-        s, f = squarefree_split(d[i])
+        odd, f = set(), 1
+        for p, e in factorize(d[i]).items():
+            if e % 2:
+                odd.add(p)
+            if e > 1:
+                f *= p ** (e // 2)
         if f > 1:
-            d[i] = s
+            d[i] //= f * f
             steps.append({"op": "square", "axis": i, "factor": f})
+        primes.append(odd)
     while True:
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            shared = gcd(d[i], d[j])
-            if shared > 1:
-                p = min(factorize(shared))
+            if gcd(d[i], d[j]) > 1:
+                p = min(primes[i] & primes[j])
                 k = 3 - i - j
                 d[i] //= p
                 d[j] //= p
                 d[k] *= p
+                primes[i].discard(p)
+                primes[j].discard(p)
+                primes[k].add(p)
                 steps.append({"op": "merge", "axes": [i, j], "prime": p})
                 break
         else:
             break
-    return tuple(d), steps
+    return tuple(d), steps, primes
 
 
 def _legendre_conditions(a: int, b: int, c: int):
@@ -565,11 +578,10 @@ def _legendre_conditions(a: int, b: int, c: int):
     )
 
 
-def _is_qr(v: int, m: int) -> bool:
-    if m == 1:
-        return True
-    v %= m
-    return any((x * x) % m == v for x in range(m))
+def _is_square_mod(v: int, primes) -> bool:
+    """v is a square modulo the squarefree product of primes: Euler's
+    criterion at each prime (every v is a square mod 2)."""
+    return all(v % p == 0 or pow(v, (p - 1) // 2, p) == 1 for p in primes)
 
 
 def _backmap_zero(w, steps):
@@ -618,17 +630,21 @@ def _holzer_scan(a: int, b: int, c: int):
 
 
 def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
-    """Complete decision of nontrivial isotropy for diagonal ternary forms:
-    squarefree pairwise-coprime reduction, then the residue criterion, and on
-    the solvable side one scan of the Holzer box for the witness."""
+    """Decision of nontrivial isotropy for diagonal ternary forms: squarefree
+    pairwise-coprime reduction, then Legendre's three solvability conditions
+    by Euler's criterion at each prime, and on the solvable side one scan of
+    the Holzer box for the witness. Complete, except that a coefficient whose
+    factoring runs past ntheory.RHO_LIMIT answers UNDECIDED."""
     _require_nonzero_diag(q)
     sign = q.definite_sign
     if sign is not None:
         return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
-    (a, b, c), steps = _legendre_reduce(q)
-    conds = _legendre_conditions(a, b, c)
-    for idx, (m, v) in enumerate(conds):
-        if not _is_qr(v, m):
+    try:
+        (a, b, c), steps, primes = _legendre_reduce(q)
+    except FactorBudgetError:
+        return RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
+    for idx, (m, v) in enumerate(_legendre_conditions(a, b, c)):
+        if not _is_square_mod(v, primes[idx]):
             return RepresentationVerdict.no(
                 Certificate(
                     LEGENDRE,
@@ -850,14 +866,14 @@ def _verify_legendre(q, t, data) -> bool:
         return False
     if 0 in q.coefficients():
         return False
-    reduced, _ = _legendre_reduce(q)
+    reduced, _, primes = _legendre_reduce(q)
     if list(data.get("reduced", [])) != list(reduced):
         return False
     idx = data.get("condition")
-    if idx not in (0, 1, 2):
+    if type(idx) is not int or idx not in (0, 1, 2):
         return False
-    m, v = _legendre_conditions(*reduced)[idx]
-    return not _is_qr(v, m)
+    _, v = _legendre_conditions(*reduced)[idx]
+    return not _is_square_mod(v, primes[idx])
 
 
 def _verify_cycle(q, t, data) -> bool:

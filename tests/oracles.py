@@ -196,6 +196,59 @@ def aut_count_direct(invariant_factors) -> int:
     return count
 
 
+# ------------------------------------------------------------ number theory
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def legendre_reduce_reference(d1: int, d2: int, d3: int):
+    """The Legendre reduction by trial division: content, the squarefree part
+    of each coefficient, then merges of the least prime shared by the first
+    pair of coefficients that share one. Returns (reduced, steps)."""
+    d = [d1, d2, d3]
+    steps = []
+    g = gcd(*d)
+    if g > 1:
+        d = [x // g for x in d]
+        steps.append({"op": "content", "g": g})
+    for i in range(3):
+        s, f = (1 if d[i] > 0 else -1), 1
+        for p, e in _factor(abs(d[i])).items():
+            f *= p ** (e // 2)
+            s *= p ** (e % 2)
+        if f > 1:
+            d[i] = s
+            steps.append({"op": "square", "axis": i, "factor": f})
+    while True:
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            shared = gcd(d[i], d[j])
+            if shared > 1:
+                p = min(_factor(shared))
+                k = 3 - i - j
+                d[i] //= p
+                d[j] //= p
+                d[k] *= p
+                steps.append({"op": "merge", "axes": [i, j], "prime": p})
+                break
+        else:
+            return d, steps
+
+
+def legendre_certificate_reference(d1: int, d2: int, d3: int):
+    """LEGENDRE certificate data for a mixed-sign diagonal form, from the
+    trial-division reduction and a scan of every residue of the modulus for
+    a square root of the target; None when all three conditions hold."""
+    (a, b, c), steps = legendre_reduce_reference(d1, d2, d3)
+    for idx, (u, w) in enumerate(((a, b * c), (b, a * c), (c, a * b))):
+        m, v = abs(u), -w % abs(u)
+        if not any(x * x % m == v for x in range(m // 2 + 1)):
+            return {"reduced": [a, b, c], "steps": steps, "condition": idx, "modulus": m, "target": v}
+    return None
+
+
 # ------------------------------------------------------------ witness scans
 
 

@@ -115,6 +115,13 @@ def test_legendre_tampering():
     # isotropic form: the recorded condition must fail to verify
     iso = DiagonalTernaryForm(1, 1, -2)
     assert not verify_certificate(iso, 0, good)
+    # the condition index follows the exact_int rule: True is not 1
+    q = DiagonalTernaryForm(1, -3, 1)
+    good = ternary_represents_zero(q).certificate.to_json()
+    assert good["data"]["condition"] == 1 and verify_certificate(q, 0, good)
+    bad = copy.deepcopy(good)
+    bad["data"]["condition"] = True
+    assert not verify_certificate(q, 0, bad)
 
 
 def test_cycle_tampering():

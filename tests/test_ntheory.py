@@ -1,9 +1,11 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+from k3lattice import ntheory
 from k3lattice.ntheory import (
+    FactorBudgetError,
     divides,
     divisors,
     factorize,
@@ -12,6 +14,8 @@ from k3lattice.ntheory import (
     squarefree_split,
     vec_gcd,
 )
+
+from oracles import is_prime_trial
 
 
 def test_is_square_small_table():
@@ -98,3 +102,48 @@ def test_vec_gcd():
             rng.choice((0, rng.randint(-60, 60), rng.randint(-(10**20), 10**20))) for _ in range(rng.randint(0, 6))
         ]
         assert vec_gcd(values) == vec_gcd(iter(values)) == fold(values), values
+
+
+def test_primality_matches_trial_division_below_1e5():
+    # factorize tries the primes below 1000 and then Miller-Rabin, which is
+    # also checked on its own at every odd n past its smallest base
+    for n in range(2, 10**5):
+        prime = is_prime_trial(n)
+        assert (factorize(n) == {n: 1}) == prime, n
+        if n > 41 and n % 2:
+            assert ntheory._strong_probable_prime(n) == prime, n
+
+
+def test_miller_rabin_refuses_pseudoprimes():
+    # Carmichael numbers, then strong pseudoprimes: 3215031751 to the bases
+    # 2, 3, 5, 7; 2152302898747 to 2 ... 11; 3474749660383 to 2 ... 13, where
+    # six bases stop sufficing; 3825123056546413051 to 2 ... 31
+    for n in (561, 41041, 825265, 3215031751, 2152302898747, 3474749660383, 3825123056546413051):
+        assert not ntheory._strong_probable_prime(n), n
+        fac = factorize(n)
+        assert len(fac) > 1 and prod(p**e for p, e in fac.items()) == n, n
+    for p in (999983, 10**12 + 39, 10**16 + 61, 10**18 + 9, 2**61 - 1):
+        assert ntheory._strong_probable_prime(p) and factorize(p) == {p: 1}, p
+    # 13 bases prove nothing above 3.3 * 10**24: a prime there is refused
+    with pytest.raises(FactorBudgetError):
+        factorize(10**25 + 13)
+    assert factorize(2**100 * 3) == {2: 100, 3: 1}
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(440):
+        n = rng.randint(2, 10**20)
+        cases.append((n, sympy.factorint(n)))
+    for _ in range(30):
+        p = sympy.nextprime(rng.randint(10**3, 10**10))
+        cases.append((p * p, {p: 2}))
+    for _ in range(30):
+        p, q = (sympy.nextprime(rng.randint(10**9, 2 * 10**9)) for _ in range(2))
+        cases.append((p * q, {p: 2} if p == q else {p: 1, q: 1}))
+    for n, expected in cases:
+        fac = factorize(n)
+        assert fac == expected, n
+        assert list(fac) == sorted(fac), n

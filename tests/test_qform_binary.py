@@ -5,6 +5,7 @@ import random
 import pytest
 
 from k3lattice import qform
+from k3lattice.ntheory import RHO_LIMIT
 from k3lattice.qform import (
     DEFAULT_SIEVE_MODULI,
     BinaryForm,
@@ -190,3 +191,31 @@ def test_form_json_refuses_non_integer_coefficients(obj):
     # truncated to 1, the first form would represent 2 = 3^2 - 7 * 1^2
     with pytest.raises(ValueError, match="expected an integer"):
         qform.form_from_json(obj)
+
+
+def test_yes_witnesses_refuse_non_integers():
+    for w in ((1.9, -1), (True, 0), (1, False), (1, "1")):
+        with pytest.raises(ValueError):
+            RepresentationVerdict.yes(w)
+    with pytest.raises(ValueError):
+        qform._checked_yes(BinaryForm(1, 0, -1), 0, (1.0, 1))
+    assert RepresentationVerdict.yes((1, -1)).witness == (1, -1)
+
+
+def test_square_disc_at_scale_decides_and_replays():
+    q = BinaryForm(1, 0, -1)
+    t = 10**16 + 61  # prime
+    v = binary_represents(q, t)
+    assert v.kind == "YES" and _value(q, v.witness) == t
+    # x**2 - y**2 is never 2 mod 4
+    t = 2 * (10**14 + 31)
+    v = binary_represents(q, t)
+    assert v.kind == "NO" and v.certificate.kind == "SQUARE_DISC_EXHAUST"
+    assert verify_certificate(q, t, v.certificate)
+
+
+def test_square_disc_past_the_factor_budget_is_undecided():
+    # two primes above 10**15: rho needs ~10**7 steps to split their product
+    t = 1000000000000037 * 1000000000000091
+    v = binary_represents(BinaryForm(1, 0, -1), t)
+    assert v == RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})

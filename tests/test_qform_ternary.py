@@ -1,14 +1,17 @@
 """Diagonal ternary decider: isotropy, target values, zero enumeration."""
 
+import json
 import random
+import time
 
 import pytest
 
 from k3lattice import qform
-from k3lattice.ntheory import sqrt_exact
+from k3lattice.ntheory import RHO_LIMIT, factorize, sqrt_exact
 from k3lattice.qform import (
     DEFAULT_SIEVE_MODULI,
     DiagonalTernaryForm,
+    RepresentationVerdict,
     SearchLimits,
     enumerate_primitive_zeros,
     ternary_represents,
@@ -16,7 +19,12 @@ from k3lattice.qform import (
     verify_certificate,
 )
 
-from oracles import ternary_residue_hit_reference, ternary_zero_witness, ternary_witness
+from oracles import (
+    legendre_certificate_reference,
+    ternary_residue_hit_reference,
+    ternary_witness,
+    ternary_zero_witness,
+)
 
 
 def _value(q: DiagonalTernaryForm, xyz) -> int:
@@ -107,8 +115,9 @@ def test_holzer_box_scan_finds_a_zero_at_once():
         d = [rng.choice((-1, 1)) * rng.randint(1, 400) for _ in range(3)]
         if all(x > 0 for x in d) or all(x < 0 for x in d):
             continue
-        (a, b, c), _ = qform._legendre_reduce(DiagonalTernaryForm(*d))
-        if not all(qform._is_qr(v, m) for m, v in qform._legendre_conditions(a, b, c)):
+        (a, b, c), _, primes = qform._legendre_reduce(DiagonalTernaryForm(*d))
+        conditions = qform._legendre_conditions(a, b, c)
+        if not all(qform._is_square_mod(v, primes[i]) for i, (_, v) in enumerate(conditions)):
             continue
         x, y, z = qform._holzer_scan(a, b, c)
         assert a * x * x + b * y * y + c * z * z == 0 and (x, y, z) != (0, 0, 0), d
@@ -232,3 +241,70 @@ def test_enumerate_primitive_zeros_against_brute_force():
         for w in got:
             assert _value(DiagonalTernaryForm(*d), w) == 0
             assert sqrt_exact(max(abs(c) for c in w) ** 2) <= 8
+
+
+def test_legendre_certificates_match_the_trial_division_reference():
+    # every LEGENDRE certificate is byte-identical to the one built by trial
+    # division and a scan of the whole modulus; every other form is isotropic
+    rng = random.Random(20261019)
+    nos = 0
+    for _ in range(1500):
+        d = [rng.choice((-1, 1)) * rng.randint(1, 3000) for _ in range(3)]
+        if all(x > 0 for x in d) or all(x < 0 for x in d):
+            continue
+        q = DiagonalTernaryForm(*d)
+        v = ternary_represents_zero(q)
+        ref = legendre_certificate_reference(*d)
+        if ref is None:
+            assert v.kind == "YES" and _value(q, v.witness) == 0, d
+            continue
+        assert v.kind == "NO", d
+        assert json.dumps(v.certificate.to_json()) == json.dumps({"kind": "LEGENDRE", "data": ref}), d
+        assert verify_certificate(q, 0, v.certificate), d
+        nos += 1
+    assert nos > 500
+
+
+def test_isotropy_factors_each_coefficient_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(qform, "factorize", counting)
+    # content 2, a square 9 and merges of the shared primes 3, 5 and 7
+    q = DiagonalTernaryForm(2 * 3 * 5 * 9, -2 * 5 * 7, 2 * 3 * 7 * 11)
+    v = ternary_represents_zero(q)
+    assert len(calls) == 3
+    assert [s["op"] for s in v.certificate.data["steps"]] == ["content", "square", "merge", "merge", "merge"]
+    calls.clear()
+    assert verify_certificate(q, 0, v.certificate) and len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        (10**12 + 39, -(10**12 + 61), -(10**12 + 63)),  # three primes
+        (10**12 + 1, -(10**12 + 3), 10**12 + 5),
+    ],
+)
+def test_legendre_no_at_1e12_replays(d):
+    q = DiagonalTernaryForm(*d)
+    v = ternary_represents_zero(q)
+    assert v.kind == "NO" and v.certificate.kind == "LEGENDRE"
+    assert verify_certificate(q, 0, v.certificate)
+
+
+def test_isotropy_past_the_factor_budget_is_undecided():
+    # two primes above 10**15: rho needs ~10**7 steps to split their product,
+    # so the decider stops at RHO_LIMIT steps (process time, not wall time,
+    # so a busy host does not count)
+    n = 1000000000000037 * 1000000000000091
+    q = DiagonalTernaryForm(n, -1, -3)
+    start = time.process_time()
+    v = ternary_represents_zero(q)
+    assert time.process_time() - start < 1.0
+    assert v == RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
+    data = {"reduced": [n, -1, -3], "steps": [], "condition": 0, "modulus": n, "target": n - 3}
+    assert verify_certificate(q, 0, {"kind": "LEGENDRE", "data": data}) is False
