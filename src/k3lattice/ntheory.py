@@ -142,10 +142,11 @@ def factorize(n: int) -> dict[int, int]:
     stack, steps = [n], 0
     while stack:
         m = stack.pop()
-        r = isqrt(m)
         if m < p * p or _strong_probable_prime(m):
             out[m] = out.get(m, 0) + 1
-        elif r * r == m:
+            continue
+        r = sqrt_exact(m)
+        if r is not None:
             stack += (r, r)
         else:
             f, steps = _rho_factor(m, steps)
