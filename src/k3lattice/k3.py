@@ -174,10 +174,10 @@ def has_minus2_class(data: PicardData, limits: SearchLimits | None = None) -> Re
     return _decide(data, -2, limits)
 
 
-def has_isotropic_class(data: PicardData, limits: SearchLimits | None = None) -> RepresentationVerdict:
+def has_isotropic_class(data: PicardData) -> RepresentationVerdict:
     """Existence of a nonzero class with square 0 (the lattice proxy for an
-    elliptic pencil)."""
-    return _decide(data, 0, limits)
+    elliptic pencil). No t = 0 path reads a search bound, so none is taken."""
+    return _decide(data, 0, None)
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ class K3Report:
 
 def classify(data: PicardData, limits: SearchLimits | None = None, label: str | None = None) -> K3Report:
     m2 = has_minus2_class(data, limits)
-    iso = has_isotropic_class(data, limits)
+    iso = has_isotropic_class(data)
     return K3Report(
         rank=data.rank,
         det=lattices.det(data.lattice),

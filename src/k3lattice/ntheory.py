@@ -164,16 +164,16 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = s * f**2 with s squarefree carrying the sign; returns (s, f)."""
-    if n == 0:
-        return 0, 1
-    s, f = 1 if n > 0 else -1, 1
+def squarefree_split(n: int) -> tuple[int, int, set[int]]:
+    """Write n = s * f**2 with s squarefree carrying the sign, from one
+    factorize; returns (s, f, the primes of s)."""
+    s, f, primes = (1 if n > 0 else -1 if n < 0 else 0), 1, set()
     for p, e in factorize(n).items():
         f *= p ** (e // 2)
         if e % 2:
             s *= p
-    return s, f
+            primes.add(p)
+    return s, f, primes
 
 
 def vec_gcd(values) -> int:

@@ -16,9 +16,9 @@ from .ntheory import (
     divides,
     divisors,
     exact_int,
-    factorize,
     is_square,
     sqrt_exact,
+    squarefree_split,
     vec_gcd,
 )
 
@@ -257,6 +257,7 @@ def _checked_yes(q, t, witness) -> RepresentationVerdict:
 
 def unary_represents(q: UnaryForm, t: int) -> RepresentationVerdict:
     """Decide d x**2 = t; always decides."""
+    t = exact_int(t)
     d = q.d
     if t == 0:
         if d == 0:
@@ -353,7 +354,8 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
     part of a form of content g; the verdict holds for g q1 = g t1 too.
 
     A value u with 4 u**2 < disc is primitively represented exactly when u
-    is a leading coefficient on the reduced cycle.
+    is a leading coefficient on the reduced cycle, so q1 = t1 exactly when
+    some t1 / f**2 is one.
     """
     disc = q1.disc
     walk = _cycle_of((q1.a, q1.b, q1.c), disc, stop=t1)
@@ -363,17 +365,19 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
     leading = {}
     for i, f in enumerate(cycle):
         leading.setdefault(f[0], i)
-    f = 1
-    while f * f <= abs(t1):
-        if t1 % (f * f) == 0:
-            u = t1 // (f * f)
-            if u in leading:
-                # the first column of transform times [[0, -1], [1, m]] per move
-                ((x, x1), (y, y1)) = transform
-                for m in moves[: leading[u]]:
-                    x, x1, y, y1 = x1, m * x1 - x, y1, m * y1 - y
-                return _checked_yes(q1, t1, (f * x, f * y))
-        f += 1
+    try:
+        fs = divisors(squarefree_split(t1)[1])
+    except FactorBudgetError:
+        return RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
+    # f**2 divides t1 exactly when f divides its square factor; smallest f first
+    for f in fs:
+        u = t1 // (f * f)
+        if u in leading:
+            # the first column of transform times [[0, -1], [1, m]] per move
+            ((x, x1), (y, y1)) = transform
+            for m in moves[: leading[u]]:
+                x, x1, y, y1 = x1, m * x1 - x, y1, m * y1 - y
+            return _checked_yes(q1, t1, (f * x, f * y))
     cert = Certificate(
         CYCLE,
         {
@@ -386,25 +390,18 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
     return RepresentationVerdict.no(cert)
 
 
-def _definite_bounds(a: int, c: int, t: int, disc: int) -> tuple[int, int]:
-    # from 4a q = (2ax + by)**2 + |D| y**2: solutions fit in this box
-    bx = isqrt(4 * abs(c * t) // abs(disc))
-    by = isqrt(4 * abs(a * t) // abs(disc))
-    return bx, by
-
-
-def _solve_quadratic(a: int, b: int, c: int):
-    """Integer roots of a u**2 + b u + c = 0 (a != 0)."""
-    d = b * b - 4 * a * c
-    r = sqrt_exact(d)
-    if r is None:
-        return []
-    roots = []
-    for s in (r, -r) if r else (r,):
-        num = -b + s
-        if num % (2 * a) == 0:
-            roots.append(num // (2 * a))
-    return roots
+def _binary_roots(a: int, b: int, c: int, t: int, ys):
+    """Every (x, y) with a x**2 + b x y + c y**2 = t (a != 0) for y in ys, in
+    scan order: 4a t = (2ax + by)**2 - D y**2, so take the exact root r of
+    4a t + D y**2 and keep x = (s - by) / 2a for s = +r, then s = -r."""
+    disc = b * b - 4 * a * c
+    for y in ys:
+        r = sqrt_exact(4 * a * t + disc * y * y)
+        if r is None:
+            continue
+        for s in (r, -r):
+            if (s - b * y) % (2 * a) == 0:
+                yield (s - b * y) // (2 * a), y
 
 
 def _square_disc_search(q1: BinaryForm, t1: int):
@@ -424,9 +421,7 @@ def _square_disc_search(q1: BinaryForm, t1: int):
     pairs = 0
     for d in divisors(target):
         for u in (d, -d):
-            v, rem = divmod(target, u)
-            if rem:
-                continue
+            v = target // u
             pairs += 1
             xn = u * l2[1] - v * l1[1]
             yn = v * l1[0] - u * l2[0]
@@ -455,20 +450,18 @@ def _binary_sieve(q: BinaryForm, t: int) -> int | None:
 
 def _binary_bounded_search(q1: BinaryForm, t1: int, bound: int):
     # only reached with positive nonsquare discriminant, so a, c != 0;
-    # solutions with a negative scanned coordinate are sign-flips of these
+    # solutions with a negative scanned coordinate are sign-flips of these;
+    # the x axis first, as the same scan with the pair swapped
     a, b, c = q1.a, q1.b, q1.c
-    for x in range(bound + 1):
-        for y in _solve_quadratic(c, b * x, a * x * x - t1):
-            return (x, y)
-    for y in range(bound + 1):
-        for x in _solve_quadratic(a, b * y, c * y * y - t1):
-            return (x, y)
-    return None
+    for y, x in _binary_roots(c, b, a, t1, range(bound + 1)):
+        return (x, y)
+    return next(_binary_roots(a, b, c, t1, range(bound + 1)), None)
 
 
 def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
     """Decide q = t for nondegenerate binary q (t = 0 is routed to the
     discriminant test)."""
+    t = exact_int(t)
     if t == 0:
         return binary_represents_zero(q)
     if q.disc == 0:
@@ -484,14 +477,15 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
     if sign is not None:
         if t1 * sign < 0:
             return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
-        bx, by = _definite_bounds(a1, c1, t1, d1)
+        # from 4a q = (2ax + by)**2 + |D| y**2: solutions fit in this box
+        bx = isqrt(4 * abs(c1 * t1) // -d1)
+        by = isqrt(4 * abs(a1 * t1) // -d1)
         if by + 1 > _EXHAUST_CELL_LIMIT:
             return RepresentationVerdict.undecided(
                 {"bound_x": bx, "bound_y": by, "cell_limit": _EXHAUST_CELL_LIMIT}
             )
-        for y in range(by + 1):
-            for x in _solve_quadratic(a1, b1 * y, c1 * y * y - t1):
-                return _checked_yes(q, t, (x, y))
+        for w in _binary_roots(a1, b1, c1, t1, range(by + 1)):
+            return _checked_yes(q, t, w)
         return RepresentationVerdict.no(
             Certificate(DEFINITE_EXHAUST, {"content": g, "bound_x": bx, "bound_y": by})
         )
@@ -542,14 +536,8 @@ def _legendre_reduce(q: DiagonalTernaryForm):
     steps = [{"op": "content", "g": g}] if g > 1 else []
     primes = []
     for i in range(3):
-        odd, f = set(), 1
-        for p, e in factorize(d[i]).items():
-            if e % 2:
-                odd.add(p)
-            if e > 1:
-                f *= p ** (e // 2)
+        d[i], f, odd = squarefree_split(d[i])
         if f > 1:
-            d[i] //= f * f
             steps.append({"op": "square", "axis": i, "factor": f})
         primes.append(odd)
     while True:
@@ -687,6 +675,7 @@ def _ternary_sieve(q: DiagonalTernaryForm, t: int) -> int | None:
 def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
     """Decide q = t for diagonal ternary q (t = 0 is routed to the isotropy
     decider). Indefinite forms use a sieve ladder then a separable search."""
+    t = exact_int(t)
     _require_nonzero_diag(q)
     if t == 0:
         return ternary_represents_zero(q)
@@ -910,12 +899,8 @@ def _verify_cycle(q, t, data) -> bool:
         if nxt != cycle[(i + 1) % len(cycle)]:
             return False
     leading = {f[0] for f in cycle}
-    f = 1
-    while f * f <= abs(t1):
-        if t1 % (f * f) == 0 and t1 // (f * f) in leading:
-            return False
-        f += 1
-    return True
+    # past ntheory.RHO_LIMIT factorize raises, and verify_certificate answers False
+    return all(t1 // (f * f) not in leading for f in divisors(squarefree_split(t1)[1]))
 
 
 _VERIFIERS = {

@@ -15,7 +15,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
 
-from k3lattice.qform import BinaryForm, binary_represents, binary_represents_zero, verdict_to_json
+from k3lattice.qform import (
+    DEFAULT_SIEVE_MODULI,
+    BinaryForm,
+    binary_represents,
+    binary_represents_zero,
+    verdict_to_json,
+)
 
 # ------------------------------------------------------------- determinants
 
@@ -501,6 +507,55 @@ def binary_box_witness(a: int, b: int, c: int, t: int, box: int):
                 continue
             return (x, y)
     return None
+
+
+def binary_scan_reference(a: int, b: int, c: int, t: int, bound: int):
+    """verdict_to_json of binary_represents for a x^2 + b x y + c y^2 = t
+    with search bound `bound` where a witness scan answers, or None where
+    another branch does (t = 0, content, definite sign, square discriminant,
+    cycle). The scans keep the first witness in this order:
+
+    - definite: rows y = 0..by of the box from 4a q = (2ax + by)^2 + |D| y^2,
+      and in a row the x with 2ax + by = +r before the one with -r;
+    - indefinite past the sieve: x = 0..bound solving for y, then
+      y = 0..bound solving for x, each with the +r root first.
+    """
+
+    def roots(qa: int, qb: int, qc: int):
+        # integer u with qa u^2 + qb u + qc = 0 (qa != 0), (-qb + r) / 2qa first
+        disc = qb * qb - 4 * qa * qc
+        r = isqrt(max(disc, 0))
+        if r * r != disc:
+            return []
+        return [num // (2 * qa) for num in (-qb + r, -qb - r) if num % (2 * qa) == 0]
+
+    g = gcd(gcd(a, b), c)
+    if t == 0 or t % g:
+        return None
+    a1, b1, c1, t1 = a // g, b // g, c // g, t // g
+    disc = b1 * b1 - 4 * a1 * c1
+    if disc < 0:
+        if t1 * a1 < 0:
+            return None
+        bx = isqrt(4 * abs(c1 * t1) // -disc)
+        by = isqrt(4 * abs(a1 * t1) // -disc)
+        for y in range(by + 1):
+            for x in roots(a1, b1 * y, c1 * y * y - t1):
+                return {"kind": "YES", "witness": [x, y]}
+        data = {"content": g, "bound_x": bx, "bound_y": by}
+        return {"kind": "NO", "certificate": {"kind": "DEFINITE_EXHAUST", "data": data}}
+    if isqrt(disc) ** 2 == disc or 4 * t1 * t1 < disc:
+        return None
+    for m in DEFAULT_SIEVE_MODULI:
+        if t % m not in {(a * x * x + b * x * y + c * y * y) % m for x in range(m) for y in range(m)}:
+            return {"kind": "NO", "certificate": {"kind": "SIEVE", "data": {"modulus": m}}}
+    for x in range(bound + 1):
+        for y in roots(c1, b1 * x, a1 * x * x - t1):
+            return {"kind": "YES", "witness": [x, y]}
+    for y in range(bound + 1):
+        for x in roots(a1, b1 * y, c1 * y * y - t1):
+            return {"kind": "YES", "witness": [x, y]}
+    return {"kind": "UNDECIDED", "bounds": {"search_bound": bound, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}}
 
 
 def binary_cycle_reference(a: int, b: int, c: int, t: int, limit: int = 100_000):

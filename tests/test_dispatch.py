@@ -70,6 +70,17 @@ def test_represents_rejects_unknown_shapes():
         represents(SearchLimits(), 0)
 
 
+@pytest.mark.parametrize("t", [2.5, -2.0, True, "3"])
+def test_deciders_refuse_a_non_integer_target(t):
+    # verify_certificate refuses such a target, so a NO for it could not replay
+    forms = (UnaryForm(2), BinaryForm(2, 0, -16), BinaryForm(1, 0, 1), DiagonalTernaryForm(1, 1, -1))
+    deciders = (unary_represents, binary_represents, binary_represents, ternary_represents)
+    for q, decide in zip(forms, deciders):
+        for call in (decide, represents):
+            with pytest.raises(ValueError, match="expected an integer"):
+                call(q, t)
+
+
 def test_definite_sign():
     assert UnaryForm(5).definite_sign == 1
     assert UnaryForm(-3).definite_sign == -1

@@ -73,8 +73,10 @@ def test_divisors_against_brute():
 
 def test_squarefree_split():
     for n in range(-500, 501):
-        s, f = squarefree_split(n)
+        s, f, primes = squarefree_split(n)
         assert s * f * f == n
+        # the primes of s are the odd-exponent primes of n
+        assert primes == {p for p, e in factorize(n).items() if e % 2}
         if n != 0:
             # squarefree: no prime appears twice
             assert all(e == 1 for e in factorize(s).values())

@@ -1,6 +1,7 @@
 """Binary form decider: frozen decisions, oracle agreement, limit handling."""
 
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from k3lattice.qform import (
     verify_certificate,
 )
 
-from oracles import binary_cycle_reference, binary_witness
+from oracles import binary_cycle_reference, binary_scan_reference, binary_witness
 
 
 def _value(q: BinaryForm, xy) -> int:
@@ -158,6 +159,64 @@ def test_cycle_decide_matches_transform_carrying_reference():
         kinds[expected["kind"], choice] = kinds.get((expected["kind"], choice), 0) + 1
         checked += 1
     assert all(kinds.get((kind, choice), 0) > 5 for kind in ("YES", "NO") for choice in range(3)), kinds
+
+
+def test_witness_scans_match_the_scan_order_reference():
+    # pins which witness the definite box and the bounded search return
+    rng = random.Random(20261019)
+    kinds = {}
+    ties = 0
+    checked = 0
+    while checked < 2000:
+        a, b, c = (rng.randint(-12, 12) for _ in range(3))
+        choice = rng.randrange(3)
+        if choice == 0:
+            t = -2
+        elif choice == 1:
+            t = -2 * rng.randint(1, 30) ** 2
+        else:
+            t = rng.randint(-3000, 3000)
+        bound = rng.choice((1, 30, 300))
+        if b * b == 4 * a * c:
+            continue
+        expected = binary_scan_reference(a, b, c, t, bound)
+        if expected is None:
+            continue
+        q = BinaryForm(a, b, c)
+        assert verdict_to_json(binary_represents(q, t, SearchLimits(bound))) == expected, (a, b, c, t, bound)
+        key = (expected["kind"], q.disc < 0)
+        kinds[key] = kinds.get(key, 0) + 1
+        if expected["kind"] == "YES" and q.disc < 0:
+            # the other root of the witness row is integral too: order decides
+            x, y = expected["witness"]
+            ties += (b * y) % a == 0 and -x - (b * y) // a != x
+        checked += 1
+    assert all(kinds.get(key, 0) > 50 for key in (("YES", True), ("NO", True), ("YES", False), ("UNDECIDED", False)))
+    assert ties > 50, (ties, kinds)
+
+
+def test_cycle_wall_short_cycle_with_a_large_target():
+    # the cycle has 6 forms; the NO used to count f up to sqrt|t| = 10**7
+    q, t = BinaryForm(1, 1, -10**30), 10**14 + 31
+    start = time.process_time()
+    v = binary_represents(q, t)
+    decide = time.process_time() - start
+    assert v.kind == "NO" and v.certificate.kind == "CYCLE" and len(v.certificate.data["cycle"]) == 6
+    start = time.process_time()
+    assert verify_certificate(q, t, v.certificate)
+    replay = time.process_time() - start
+    assert decide < 1 and replay < 1, (decide, replay)
+
+
+def test_cycle_square_factor_above_the_trial_primes():
+    # f = 10**6 + 3 is prime, past the trial-division primes below 1000
+    p = 10**6 + 3
+    q = BinaryForm(1, 1, -10**40)
+    v = binary_represents(q, -7 * p * p)
+    assert v.kind == "NO" and v.certificate.kind == "CYCLE"
+    assert verify_certificate(q, -7 * p * p, v.certificate)
+    v = binary_represents(q, p * p)
+    assert v.kind == "YES" and _value(q, v.witness) == p * p and v.witness[0] % p == 0
 
 
 def test_against_search_oracle():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from k3lattice import qform
+from k3lattice import ntheory, qform
 from k3lattice.ntheory import RHO_LIMIT, factorize, sqrt_exact
 from k3lattice.qform import (
     DEFAULT_SIEVE_MODULI,
@@ -272,7 +272,7 @@ def test_isotropy_factors_each_coefficient_once(monkeypatch):
         calls.append(n)
         return factorize(n)
 
-    monkeypatch.setattr(qform, "factorize", counting)
+    monkeypatch.setattr(ntheory, "factorize", counting)
     # content 2, a square 9 and merges of the shared primes 3, 5 and 7
     q = DiagonalTernaryForm(2 * 3 * 5 * 9, -2 * 5 * 7, 2 * 3 * 7 * 11)
     v = ternary_represents_zero(q)
