@@ -11,7 +11,6 @@ from .ntheory import exact_int
 
 __all__ = [
     "FibrationData",
-    "SectionPair",
     "PencilClass",
     "mordell_weil_rank",
     "section_intersection_from_height",
@@ -62,28 +61,6 @@ def section_intersection_from_height(height: int) -> int:
     if height % 2 != 0 or height < 4:
         raise ValueError("a section height here is an even integer at least 4")
     return (height - 4) // 2
-
-
-@dataclass(frozen=True)
-class SectionPair:
-    """A section paired with the zero section: height = 4 + 2 (P . O)."""
-
-    height: int
-    zero_section_intersection: int
-
-    def __init__(self, height: int, zero_section_intersection: int):
-        height = exact_int(height)
-        zsi = exact_int(zero_section_intersection)
-        if zsi < 0:
-            raise ValueError("sections are distinct curves, so (P . O) >= 0")
-        if height != 4 + 2 * zsi:
-            raise ValueError("height must equal 4 + 2 (P . O)")
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "zero_section_intersection", zsi)
-
-    @staticmethod
-    def from_height(height: int) -> "SectionPair":
-        return SectionPair(height, section_intersection_from_height(height))
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import matrices
-from .lattices import DiscriminantGroup, GramLattice, discriminant_group, lattice_from_json, lattice_to_json
+from .lattices import GramLattice, lattice_from_json, lattice_to_json
 from .matrices import smith_normal_form
 from .ntheory import exact_int
 
@@ -18,8 +17,6 @@ __all__ = [
     "is_primitive",
     "primitive_closure",
     "orthogonal_complement",
-    "DiscriminantAction",
-    "discriminant_action",
     "extend_by_identity",
     "sublattice_from_json",
     "lattice_or_sublattice_from_json",
@@ -120,38 +117,6 @@ def orthogonal_complement(sub: EmbeddedSublattice) -> EmbeddedSublattice:
     n = ambient.rank
     cols = [tuple(snf.v[i][j] for i in range(n)) for j in range(r, n)]
     return EmbeddedSublattice(ambient, cols)
-
-
-@dataclass(frozen=True)
-class DiscriminantAction:
-    """Action of an isometry on the generators of L*/L."""
-
-    group: DiscriminantGroup
-    images: tuple[tuple[Fraction, ...], ...]
-    moved: tuple[int, ...]
-
-    @property
-    def trivial(self) -> bool:
-        return not self.moved
-
-
-def discriminant_action(g: IsometryMap, lattice: GramLattice) -> DiscriminantAction:
-    """How g permutes the discriminant-group generator cosets.
-
-    A generator coset [v] is fixed exactly when g v - v is integral.
-    """
-    if g.domain.gram != lattice.gram:
-        raise ValueError("isometry domain does not match the lattice")
-    group = discriminant_group(lattice)
-    m = g.matrix_rows()
-    images = []
-    moved = []
-    for idx, lift in enumerate(group.generator_lifts):
-        img = [sum(Fraction(m[i][k]) * lift[k] for k in range(lattice.rank)) for i in range(lattice.rank)]
-        images.append(tuple(x % 1 for x in img))
-        if any((x - y).denominator != 1 for x, y in zip(img, lift)):
-            moved.append(idx)
-    return DiscriminantAction(group, tuple(images), tuple(moved))
 
 
 def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:

@@ -1,6 +1,6 @@
 """Hyperbolic-lattice predicates behind the K3 statements: existence of
 square(-2) and isotropic classes, the rank-based automorphism verdict, and
-the positive-cone / ample-cone membership proxies.
+positive-cone membership.
 
 Verdict provenance is explicit everywhere: PROVEN entries carry witnesses or
 replayable certificates; nothing in this module asserts literature facts
@@ -14,7 +14,7 @@ from itertools import product
 from operator import mul
 
 from . import lattices, qform
-from .embeddings import IsometryMap, discriminant_action, lattice_or_sublattice_from_json
+from .embeddings import lattice_or_sublattice_from_json
 from .lattices import GramLattice, Signature
 from .ntheory import exact_int
 from .qform import (
@@ -42,7 +42,6 @@ __all__ = [
     "classify",
     "revalidate_report",
     "same_positive_cone_component",
-    "g_t_membership_proxy",
     "report_to_json",
     "picard_from_json",
 ]
@@ -57,40 +56,16 @@ UNKNOWN = "UNKNOWN"
 
 @dataclass(frozen=True)
 class PicardData:
-    """A hyperbolic lattice playing the role of a K3 Picard lattice, with
-    optional context: known square(-2) curve classes and a polarization."""
+    """A hyperbolic lattice playing the role of a K3 Picard lattice."""
 
     lattice: GramLattice
-    known_minus2_classes: tuple[tuple[int, ...], ...] = ()
-    polarization: tuple[int, ...] | None = None
 
-    def __init__(self, lattice, known_minus2_classes=(), polarization=None):
-        sig = lattices.signature(lattice)
-        if sig != Signature(1, lattice.rank - 1, 0):
+    def __post_init__(self):
+        sig = lattices.signature(self.lattice)
+        if sig != Signature(1, self.lattice.rank - 1, 0):
             raise ValueError(
                 f"Picard lattice must be hyperbolic of signature (1, rank-1, 0); got {tuple(sig)}"
             )
-        known = tuple(tuple(map(exact_int, v)) for v in known_minus2_classes)
-        for v in known:
-            if len(v) != lattice.rank:
-                raise ValueError("curve class length does not match the rank")
-            if lattice.square(v) != -2:
-                raise ValueError("every known curve class must have square -2")
-        pol = None
-        if polarization is not None:
-            pol = tuple(map(exact_int, polarization))
-            if len(pol) != lattice.rank:
-                raise ValueError("polarization length does not match the rank")
-            if lattice.square(pol) <= 0:
-                raise ValueError("polarization must have positive square")
-            for v in known:
-                if lattice.pairing(pol, v) <= 0:
-                    raise ValueError(
-                        "polarization must pair positively with every known curve class"
-                    )
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "known_minus2_classes", known)
-        object.__setattr__(self, "polarization", pol)
 
     @property
     def rank(self) -> int:
@@ -300,23 +275,6 @@ def same_positive_cone_component(data: PicardData, u, v) -> bool:
     return lat.pairing(u, v) > 0
 
 
-def g_t_membership_proxy(data: PicardData, g: IsometryMap) -> bool:
-    """Documented proxy for "g preserves the ample chamber": the discriminant
-    action is trivial, g(l) stays in the positive-cone component of the
-    polarization l, and g(l) pairs positively with every known curve class.
-    Exact when known_minus2_classes lists all square(-2) curve classes."""
-    if data.polarization is None:
-        raise ValueError("the membership proxy needs a polarization")
-    if g.domain.gram != data.lattice.gram:
-        raise ValueError("the isometry must act on the Picard lattice itself")
-    if not discriminant_action(g, data.lattice).trivial:
-        return False
-    gl = g.apply(data.polarization)
-    if not same_positive_cone_component(data, gl, data.polarization):
-        return False
-    return all(data.lattice.pairing(gl, c) > 0 for c in data.known_minus2_classes)
-
-
 def _aut_to_json(report: K3Report) -> dict:
     """The aut entry, repeating the report's own two sub-verdicts."""
     aut = report.aut
@@ -349,14 +307,13 @@ def report_to_json(report: K3Report) -> dict:
 
 
 def picard_from_json(obj) -> PicardData:
-    """Parse {"lattice": <lattice or sublattice JSON>, "known_minus2_classes":
-    [[...], ...], "polarization": [...]}; sublattice input contributes its
-    induced Gram matrix."""
+    """Parse {"lattice": <lattice or sublattice JSON>}; sublattice input
+    contributes its induced Gram matrix. Any other key is refused, so a field
+    nothing reads is never silently dropped."""
     if not isinstance(obj, dict) or "lattice" not in obj:
         raise ValueError('Picard data JSON must be an object with a "lattice" field')
+    extra = [key for key in obj if key != "lattice"]
+    if extra:
+        raise ValueError(f'Picard data JSON takes only a "lattice" field; got {extra}')
     lattice, _ = lattice_or_sublattice_from_json(obj["lattice"])
-    return PicardData(
-        lattice,
-        obj.get("known_minus2_classes", ()),
-        obj.get("polarization"),
-    )
+    return PicardData(lattice)

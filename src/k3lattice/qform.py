@@ -79,6 +79,10 @@ class UnaryForm:
 
     d: int
 
+    def __post_init__(self):
+        for x in self.coefficients():
+            exact_int(x)
+
     def coefficients(self) -> tuple[int, ...]:
         return (self.d,)
 
@@ -101,6 +105,10 @@ class BinaryForm:
     a: int
     b: int
     c: int
+
+    def __post_init__(self):
+        for x in self.coefficients():
+            exact_int(x)
 
     @property
     def disc(self) -> int:
@@ -128,6 +136,10 @@ class DiagonalTernaryForm:
     d1: int
     d2: int
     d3: int
+
+    def __post_init__(self):
+        for x in self.coefficients():
+            exact_int(x)
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.d1, self.d2, self.d3)
@@ -209,13 +221,6 @@ def verdict_to_json(v: RepresentationVerdict) -> dict:
     return out
 
 
-def _coefficient_list(obj, key: str, count: int) -> list[int]:
-    value = obj[key]
-    if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise ValueError(f'form JSON "{key}" needs exactly {count} integers')
-    return [exact_int(x) for x in value]
-
-
 # JSON key, form class, coefficient count; the first key present wins
 _FORM_JSON = (("binary", BinaryForm, 3), ("diag", DiagonalTernaryForm, 3), ("unary", UnaryForm, 1))
 
@@ -225,7 +230,10 @@ def form_from_json(obj):
         raise ValueError("form JSON must be an object")
     for key, cls, count in _FORM_JSON:
         if key in obj:
-            return cls(*_coefficient_list(obj, key, count))
+            value = obj[key]
+            if not isinstance(value, (list, tuple)) or len(value) != count:
+                raise ValueError(f'form JSON "{key}" needs exactly {count} integers')
+            return cls(*value)  # the constructor refuses non-integers
     raise ValueError("form JSON needs one of " + ", ".join(f'"{key}"' for key, _, _ in _FORM_JSON))
 
 

@@ -265,8 +265,8 @@ def test_error_reporting(capsys, tmp_path):
         ("lattice", "info", '{"name": []}'),
         ("lattice", "info", '{"ambient": {"name": "U"}, "basis": 5}'),
         ("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": 5}'),
-        ("k3", "classify", '{"lattice": {"name": "U"}, "polarization": 5}'),
-        ("k3", "classify", '{"lattice": {"name": "U"}, "known_minus2_classes": 5}'),
+        ("k3", "classify", '{"lattice": 5}'),
+        ("k3", "classify", '{"lattice": {"ambient": {"name": "U"}, "basis": 5}}'),
     ],
 )
 def test_json_of_the_wrong_type_is_an_input_error(capsys, args):
@@ -284,14 +284,20 @@ def test_json_of_the_wrong_type_is_an_input_error(capsys, args):
         (("mw", "rank", '{"rho": 20.9, "reducible_fiber_component_counts": [2.5]}'), "20.9"),
         (("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": [2.5]}'), "2.5"),
         (("lattice", "info", '{"gram": [[true, 0], [0, 1]]}'), "True"),
-        (("k3", "classify", '{"lattice": {"name": "U"}, "polarization": ["1", 1]}'), "'1'"),
-        (("k3", "classify", '{"lattice": {"name": "U"}, "known_minus2_classes": [[1.0, -1]]}'), "1.0"),
+        (("k3", "classify", '{"lattice": {"gram": [[0, "1"], [1, 0]]}}'), "'1'"),
+        (("k3", "classify", '{"lattice": {"ambient": {"name": "U"}, "basis": [[1.0, -1]]}}'), "1.0"),
     ],
 )
 def test_non_integer_json_numbers_are_refused_not_truncated(capsys, args, bad):
     code, out, err = run(capsys, *args)
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: expected an integer, got {bad}\n"
+
+
+def test_picard_data_keys_other_than_lattice_are_refused(capsys):
+    code, out, err = run(capsys, "k3", "classify", '{"lattice": {"name": "U"}, "polarization": [1, 2]}')
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and '"lattice"' in err and "polarization" in err
 
 
 @pytest.mark.parametrize("value, shown", [('"no"', "'no'"), ("0", "0"), ("null", "None")])

@@ -81,6 +81,14 @@ def test_deciders_refuse_a_non_integer_target(t):
                 call(q, t)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, "3"])
+@pytest.mark.parametrize("make", [UnaryForm, lambda x: BinaryForm(x, 0, -7), lambda x: DiagonalTernaryForm(1, x, -1)])
+def test_form_constructors_refuse_a_non_integer_coefficient(make, bad):
+    # a bool coefficient would otherwise be decided as 1, a float would fail deep in isqrt
+    with pytest.raises(ValueError, match=f"expected an integer, got {bad!r}"):
+        make(bad)
+
+
 def test_definite_sign():
     assert UnaryForm(5).definite_sign == 1
     assert UnaryForm(-3).definite_sign == -1

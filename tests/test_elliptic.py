@@ -4,7 +4,6 @@ import pytest
 
 from k3lattice.elliptic import (
     FibrationData,
-    SectionPair,
     fibration_from_json,
     fibration_to_json,
     max_singular_fibers_bound,
@@ -43,16 +42,6 @@ def test_section_intersection_from_height():
     for bad in (3, 7, 2, 0, -4):
         with pytest.raises(ValueError):
             section_intersection_from_height(bad)
-
-
-def test_section_pair():
-    p = SectionPair.from_height(8)
-    assert p.height == 8 and p.zero_section_intersection == 2
-    assert SectionPair(4, 0).zero_section_intersection == 0
-    with pytest.raises(ValueError):
-        SectionPair(8, 1)  # inconsistent pair
-    with pytest.raises(ValueError):
-        SectionPair(2, -1)
 
 
 def test_pencil_class_from_sections():
@@ -99,7 +88,5 @@ def test_fibration_refuses_non_integers():
         FibrationData(20, [2.5])
     with pytest.raises(ValueError, match="expected an integer"):
         FibrationData("20")
-    with pytest.raises(ValueError, match="expected an integer"):
-        SectionPair(8.0, 2)
     with pytest.raises(ValueError, match="expected an integer"):
         pencil_class_from_sections(-2, -2, 2.0)

@@ -5,7 +5,6 @@ import pytest
 from k3lattice.embeddings import (
     EmbeddedSublattice,
     IsometryMap,
-    discriminant_action,
     extend_by_identity,
     induced_gram,
     is_primitive,
@@ -151,17 +150,6 @@ def test_isometry_validation_and_apply():
     assert minus.apply((1, 2)) == [-1, -2]
     with pytest.raises(ValueError):
         IsometryMap(u, [[1, 1], [0, 1]])  # does not preserve the pairing
-
-
-def test_discriminant_action_trivial_cases():
-    a1 = standard_lattice("A1_neg")
-    act = discriminant_action(IsometryMap(a1, [[-1]]), a1)
-    assert act.trivial  # -x = x on Z/2
-
-    u8 = direct_sum(standard_lattice("U"), GramLattice(1, ((-8,),)))
-    neg = IsometryMap(u8, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    act = discriminant_action(neg, u8)
-    assert not act.trivial  # -1 is nontrivial on Z/8
 
 
 def test_extend_by_identity_across_k3():

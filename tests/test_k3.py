@@ -1,17 +1,16 @@
-"""Hyperbolic-lattice classification: verdicts, provenance, cone proxies."""
+"""Hyperbolic-lattice classification: verdicts, provenance, positive-cone membership."""
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 from k3lattice import matrices
-from k3lattice.embeddings import IsometryMap
 from k3lattice.k3 import (
     PicardData,
     _witness_scan,
     classify,
-    g_t_membership_proxy,
     has_isotropic_class,
     has_minus2_class,
     lattice_form,
@@ -45,19 +44,7 @@ def test_picard_data_validation():
         PicardData(_diag(2, 2))  # positive definite
     with pytest.raises(ValueError):
         PicardData(_diag(-2, -2))  # negative definite
-    with pytest.raises(ValueError):
-        PicardData(U, known_minus2_classes=[(1, 0, 0)])  # wrong length
-    with pytest.raises(ValueError):
-        PicardData(U, known_minus2_classes=[(1, 0)])  # square 0, not -2
-    with pytest.raises(ValueError):
-        PicardData(U, polarization=(1, 0))  # square 0
-    with pytest.raises(ValueError):
-        PicardData(U, polarization=(1,))  # wrong length
-    with pytest.raises(ValueError):
-        # polarization pairs negatively with the listed curve class
-        PicardData(U, known_minus2_classes=[(1, -1)], polarization=(1, 1))
-    data = PicardData(U, known_minus2_classes=[(1, -1)], polarization=(1, 2))
-    assert data.rank == 2 and data.polarization == (1, 2)
+    assert PicardData(U).rank == 2
 
 
 def test_lattice_form_shapes():
@@ -309,21 +296,6 @@ def test_same_positive_cone_component():
         same_positive_cone_component(data, (1, 1), (1, -1))  # square -2
 
 
-def test_g_t_membership_proxy():
-    data = PicardData(U, known_minus2_classes=[(1, -1)], polarization=(1, 2))
-    identity = IsometryMap(U, [[1, 0], [0, 1]])
-    minus_identity = IsometryMap(U, [[-1, 0], [0, -1]])
-    assert g_t_membership_proxy(data, identity) is True
-    assert g_t_membership_proxy(data, minus_identity) is False
-    swap = IsometryMap(U, [[0, 1], [1, 0]])
-    # swap fixes the polarization's component but flips the curve class
-    assert g_t_membership_proxy(data, swap) is False
-    with pytest.raises(ValueError):
-        g_t_membership_proxy(PicardData(U), identity)  # no polarization
-    with pytest.raises(ValueError):
-        g_t_membership_proxy(data, IsometryMap(_diag(2, -2), [[1, 0], [0, 1]]))
-
-
 def test_report_json_shape():
     report = classify(PicardData(_diag(6, -2, -2)), label="demo")
     out = report_to_json(report)
@@ -339,15 +311,8 @@ def test_report_json_shape():
 
 
 def test_picard_from_json():
-    obj = {
-        "lattice": lattice_to_json(U),
-        "known_minus2_classes": [[1, -1]],
-        "polarization": [1, 2],
-    }
-    data = picard_from_json(obj)
+    data = picard_from_json({"lattice": lattice_to_json(U)})
     assert data.lattice.gram == U.gram
-    assert data.known_minus2_classes == ((1, -1),)
-    assert data.polarization == (1, 2)
     # a sublattice spec contributes its induced Gram matrix
     amb = lattice_to_json(standard_lattice("K3"))
     sub = {"ambient": amb, "basis": [[1] + [0] * 21, [0, 1] + [0] * 20]}
@@ -359,10 +324,20 @@ def test_picard_from_json():
         picard_from_json([])
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("known_minus2_classes", [[1, -1]]), ("polarization", [1, 2]), ("label", "U")],
+)
+def test_picard_from_json_refuses_every_key_but_lattice(key, value):
+    # the retired curve-class and polarization fields are refused, not ignored
+    with pytest.raises(ValueError, match=re.escape(f'only a "lattice" field; got [{key!r}]')):
+        picard_from_json({"lattice": {"name": "U"}, key: value})
+
+
 def test_picard_data_refuses_non_integers():
     with pytest.raises(ValueError, match="expected an integer"):
-        PicardData(U, polarization=("1", 2))
+        picard_from_json({"lattice": {"gram": [[0, "1"], [1, 0]]}})
     with pytest.raises(ValueError, match="expected an integer"):
-        picard_from_json({"lattice": {"name": "U"}, "known_minus2_classes": [[1.0, -1]]})
+        picard_from_json({"lattice": {"ambient": {"name": "U"}, "basis": [[1.0, -1]]}})
     with pytest.raises(ValueError, match="expected an integer"):
         same_positive_cone_component(U, (1, 1), (1.0, 2))
