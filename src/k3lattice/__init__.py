@@ -4,7 +4,8 @@ certificate-producing deciders for representing 0 and -2, discriminant
 groups, Mordell-Weil arithmetic, and a certified catalog of explicit
 rank-2 and rank-3 constructions.
 
-Everything runs on Python integers and fractions; there are no runtime
+Everything runs on Python integers: rationals appear only in the output of
+matrices.rational_inverse, never on a decision path. There are no runtime
 dependencies and no floating point anywhere.
 
 The package republishes the API modules below: a name is public exactly when

@@ -371,11 +371,11 @@ def certify_family(spec: FamilySpec) -> K3Report:
             )
     elif spec.aut_overlay is not None:
         aut = replace(aut, verdict=spec.expected["aut"], status=PAPER_ASSERTED, **spec.aut_overlay)
-    extras = _family_extras(spec, report)
+    extras = _family_extras(spec)
     return replace(report, aut=aut, extras=extras, assertions=spec.assertions)
 
 
-def _family_extras(spec: FamilySpec, report: K3Report) -> dict:
+def _family_extras(spec: FamilySpec) -> dict:
     extras: dict = {}
     if spec.family_id == 1:
         extras["disc_group_order"] = lattices.discriminant_group(

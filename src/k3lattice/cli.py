@@ -24,7 +24,7 @@ import sys
 from . import catalog, elliptic, k3, lattices, qform
 from .catalog import Claim3Input, SearchExhausted
 from .embeddings import is_primitive, lattice_or_sublattice_from_json
-from .lattices import aut_index_bound, aut_order_finite_abelian, discriminant_group
+from .lattices import aut_index_bound, aut_order_finite_abelian, discriminant_group, lattice_to_json
 from .qform import SearchLimits
 
 __all__ = ["main", "EXIT_OK", "EXIT_ERROR", "EXIT_UNDECIDED"]
@@ -76,8 +76,7 @@ def _cmd_lattice_info(args):
     lattice, sub = _load_input(args.lattice, lattice_or_sublattice_from_json)
     d = lattices.det(lattice)
     out = {
-        "rank": lattice.rank,
-        "gram": lattice.gram_rows(),
+        **lattice_to_json(lattice),
         "det": d,
         "signature": list(lattices.signature(lattice)),
     }

@@ -58,7 +58,7 @@ def mordell_weil_rank(data: FibrationData) -> int:
 def section_intersection_from_height(height: int) -> int:
     """Invert height = 4 + 2 (P . O), the no-reducible-fibers height of a
     section on an elliptic K3."""
-    if height % 2 != 0 or height < 4:
+    if exact_int(height) % 2 != 0 or height < 4:
         raise ValueError("a section height here is an even integer at least 4")
     return (height - 4) // 2
 
@@ -73,7 +73,7 @@ class PencilClass:
 
 
 def pencil_class_from_sections(c1_sq: int, c2_sq: int, c1_dot_c2: int) -> PencilClass:
-    if c1_sq != -2 or c2_sq != -2:
+    if exact_int(c1_sq) != -2 or exact_int(c2_sq) != -2:
         raise ValueError("both classes must have self-intersection -2")
     square = -4 + 2 * exact_int(c1_dot_c2)
     return PencilClass(square=square, is_pencil=(square == 0))

@@ -63,24 +63,20 @@ class IsometryMap:
         rows = tuple(tuple(map(exact_int, r)) for r in matrix)
         if len(rows) != domain.rank or any(len(r) != domain.rank for r in rows):
             raise ValueError("isometry matrix shape does not match the lattice rank")
-        m = [list(r) for r in rows]
-        g = domain.gram_rows()
-        if matrices.mat_mul(matrices.mat_mul(matrices.transpose(m), g), m) != g:
+        g = domain.gram
+        if matrices.mat_mul(matrices.mat_mul(matrices.transpose(rows), g), rows) != [list(r) for r in g]:
             raise ValueError("matrix does not preserve the pairing")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "matrix", rows)
 
-    def matrix_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.matrix]
-
     def apply(self, v) -> list[int]:
-        return matrices.mat_vec(self.matrix_rows(), list(v))
+        return matrices.mat_vec(self.matrix, list(v))
 
 
 def induced_gram(sub: EmbeddedSublattice) -> GramLattice:
     """The pairing restricted to the sublattice basis: B^T G B."""
     b = sub.basis_matrix()
-    g = sub.ambient.gram_rows()
+    g = sub.ambient.gram
     ind = matrices.mat_mul(matrices.mat_mul(matrices.transpose(b), g), b)
     return GramLattice(sub.rank, ind)
 
@@ -108,10 +104,10 @@ def primitive_closure(sub: EmbeddedSublattice) -> EmbeddedSublattice:
 def orthogonal_complement(sub: EmbeddedSublattice) -> EmbeddedSublattice:
     """All ambient vectors pairing to zero with the sublattice; always primitive."""
     ambient = sub.ambient
-    if matrices.det(ambient.gram_rows()) == 0:
+    if matrices.det(ambient.gram) == 0:
         raise ValueError("orthogonal complement requires a nondegenerate ambient lattice")
     b = sub.basis_matrix()
-    pair = matrices.mat_mul(matrices.transpose(b), ambient.gram_rows())
+    pair = matrices.mat_mul(matrices.transpose(b), ambient.gram)
     snf = smith_normal_form(pair)
     r = len(snf.invariant_factors())
     n = ambient.rank
@@ -141,7 +137,7 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
         raise ValueError("sublattice is degenerate inside the ambient lattice")
     b = sub.basis_matrix()
     c = comp.basis_matrix()
-    bg = matrices.mat_mul(b, g.matrix_rows())
+    bg = matrices.mat_mul(b, g.matrix)
     full = [b[i] + c[i] for i in range(n)]
     mapped = [bg[i] + c[i] for i in range(n)]
     v, d, u = matrices._inverse_factors(full)
@@ -150,9 +146,9 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
         raise ValueError("extension is not integral on the ambient lattice")
     out = matrices.mat_mul([[x // dj for x, dj in zip(row, d)] for row in mv], u)
     result = IsometryMap(sub.ambient, out)
-    if matrices.mat_mul(result.matrix_rows(), b) != bg:
+    if matrices.mat_mul(result.matrix, b) != bg:
         raise ValueError("extension does not restrict to the given isometry")
-    if matrices.mat_mul(result.matrix_rows(), c) != c:
+    if matrices.mat_mul(result.matrix, c) != c:
         raise ValueError("extension moves the orthogonal complement")
     return result
 

@@ -75,7 +75,7 @@ class PicardData:
 def lattice_form(lattice: GramLattice):
     """The quadratic form of the lattice when a certified decider exists:
     rank 1, any rank 2, or diagonal rank 3. None otherwise."""
-    g = lattice.gram_rows()
+    g = lattice.gram
     n = lattice.rank
     if n == 1:
         return UnaryForm(g[0][0])
@@ -97,7 +97,7 @@ def _witness_scan(lattice: GramLattice, t: int):
     q = q(head, 0, 0) + ly * y + lx * x + q(0, y, x), where the 25 tail
     terms q(0, y, x) are computed once per lattice and q(head, 0, 0), ly and
     lx once per head, so each (y, x) costs two products."""
-    g = lattice.gram_rows()
+    g = lattice.gram
     n = lattice.rank
     for i in range(n):
         if g[i][i] == t:
@@ -209,9 +209,10 @@ def _aut_from_verdicts(rank: int, m2: RepresentationVerdict, iso: Representation
 
 @dataclass(frozen=True)
 class K3Report:
-    rank: int
-    det: int
-    signature: Signature
+    """The verdicts on one Picard lattice, which the report holds; rank, det
+    and signature are read from it, never stored beside it."""
+
+    lattice: GramLattice
     has_minus2: RepresentationVerdict
     has_isotropic: RepresentationVerdict
     aut: AutReport
@@ -219,14 +220,24 @@ class K3Report:
     extras: dict = field(default_factory=dict)
     assertions: tuple = ()
 
+    @property
+    def rank(self) -> int:
+        return self.lattice.rank
+
+    @property
+    def det(self) -> int:
+        return lattices.det(self.lattice)
+
+    @property
+    def signature(self) -> Signature:
+        return lattices.signature(self.lattice)
+
 
 def classify(data: PicardData, limits: SearchLimits | None = None, label: str | None = None) -> K3Report:
     m2 = has_minus2_class(data, limits)
     iso = has_isotropic_class(data)
     return K3Report(
-        rank=data.rank,
-        det=lattices.det(data.lattice),
-        signature=Signature(1, data.rank - 1, 0),  # checked by PicardData
+        lattice=data.lattice,
         has_minus2=m2,
         has_isotropic=iso,
         aut=_aut_from_verdicts(data.rank, m2, iso),
@@ -251,9 +262,12 @@ def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
 
 
 def revalidate_report(data: PicardData, report: K3Report) -> bool:
-    """Re-check every PROVEN item of a report: witnesses evaluate correctly,
-    certificates replay, and a PROVEN aut entry is exactly what the rank
-    rules derive from the two sub-verdicts just checked."""
+    """Re-check a report against its input: the report's lattice is the
+    input's, witnesses evaluate correctly, certificates replay, and a PROVEN
+    aut entry is exactly what the rank rules derive from the two sub-verdicts
+    just checked."""
+    if report.lattice != data.lattice:
+        return False
     if not _verdict_ok(data.lattice, -2, report.has_minus2):
         return False
     if not _verdict_ok(data.lattice, 0, report.has_isotropic):

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cache
 from operator import mul
 from typing import NamedTuple
@@ -51,14 +50,10 @@ class GramLattice:
         rows = tuple(tuple(map(exact_int, row)) for row in gram)
         if rank < 0 or len(rows) != rank or any(len(r) != rank for r in rows):
             raise ValueError("gram matrix shape does not match the rank")
-        if not matrices.is_symmetric([list(r) for r in rows]):
+        if not matrices.is_symmetric(rows):
             raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", rows)
-
-    def gram_rows(self) -> list[list[int]]:
-        """Mutable copy of the Gram matrix."""
-        return [list(r) for r in self.gram]
 
     def pairing(self, u, v) -> int:
         if len(u) != self.rank or len(v) != self.rank:
@@ -126,24 +121,21 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
 def signature(lattice: GramLattice) -> Signature:
     """Counts of positive, negative, and zero diagonal entries after
     congruence diagonalization by fraction-free integer Bareiss elimination."""
-    return Signature(*matrices.inertia(lattice.gram_rows()))
+    return Signature(*matrices.inertia(lattice.gram))
 
 
 def det(lattice: GramLattice) -> int:
-    return matrices.det(lattice.gram_rows())
+    return matrices.det(lattice.gram)
 
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """The finite abelian group L*/L of a nondegenerate lattice L.
 
-    invariant_factors is the ascending divisibility chain (entries > 1);
-    generator_lifts[i] is a rational vector in L tensor Q whose coset
-    generates the i-th cyclic factor.
+    invariant_factors is the ascending divisibility chain (entries > 1).
     """
 
     invariant_factors: tuple[int, ...]
-    generator_lifts: tuple[tuple[Fraction, ...], ...] = field(default=())
 
     @property
     def order(self) -> int:
@@ -154,19 +146,12 @@ class DiscriminantGroup:
 
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
-    """Invariant factors and generator lifts of L*/L; order equals |det|."""
-    snf = smith_normal_form(lattice.gram_rows())
-    diagonal = snf.diagonal()
+    """Invariant factors of L*/L, the Smith diagonal of the Gram matrix;
+    order equals |det|."""
+    diagonal = smith_normal_form(lattice.gram).diagonal()
     if 0 in diagonal:
         raise ValueError("degenerate lattice has no discriminant group")
-    factors = []
-    lifts = []
-    for i, di in enumerate(diagonal):
-        if di > 1:
-            factors.append(di)
-            col = [Fraction(snf.v[r][i], di) for r in range(lattice.rank)]
-            lifts.append(tuple(col))
-    return DiscriminantGroup(tuple(factors), tuple(lifts))
+    return DiscriminantGroup(tuple(d for d in diagonal if d > 1))
 
 
 def _p_group_aut_order(p: int, exps: list[int]) -> int:
@@ -226,4 +211,4 @@ def lattice_from_json(obj) -> GramLattice:
 
 
 def lattice_to_json(lattice: GramLattice) -> dict:
-    return {"rank": lattice.rank, "gram": lattice.gram_rows()}
+    return {"rank": lattice.rank, "gram": [list(r) for r in lattice.gram]}

@@ -13,7 +13,6 @@ __all__ = [
     "RHO_LIMIT",
     "divisors",
     "squarefree_split",
-    "vec_gcd",
     "exact_int",
 ]
 
@@ -174,11 +173,6 @@ def squarefree_split(n: int) -> tuple[int, int, set[int]]:
             s *= p
             primes.add(p)
     return s, f, primes
-
-
-def vec_gcd(values) -> int:
-    """gcd of an iterable of integers (0 for an empty or all-zero input)."""
-    return gcd(*values)
 
 
 def exact_int(x) -> int:

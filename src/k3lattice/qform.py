@@ -19,7 +19,6 @@ from .ntheory import (
     is_square,
     sqrt_exact,
     squarefree_split,
-    vec_gcd,
 )
 
 __all__ = [
@@ -166,7 +165,7 @@ class SearchLimits:
     search_bound: int = DEFAULT_SEARCH_BOUND
 
     def __post_init__(self):
-        if self.search_bound < 1:
+        if exact_int(self.search_bound) < 1:
             raise ValueError("search bound must be positive")
 
 
@@ -327,7 +326,7 @@ def _mat2_mul(p, q):
     )
 
 
-def _cycle_of(form, disc: int, stop: int | None = None):
+def _cycle_of(form, disc: int, stop: int | None):
     """Reduced cycle of the proper class of form, or None when reducing form
     and closing its cycle take more than _CYCLE_LIMIT steps in all. The walk
     ends early, and cycle with it, at the first cycle form whose leading
@@ -475,7 +474,7 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
     if q.disc == 0:
         raise ValueError("degenerate form")
     limits = limits or SearchLimits()
-    g = vec_gcd(q.coefficients())
+    g = gcd(*q.coefficients())
     if t % g != 0:
         return RepresentationVerdict.no(Certificate(DIVISIBILITY, {"divisor": g}))
     a1, b1, c1, t1 = q.a // g, q.b // g, q.c // g, t // g
@@ -539,7 +538,7 @@ def _legendre_reduce(q: DiagonalTernaryForm):
     Each coefficient is factored once and the steps move its primes: returns
     (reduced coefficients, steps, primes[i] dividing reduced coefficient i).
     """
-    g = vec_gcd(q.coefficients())
+    g = gcd(*q.coefficients())
     d = [x // g for x in q.coefficients()]
     steps = [{"op": "content", "g": g}] if g > 1 else []
     primes = []
@@ -649,7 +648,7 @@ def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
             )
     w = _holzer_scan(a, b, c)
     w = _backmap_zero(w, steps)
-    g = vec_gcd(w)
+    g = gcd(*w)
     w = [x // g for x in w]
     return _checked_yes(q, 0, _canonical_sign(w))
 
@@ -689,7 +688,7 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
         return ternary_represents_zero(q)
     limits = limits or SearchLimits()
     d = q.coefficients()
-    g = vec_gcd(d)
+    g = gcd(*d)
     if t % g != 0:
         return RepresentationVerdict.no(Certificate(DIVISIBILITY, {"divisor": g}))
     sign = q.definite_sign
@@ -733,13 +732,13 @@ def enumerate_primitive_zeros(q: DiagonalTernaryForm, height: int) -> list[tuple
     """All primitive zeros with max-abs coordinate <= height, one per sign
     pair, sorted lexicographically."""
     _require_nonzero_diag(q)
-    if height < 0:
+    if exact_int(height) < 0:
         raise ValueError("height must be nonnegative")
     found: set[tuple[int, int, int]] = set()
     box = range(-height, height + 1)
     # z >= 0 loses nothing: (x, y, -z) is the negation of (-x, -y, z)
     for x, y, z in _exact_roots(q.d1, q.d2, q.d3, 0, box, lambda x: box):
-        if z <= height and vec_gcd((x, y, z)) == 1:
+        if z <= height and gcd(x, y, z) == 1:
             found.add(_canonical_sign((x, y, z)))
     return sorted(found)
 

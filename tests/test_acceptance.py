@@ -222,19 +222,19 @@ def test_criterion_6_isometry_extension():
         sub = EmbeddedSublattice(k3, [e[0], e[1]])
         comp = orthogonal_complement(sub)
         assert comp.rank == 20
-        g_rows = k3.gram_rows()
+        g_rows = k3.gram
         for _ in range(50):
             word = ((1, 0), (0, 1))
             for _ in range(rng.randint(1, 8)):
                 word = mat_mul2(word, rng.choice((swap, refl)))
             g = IsometryMap(GramLattice(2, u_gram), word)
             ext = extend_by_identity(g, sub)
-            m = ext.matrix_rows()
+            m = ext.matrix
             # preserves the K3 Gram exactly
             mt = [[m[i][j] for i in range(22)] for j in range(22)]
             prod = [[sum(mt[i][k] * g_rows[k][j] for k in range(22)) for j in range(22)] for i in range(22)]
             full = [[sum(prod[i][k] * m[k][j] for k in range(22)) for j in range(22)] for i in range(22)]
-            assert full == g_rows
+            assert full == [list(r) for r in g_rows]
             # fixes the complement basis pointwise
             for col in comp.columns:
                 assert tuple(ext.apply(col)) == col

@@ -1,4 +1,5 @@
-"""The package surface: one export rule, and README's examples kept runnable."""
+"""The package surface: one export rule, integers only at every numeric
+entry, and README's examples kept runnable."""
 
 import ast
 import contextlib
@@ -6,6 +7,8 @@ import io
 import re
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import k3lattice
 from k3lattice import catalog, elliptic, embeddings, k3, lattices, qform
@@ -97,6 +100,23 @@ def _is_print(stmt) -> bool:
         and isinstance(stmt.value.func, ast.Name)
         and stmt.value.func.id == "print"
     )
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (qform.SearchLimits, 2.5),  # would fail inside range
+        (qform.SearchLimits, True),  # would run as a bound of 1
+        (lambda h: qform.enumerate_primitive_zeros(qform.DiagonalTernaryForm(1, 1, -2), h), True),
+        (lambda h: qform.enumerate_primitive_zeros(qform.DiagonalTernaryForm(1, 1, -2), h), 2.5),
+        (elliptic.section_intersection_from_height, 8.0),  # would return the float 2.0
+        (lambda c: elliptic.pencil_class_from_sections(c, -2, 2), -2.0),
+        (lambda c: elliptic.pencil_class_from_sections(-2, c, 2), -2.0),
+    ],
+)
+def test_numeric_library_arguments_are_exact_ints(call, bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        call(bad)
 
 
 def test_readme_python_blocks_run_and_print_what_they_say():

@@ -410,8 +410,8 @@ def test_normal_basis_is_the_closure_of_the_plane():
         crosses = [(0, n2, -n1), (-n2, 0, n0), (n1, -n0, 0)]
         pair = next(p for p in combinations(crosses, 2) if catalog._plane_normal(*p) is not None)
         closed = primitive_closure(EmbeddedSublattice(ambient, pair))
-        want = matrices.det(induced_gram(closed).gram_rows())
-        assert matrices.det(induced_gram(sub).gram_rows()) == want, normal
+        want = matrices.det(induced_gram(closed).gram)
+        assert matrices.det(induced_gram(sub).gram) == want, normal
         checked += 1
     assert checked == 4034
 

@@ -158,7 +158,7 @@ def test_extend_by_identity_across_k3():
     sub = EmbeddedSublattice(k3, [_e(22, 0), _e(22, 1)])
     g = IsometryMap(u, [[0, 1], [1, 0]])
     ext = extend_by_identity(g, sub)
-    rows = ext.matrix_rows()
+    rows = ext.matrix
     # swaps the first two coordinates, fixes the remaining twenty
     assert ext.apply(_e(22, 0)) == _e(22, 1)
     assert ext.apply(_e(22, 1)) == _e(22, 0)
@@ -175,14 +175,14 @@ def test_extend_minus_one_on_a_root_is_its_reflection():
     # reflection x -> x + (x.r) r; checked for the 16 simple roots e_6..e_21
     # of the two E8(-1) blocks of the K3 lattice
     k3 = standard_lattice("K3")
-    gram = k3.gram_rows()
+    gram = k3.gram
     minus_one = IsometryMap(GramLattice(1, ((-2,),)), [[-1]])
     for i in range(6, 22):
         r = _e(22, i)
         gr = [sum(gram[j][k] * r[k] for k in range(22)) for j in range(22)]
-        reflection = [[int(a == b) + r[a] * gr[b] for b in range(22)] for a in range(22)]
+        reflection = tuple(tuple(int(a == b) + r[a] * gr[b] for b in range(22)) for a in range(22))
         ext = extend_by_identity(minus_one, EmbeddedSublattice(k3, [r]))
-        assert ext.matrix_rows() == reflection, i
+        assert ext.matrix == reflection, i
 
 
 def test_extend_minus_one_on_minus8():
@@ -191,7 +191,7 @@ def test_extend_minus_one_on_minus8():
     minus_one = IsometryMap(GramLattice(1, ((-8,),)), [[-1]])
     amb = direct_sum(standard_lattice("U"), GramLattice(1, ((-8,),)))
     ext = extend_by_identity(minus_one, EmbeddedSublattice(amb, [[0, 0, 1]]))
-    assert ext.matrix_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    assert ext.matrix == ((1, 0, 0), (0, 1, 0), (0, 0, -1))
     # inside the unimodular K3 lattice the complement of family 3's <-8>
     # vector glues to it along Z/8, where -1 is not the identity
     sub = EmbeddedSublattice(standard_lattice("K3"), [family(3).generators[2]])

@@ -229,6 +229,24 @@ def test_revalidate_report_accepts_honest_and_rejects_tampered():
     assert not revalidate_report(data, bad)
 
 
+def test_revalidate_report_refuses_a_report_on_another_lattice():
+    data = PicardData(_diag(4, -4, -4))
+    report = classify(data)
+    assert (report.rank, report.det, tuple(report.signature)) == (3, 64, (1, 2, 0))
+    for other in (
+        _diag(1, -1, -999),  # another det
+        _diag(2, -2, -2, -2, -2, -2, -2),  # another rank
+        _diag(1, 1),  # another signature
+        _diag(-4, 4, -4),  # the same rank, det and signature on another Gram
+    ):
+        forged = dataclasses.replace(report, lattice=other)
+        assert not revalidate_report(data, forged), other
+    # rank, det and signature are read from the lattice, so no copy can disagree
+    for name in ("rank", "det", "signature"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, **{name: 1})
+
+
 def test_revalidate_report_rederives_aut_from_the_checked_sub_verdicts():
     # Aut of U is finite; a PROVEN INFINITE entry on U's honest sub-verdicts
     # must not pass, since the rank rules derive FINITE from them
@@ -317,7 +335,7 @@ def test_picard_from_json():
     amb = lattice_to_json(standard_lattice("K3"))
     sub = {"ambient": amb, "basis": [[1] + [0] * 21, [0, 1] + [0] * 20]}
     data = picard_from_json({"lattice": sub})
-    assert data.lattice.gram_rows() == [[0, 1], [1, 0]]
+    assert data.lattice.gram == ((0, 1), (1, 0))
     with pytest.raises(ValueError):
         picard_from_json({"known_minus2_classes": []})
     with pytest.raises(ValueError):

@@ -122,8 +122,8 @@ def test_inertia_on_degenerate_and_large_matrices():
     assert matrices.inertia([]) == (0, 0, 0)
     assert matrices.inertia([[0] * 3 for _ in range(3)]) == (0, 0, 3)
     assert matrices.inertia(u_plus_u) == (2, 2, 0)
-    assert matrices.inertia(standard_lattice("K3").gram_rows()) == (3, 19, 0)
-    assert matrices.inertia(standard_lattice("E8_neg").gram_rows()) == (0, 8, 0)
+    assert matrices.inertia(standard_lattice("K3").gram) == (3, 19, 0)
+    assert matrices.inertia(standard_lattice("E8_neg").gram) == (0, 8, 0)
 
 
 def test_smith_normal_form_properties():

@@ -1,5 +1,5 @@
 import random
-from math import gcd, prod
+from math import prod
 
 import pytest
 
@@ -12,7 +12,6 @@ from k3lattice.ntheory import (
     is_square,
     sqrt_exact,
     squarefree_split,
-    vec_gcd,
 )
 
 from oracles import is_prime_trial
@@ -81,29 +80,6 @@ def test_squarefree_split():
             # squarefree: no prime appears twice
             assert all(e == 1 for e in factorize(s).values())
             assert f >= 1
-
-
-def test_vec_gcd():
-    assert vec_gcd([]) == 0
-    assert vec_gcd([0, 0]) == 0
-    assert vec_gcd([4, -6]) == 2
-    assert vec_gcd([5]) == 5
-    assert vec_gcd([-5]) == 5
-    assert vec_gcd(x for x in (12, -18, 30)) == 6
-    assert vec_gcd(iter(())) == 0
-
-    def fold(values):
-        g = 0
-        for v in values:
-            g = gcd(g, v)
-        return g
-
-    rng = random.Random(7)
-    for _ in range(2000):
-        values = [
-            rng.choice((0, rng.randint(-60, 60), rng.randint(-(10**20), 10**20))) for _ in range(rng.randint(0, 6))
-        ]
-        assert vec_gcd(values) == vec_gcd(iter(values)) == fold(values), values
 
 
 def test_primality_matches_trial_division_below_1e5():
