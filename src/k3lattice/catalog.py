@@ -349,8 +349,7 @@ def certify_family(spec: FamilySpec) -> K3Report:
     primitivity, run the predicates at the default search limits, and compare
     against the expected table.
     Any PROVEN disagreement raises CatalogMismatch naming the family."""
-    ambient = standard_lattice("K3")
-    sub = EmbeddedSublattice(ambient, spec.generators)
+    sub = EmbeddedSublattice(standard_lattice("K3"), spec.generators)
     lattice = induced_gram(sub)
     if lattice.gram != spec.target_gram:
         raise CatalogMismatch(
@@ -422,63 +421,58 @@ def _shell(h: int, dim: int) -> list[tuple[int, ...]]:
     return [(x,) + t for x in side for t in (cube if abs(x) == h else inner)]
 
 
-def _plane_normal(u, w) -> tuple[int, int, int] | None:
-    """Primitive, sign-normalized normal of the rational plane span(u, w) in Q^3,
-    or None when w is parallel to u."""
-    n0, n1, n2 = u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]
-    g = gcd(n0, n1, n2)
-    if g == 0:
-        return None
-    if n0 < 0 or (n0 == 0 and (n1 < 0 or (n1 == 0 and n2 < 0))):
-        g = -g
-    return n0 // g, n1 // g, n2 // g
+def _plane_key(u, i, w) -> tuple[int, int] | None:
+    """For u[i] = +-1: the entries other than i of w - (w[i] u[i]) u, primitive and first nonzero
+    one positive; None when w is parallel to u. It names span(u, w), and with 0 put back at i it
+    is a v with Zu + Zv the plane's primitive closure, since Z^3 = Zu + {x : x[i] = 0}."""
+    s = w[i] * u[i]
+    j, k = (1, 2) if i == 0 else (0, 3 - i)
+    a, b = w[j] - s * u[j], w[k] - s * u[k]
+    g = gcd(a, b) if a > 0 or (a == 0 and b >= 0) else -gcd(a, b)
+    return (a // g, b // g) if g else None
 
 
 def theorem3_example(height_bound: int = 10) -> Theorem3Example:
     """Search rank-2 primitive hyperbolic sublattices of U + A1(-1) for one
     whose form is certified to represent neither 0 nor -2, walking the shells
     max|w_i| = h in lexicographic order and testing each rational plane
-    span(u, w) once, looked up by its normal before anything is paired. A new
-    plane is retired at once if its discriminant is <= 0 or a square (this
-    covers w.w == 0) or if w.w == -2 (its closure holds w, so no sound -2
-    decider says NO). Every other plane has a nonsquare discriminant, so it
-    represents no 0 and only -2 is decided: on the basis read off the Smith
-    form of its normal, where YES retires it, then on the closure of (u, w),
-    where NO returns it and YES retires it. UNDECIDED retires nothing (it may
-    depend on the basis), and 0 is decided only on the returned plane. The
-    ambient lattice is even, so DIVISIBILITY or the reduced cycle settles -2
-    and no search bound can act."""
+    span(u, w) once, looked up by its _plane_key (per u) before w is paired.
+    A new plane is retired at once if the form of its closure basis (u, v) has
+    a discriminant <= 0 or a square one (this covers w.w == 0), or if w.w == -2
+    (its closure holds w, so no sound -2 decider says NO). Every other plane
+    represents no 0, and only -2 is decided: on (u, v), where YES retires it,
+    then on the closure of (u, w), where NO returns it and YES retires it.
+    UNDECIDED retires nothing (it may depend on the basis), and 0 is decided
+    only on the returned plane. The ambient lattice is even, so DIVISIBILITY
+    or the reduced cycle settles -2 and no search bound can act."""
     if exact_int(height_bound) < 0:
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-    # primitive u with max |u_i| <= 2 and first nonzero entry positive, by height
+    # primitive u with max |u_i| <= 2 (so some u_i = +-1) and first nonzero entry positive, by height
     pool = [
         u
         for h in (1, 2)
         for u in _shell(h, 3)
         if gcd(*u) == 1 and next(x for x in u if x) > 0 and ambient.square(u) not in (0, -2)
     ]
-    settled: set = set()
     for u in pool:
         uu = ambient.square(u)
+        gu = [sum(map(mul, row, u)) for row in ambient.gram]
+        i = next(k for k, x in enumerate(u) if x in (1, -1))
+        settled: set = set()
         for shell in range(1, height_bound + 1):
             for w in _shell(shell, 3):
-                normal = _plane_normal(u, w)
-                if normal is None or normal in settled:
+                key = _plane_key(u, i, w)
+                if key is None or key in settled:
                     continue
-                ww = ambient.square(w)
-                uw = ambient.pairing(u, w)
-                disc = 4 * (uw * uw - uu * ww)
-                if disc <= 0 or is_square(disc) or ww == -2:
-                    settled.add(normal)
+                v = key[:i] + (0,) + key[i:]
+                uv, vv = sum(map(mul, gu, v)), ambient.square(v)
+                disc = 4 * (uv * uv - uu * vv)
+                if disc <= 0 or is_square(disc) or ambient.square(w) == -2:
+                    settled.add(key)
                     continue
-                # columns 1, 2 of V span {x : normal.x = 0}, the closure of span(u, w)
-                v = matrices.smith_normal_form([list(normal)]).v
-                x, y = ([row[j] for row in v] for j in (1, 2))
-                gx, gy = ([sum(map(mul, row, s)) for row in ambient.gram] for s in (x, y))
-                q = BinaryForm(sum(map(mul, x, gx)), 2 * sum(map(mul, x, gy)), sum(map(mul, y, gy)))
-                if qform.binary_represents(q, -2).kind == "YES":
-                    settled.add(normal)
+                if qform.binary_represents(BinaryForm(uu, 2 * uv, vv), -2).kind == "YES":
+                    settled.add(key)
                     continue
                 closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))
                 lat = induced_gram(closed)
@@ -493,7 +487,7 @@ def theorem3_example(height_bound: int = 10) -> Theorem3Example:
                         height_bound=height_bound,
                     )
                 if minus2.kind == "YES":
-                    settled.add(normal)
+                    settled.add(key)
     raise SearchExhausted(
         f"no double-NO primitive plane found with coordinate height <= {height_bound}",
         height_bound,

@@ -18,6 +18,7 @@ verification).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -208,6 +209,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+@functools.cache  # rebuilding the argparse tree costs more than most commands; parse_args does not change it
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json", help="output format")
@@ -276,9 +278,14 @@ def main(argv=None) -> int:
     except (CliError, ValueError, catalog.CatalogMismatch) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
-    # a witness can have more digits than Python 3.11+ converts to str by default
-    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
-    sys.stdout.write(render(out, args.format))
+    # a witness can have more digits than Python 3.11+ converts to str by default: lift the limit to render only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        sys.stdout.write(render(out, args.format))
+    finally:
+        set_limit(limit)
     return code
 
 

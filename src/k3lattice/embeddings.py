@@ -74,17 +74,16 @@ class IsometryMap:
 
 
 def induced_gram(sub: EmbeddedSublattice) -> GramLattice:
-    """The pairing restricted to the sublattice basis: B^T G B."""
-    b = sub.basis_matrix()
-    g = sub.ambient.gram
-    ind = matrices.mat_mul(matrices.mat_mul(matrices.transpose(b), g), b)
-    return GramLattice(sub.rank, ind)
+    """The pairing restricted to the sublattice basis: B^T G B on the support of B."""
+    support = [i for i in range(sub.ambient.rank) if any(c[i] for c in sub.columns)]
+    b = [[c[i] for c in sub.columns] for i in support]
+    g = [[sub.ambient.gram[i][j] for j in support] for i in support]
+    return GramLattice(sub.rank, matrices.mat_mul(matrices.mat_mul(matrices.transpose(b), g), b))
 
 
 def is_primitive(sub: EmbeddedSublattice) -> bool:
-    """True iff the sublattice equals its rational saturation."""
-    snf = smith_normal_form(sub.basis_matrix())
-    return all(f == 1 for f in snf.invariant_factors())
+    """True iff the sublattice equals its rational saturation (zero rows of B change no invariant factor)."""
+    return all(f == 1 for f in smith_normal_form([r for r in sub.basis_matrix() if any(r)]).invariant_factors())
 
 
 def primitive_closure(sub: EmbeddedSublattice) -> EmbeddedSublattice:

@@ -735,11 +735,11 @@ def enumerate_primitive_zeros(q: DiagonalTernaryForm, height: int) -> list[tuple
     if exact_int(height) < 0:
         raise ValueError("height must be nonnegative")
     found: set[tuple[int, int, int]] = set()
-    box = range(-height, height + 1)
-    # z >= 0 loses nothing: (x, y, -z) is the negation of (-x, -y, z)
+    box = range(height + 1)
+    # x, y, z >= 0 and all sign flips: a diagonal form's zeros are closed under each
     for x, y, z in _exact_roots(q.d1, q.d2, q.d3, 0, box, lambda x: box):
         if z <= height and gcd(x, y, z) == 1:
-            found.add(_canonical_sign((x, y, z)))
+            found.update(_canonical_sign((sx, sy, z)) for sx in (x, -x) for sy in (y, -y))
     return sorted(found)
 
 

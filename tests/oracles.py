@@ -296,6 +296,27 @@ def ternary_zero_witness(d1: int, d2: int, d3: int, box: int):
     return None
 
 
+def primitive_zeros_reference(d1: int, d2: int, d3: int, height: int):
+    """Every primitive zero of d1 x^2 + d2 y^2 + d3 z^2 in the full box
+    max |x_i| <= height, first nonzero entry positive, sorted. Each (x, y)
+    of the box is matched against a table of d3 z^2 over every z of the box."""
+    box = range(-height, height + 1)
+    zs: dict[int, list[int]] = {}
+    for z in box:
+        zs.setdefault(d3 * z * z, []).append(z)
+    out = set()
+    for x in box:
+        for y in box:
+            for z in zs.get(-(d1 * x * x + d2 * y * y), ()):
+                v = (x, y, z)
+                if gcd(gcd(x, y), z) != 1:
+                    continue
+                if next(c for c in v if c) < 0:
+                    v = (-x, -y, -z)
+                out.add(v)
+    return sorted(out)
+
+
 def ternary_witness(d1: int, d2: int, d3: int, t: int, box: int):
     """Witness of d1 x^2 + d2 y^2 + d3 z^2 = t with 0 <= coords <= box."""
     for x in range(box + 1):

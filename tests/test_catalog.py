@@ -3,7 +3,8 @@ example, and the aggregate verification table."""
 
 import dataclasses
 import random
-from itertools import combinations, product
+from collections import Counter
+from itertools import product
 from math import gcd
 
 import pytest
@@ -367,90 +368,119 @@ def test_shell_matches_filtered_cube():
             assert list(catalog._shell(h, dim)) == [v for v in cube if max(abs(x) for x in v) == h], (dim, h)
 
 
-def test_plane_normal_matches_oracle():
-    def direction(v):
-        # the primitive vector on the line of v, up to sign; None for v = 0
-        g = gcd(*v)
-        return None if g == 0 else tuple(x // g for x in v)
-
-    box = list(product(range(-3, 4), repeat=3))
-    for u in box:
-        du = direction(u)
-        for w in box:
-            normal = catalog._plane_normal(u, w)
-            assert normal == plane_normal_reference(u, w), (u, w)
-            dw = direction(w)
-            parallel = du is None or dw is None or dw in (du, tuple(-x for x in du))
-            assert (normal is None) == parallel, (u, w)
-            if normal is None:
-                continue
-            assert gcd(*normal) == 1 and next(x for x in normal if x) > 0, (u, w)
-            assert catalog._plane_normal(u, tuple(-x for x in w)) == normal, (u, w)
-            for k in (-2, -1, 1, 2):
-                assert catalog._plane_normal(u, tuple(x + k * y for x, y in zip(w, u))) == normal, (u, w, k)
-
-
-def test_normal_basis_is_the_closure_of_the_plane():
-    # theorem3_example decides a plane on columns 1 and 2 of V from the Smith
-    # form of its 1 x 3 normal; they must span the same lattice as the
-    # primitive closure of any pair that spans the plane.
+def _theorem3_ambient_and_pool():
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+    box = [u for u in product(range(-2, 3), repeat=3) if gcd(*u) == 1 and next(x for x in u if x) > 0]
+    return ambient, [u for u in box if ambient.square(u) not in (0, -2)]
+
+
+def test_plane_key_names_the_plane_of_its_normal():
+    # for every pool u and every unit entry i of u, two vectors w get the
+    # same key exactly when the oracle gives span(u, w) the same normal, and
+    # the key is None exactly when w is parallel to u
+    _, pool = _theorem3_ambient_and_pool()
+    box = list(product(range(-4, 5), repeat=3))
     checked = 0
-    for normal in product(range(-8, 9), repeat=3):
-        if gcd(*normal) != 1:
-            continue
-        v = matrices.smith_normal_form([list(normal)]).v
-        basis = [[row[j] for row in v] for j in (1, 2)]
-        for b in basis:
-            assert sum(x * y for x, y in zip(normal, b)) == 0, (normal, b)
-        sub = EmbeddedSublattice(ambient, basis)
-        assert is_primitive(sub), normal
-        # the cross products normal x e_i lie in the plane; two of them span it
-        n0, n1, n2 = normal
-        crosses = [(0, n2, -n1), (-n2, 0, n0), (n1, -n0, 0)]
-        pair = next(p for p in combinations(crosses, 2) if catalog._plane_normal(*p) is not None)
-        closed = primitive_closure(EmbeddedSublattice(ambient, pair))
-        want = matrices.det(induced_gram(closed).gram)
-        assert matrices.det(induced_gram(sub).gram) == want, normal
-        checked += 1
-    assert checked == 4034
+    for u in pool:
+        for i in (k for k, x in enumerate(u) if x in (1, -1)):
+            normal_of, key_of = {}, {}
+            for w in box:
+                key = catalog._plane_key(u, i, w)
+                normal = plane_normal_reference(u, w)
+                assert (key is None) == (normal is None), (u, i, w)
+                if key is None:
+                    continue
+                assert gcd(*key) == 1 and next(x for x in key if x) > 0, (u, i, w)
+                assert normal_of.setdefault(key, normal) == normal, (u, i, w)
+                assert key_of.setdefault(normal, key) == key, (u, i, w)
+            checked += len(key_of)
+    assert checked == 4208
 
 
-def test_theorem3_closes_each_plane_once(monkeypatch):
+def test_plane_key_basis_is_the_closure_of_the_plane():
+    # theorem3_example decides a plane on (u, v), v the key with 0 put back
+    # at i: the pair is primitive, lies in span(u, w), and has the Gram
+    # determinant of the primitive closure of (u, w)
+    ambient, pool = _theorem3_ambient_and_pool()
+    checked = 0
+    for u in pool:
+        i = next(k for k, x in enumerate(u) if x in (1, -1))
+        for w in product(range(-2, 3), repeat=3):
+            key = catalog._plane_key(u, i, w)
+            if key is None:
+                continue
+            v = key[:i] + (0,) + key[i:]
+            assert sum(a * b for a, b in zip(plane_normal_reference(u, w), v)) == 0, (u, w)
+            sub = EmbeddedSublattice(ambient, [u, v])
+            assert is_primitive(sub), (u, w)
+            closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))
+            want = matrices.det(induced_gram(closed).gram)
+            assert matrices.det(induced_gram(sub).gram) == want, (u, w)
+            checked += 1
+    assert checked == 4264
+
+
+def test_theorem3_decides_each_plane_once_on_its_closure_basis(monkeypatch):
     # Up to and including the default hit, u = (1, -1, -1) meets 140 rational
     # planes over 2,200 vectors w: 77 are not hyperbolic, 6 are rationally
     # isotropic and 3 are first seen through a w of square -2, so 54 are
-    # decided, each once on the Smith-form basis of its normal. Only the
-    # returned plane is closed, and only there is 0 decided.
-    closures, normals, zero_calls = [], [], [0]
+    # decided for -2, each once on the form of its basis (u, v). Only the
+    # returned plane is closed and decided again, and only there is 0 decided.
+    # No Smith form of a plane normal is taken.
+    u = (1, -1, -1)
+    ambient, _ = _theorem3_ambient_and_pool()
+    closures, keys, forms, snfs, zero_calls = [], set(), [], [], [0]
+    real_key = catalog._plane_key
     real_closure = catalog.primitive_closure
+    real_represents = qform.binary_represents
     real_snf = matrices.smith_normal_form
     real_zero = qform.binary_represents_zero
+
+    def recording_key(u_, i, w):
+        key = real_key(u_, i, w)
+        if u_ == u and key is not None:
+            keys.add((i, key))
+        return key
 
     def counting_closure(sub):
         closures.append(sub.columns)
         return real_closure(sub)
 
+    def counting_represents(q, t, limits=None):
+        forms.append((q, t))
+        return real_represents(q, t, limits)
+
     def counting_snf(m):
-        normals.append(tuple(map(tuple, m)))
+        snfs.append((len(m), len(m[0])))
         return real_snf(m)
 
     def counting_zero(q):
         zero_calls[0] += 1
         return real_zero(q)
 
+    monkeypatch.setattr(catalog, "_plane_key", recording_key)
     monkeypatch.setattr(catalog, "primitive_closure", counting_closure)
+    monkeypatch.setattr(qform, "binary_represents", counting_represents)
     monkeypatch.setattr(matrices, "smith_normal_form", counting_snf)
     monkeypatch.setattr(qform, "binary_represents_zero", counting_zero)
-    theorem3_example()
+    ex = theorem3_example()
     assert closures == [((1, -1, -1), (-7, -7, -4))]
-    assert len(normals) == 54 and len(set(normals)) == 54
-    assert all(len(m) == 1 and len(m[0]) == 3 for m in normals)
+    assert len(forms) == 55 and all(t == -2 for _, t in forms)
+    assert len(keys) == 140
+    # the 54 forms are those of (u, v) for as many distinct planes
+    plane_forms = Counter()
+    for i, key in keys:
+        v = key[:i] + (0,) + key[i:]
+        plane_forms[BinaryForm(ambient.square(u), 2 * ambient.pairing(u, v), ambient.square(v))] += 1
+    basis_forms = Counter(q for q, _ in forms[:54])
+    assert basis_forms <= plane_forms
+    assert forms[54][0] == lattice_form(GramLattice(2, ex.gram))
+    assert snfs == []  # the one closure's 3 x 2 Smith form is embeddings' own
     assert zero_calls[0] == 1  # on the returned closure only
 
 
 def test_theorem3_pairs_nothing_on_a_seen_plane(monkeypatch):
-    # a seen plane is looked up by its normal before w is squared or paired
+    # a seen plane is looked up by its key before w is squared or paired
     calls = [0]
     real = GramLattice.pairing
 
@@ -475,7 +505,7 @@ def test_theorem3_minus2_retirement_premise():
         uu = ambient.square(u)
         seen = set()
         for w in roots:
-            normal = catalog._plane_normal(u, w)
+            normal = plane_normal_reference(u, w)
             if normal is None or normal in seen:
                 continue
             uw = ambient.pairing(u, w)

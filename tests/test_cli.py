@@ -1,6 +1,7 @@
 """Command-line interface: output shape, exit codes, flag handling."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,11 +77,32 @@ def test_qform_represents_yes_no_undecided(capsys):
 
 
 def test_qform_represents_prints_witnesses_past_the_int_str_limit(capsys):
-    # the witness has more digits than Python 3.11+ converts to str by default
+    # the witness has more digits than Python 3.11+ converts to str by
+    # default; main lifts that limit only while it renders, so reading the
+    # output back lifts it too
     code, out, err = run(capsys, "qform", "represents", '{"binary": [53745, -67465, -20478]}', "--t", "-2")
     assert code == EXIT_OK and err == ""
-    x, y = json.loads(out)["verdict"]["witness"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        x, y = json.loads(out)["verdict"]["witness"]
+    finally:
+        set_limit(limit)
     assert 53745 * x * x - 67465 * x * y - 20478 * y * y == -2
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python 3.10 has no int-str limit")
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_main_restores_the_int_str_limit(capsys, limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, _, _ = run(capsys, "qform", "represents", '{"binary": [53745, -67465, -20478]}', "--t", "-2")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_k3_classify(capsys):
@@ -151,6 +173,18 @@ def test_paper_verify_matches_golden_output(capsys, fmt, golden):
     code, out, _ = run(capsys, "paper-verify", "--format", fmt)
     assert code == EXIT_OK
     assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
+def test_one_process_reuses_the_parser_across_calls(capsys):
+    # the parser is built once per process: a usage error between two
+    # paper-verify calls leaves each call's exit code and bytes unchanged
+    data = Path(__file__).parent / "data"
+    code, out, err = run(capsys, "paper-verify", "--format", "table")
+    assert (code, err) == (EXIT_OK, "") and out == (data / "paper_verify.txt").read_text()
+    code, out, err = run(capsys, "paper-verify", "--format", "xml")
+    assert code == EXIT_ERROR and out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "paper-verify", "--format", "json")
+    assert (code, err) == (EXIT_OK, "") and out == (data / "paper_verify.json").read_text()
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,40 @@ def test_is_primitive_and_closure():
     assert induced_gram(closed).gram == ((2,),)  # (e+f)/1 has square 2 after saturation
 
 
+def test_support_kernels_match_the_full_matrix_on_k3_sublattices():
+    # is_primitive and induced_gram work on the rows of B that are nonzero;
+    # here they are checked against the Smith form and B^T G B of all 22 rows
+    k3 = standard_lattice("K3")
+    g = k3.gram
+    rng = random.Random(20261019)
+    subs = [EmbeddedSublattice(k3, family(fid, 1 if fid == 1 else None).generators) for fid in range(1, 6)]
+    while len(subs) < 60:
+        support = rng.sample(range(22), rng.randint(1, 6))
+        cols = []
+        for _ in range(rng.randint(1, min(3, len(support)))):
+            col = [0] * 22
+            for i in support:
+                col[i] = rng.randint(-3, 3)
+            cols.append(col)
+        try:
+            subs.append(EmbeddedSublattice(k3, cols))
+        except ValueError:
+            continue
+    primitive = 0
+    for sub in subs:
+        b = sub.basis_matrix()
+        assert any(not any(row) for row in b)
+        full = all(f == 1 for f in smith_normal_form(b).invariant_factors())
+        assert is_primitive(sub) == full, sub.columns
+        primitive += full
+        want = tuple(
+            tuple(sum(x[i] * g[i][j] * y[j] for i in range(22) for j in range(22)) for y in sub.columns)
+            for x in sub.columns
+        )
+        assert induced_gram(sub).gram == want, sub.columns
+    assert 10 <= primitive <= len(subs) - 10
+
+
 def test_primitive_closure_keeps_rational_span():
     rng = random.Random(41)
     amb = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))

@@ -21,6 +21,7 @@ from k3lattice.qform import (
 
 from oracles import (
     legendre_certificate_reference,
+    primitive_zeros_reference,
     ternary_residue_hit_reference,
     ternary_witness,
     ternary_zero_witness,
@@ -213,34 +214,33 @@ def test_enumerate_primitive_zeros_frozen():
 
 
 def test_enumerate_primitive_zeros_against_brute_force():
-    from math import gcd
-
-    def brute(d, h):
-        out = set()
-        for x in range(-h, h + 1):
-            for y in range(-h, h + 1):
-                for z in range(-h, h + 1):
-                    if (x, y, z) == (0, 0, 0):
-                        continue
-                    if d[0] * x * x + d[1] * y * y + d[2] * z * z:
-                        continue
-                    if gcd(gcd(x, y), z) != 1:
-                        continue
-                    v = (x, y, z)
-                    for lead in v:
-                        if lead:
-                            break
-                    if lead < 0:
-                        v = (-x, -y, -z)
-                    out.add(v)
-        return sorted(out)
-
     for d in [(1, 1, -2), (4, -4, -4), (2, 3, -5), (1, -2, 2)]:
         got = enumerate_primitive_zeros(DiagonalTernaryForm(*d), 8)
-        assert got == brute(d, 8), d
+        assert got == primitive_zeros_reference(*d, 8), d
         for w in got:
             assert _value(DiagonalTernaryForm(*d), w) == 0
             assert sqrt_exact(max(abs(c) for c in w) ** 2) <= 8
+
+
+def test_enumerate_primitive_zeros_matches_the_full_box_oracle():
+    # the enumeration scans x, y >= 0 and adds the sign flips; the oracle
+    # scans the whole box
+    rng = random.Random(20261019)
+    coeffs = [c for c in range(-12, 13) if c]
+    checked = nonempty = 0
+    while checked < 300:
+        d = tuple(rng.choice(coeffs) for _ in range(3))
+        if min(d) > 0 or max(d) < 0:
+            continue
+        h = rng.randint(0, 15)
+        got = enumerate_primitive_zeros(DiagonalTernaryForm(*d), h)
+        assert got == primitive_zeros_reference(*d, h), (d, h)
+        checked += 1
+        nonempty += bool(got)
+    assert nonempty >= 50
+    got = enumerate_primitive_zeros(DiagonalTernaryForm(4, -4, -4), 30)
+    assert got == primitive_zeros_reference(4, -4, -4, 30)
+    assert len(got) >= 10  # paper-verify's family-2 check
 
 
 def test_legendre_certificates_match_the_trial_division_reference():
