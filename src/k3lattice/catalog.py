@@ -441,7 +441,9 @@ def theorem3_example(height_bound: int = 10) -> Theorem3Example:
     a discriminant <= 0 or a square one (this covers w.w == 0), or if w.w == -2
     (its closure holds w, so no sound -2 decider says NO). Every other plane
     represents no 0, and only -2 is decided: on (u, v), where YES retires it,
-    then on the closure of (u, w), where NO returns it and YES retires it.
+    then on the closure of (u, w), where NO returns it. That closure is the
+    lattice Zu + Zv, which just answered "not YES" (NO, as below), so no
+    sound decider answers YES on it.
     UNDECIDED retires nothing (it may depend on the basis), and 0 is decided
     only on the returned plane. The ambient lattice is even, so DIVISIBILITY
     or the reduced cycle settles -2 and no search bound can act."""
@@ -486,8 +488,6 @@ def theorem3_example(height_bound: int = 10) -> Theorem3Example:
                         minus2_verdict=minus2,
                         height_bound=height_bound,
                     )
-                if minus2.kind == "YES":
-                    settled.add(key)
     raise SearchExhausted(
         f"no double-NO primitive plane found with coordinate height <= {height_bound}",
         height_bound,

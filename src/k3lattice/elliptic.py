@@ -28,17 +28,14 @@ class FibrationData:
 
     rho: int
     reducible_fiber_component_counts: tuple[int, ...] = ()
-    has_section: bool = True
 
-    def __init__(self, rho, reducible_fiber_component_counts=(), has_section=True):
+    def __init__(self, rho, reducible_fiber_component_counts=()):
         rho = exact_int(rho)
         comps = tuple(map(exact_int, reducible_fiber_component_counts))
         if rho < 2:
             raise ValueError("a fibration needs Picard rank at least 2")
         if any(m < 2 for m in comps):
             raise ValueError("a reducible fiber has at least 2 components")
-        if not has_section:
-            raise ValueError("only fibrations with a section are supported")
         excess = sum(m - 1 for m in comps)
         if excess > rho - 2:
             raise ValueError(
@@ -47,7 +44,6 @@ class FibrationData:
             )
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "reducible_fiber_component_counts", comps)
-        object.__setattr__(self, "has_section", True)
 
 
 def mordell_weil_rank(data: FibrationData) -> int:
@@ -90,12 +86,14 @@ def fibration_from_json(obj) -> FibrationData:
     has_section = obj.get("has_section", True)
     if type(has_section) is not bool:
         raise ValueError(f"expected true or false, got {has_section!r}")
-    return FibrationData(obj["rho"], obj.get("reducible_fiber_component_counts", ()), has_section)
+    if not has_section:
+        raise ValueError("only fibrations with a section are supported")
+    return FibrationData(obj["rho"], obj.get("reducible_fiber_component_counts", ()))
 
 
 def fibration_to_json(data: FibrationData) -> dict:
     return {
         "rho": data.rho,
         "reducible_fiber_component_counts": list(data.reducible_fiber_component_counts),
-        "has_section": data.has_section,
+        "has_section": True,
     }

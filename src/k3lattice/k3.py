@@ -162,8 +162,8 @@ class AutReport:
     status PROVEN means the verdict follows by the rank rules below from the
     report's own has_minus2 and has_isotropic, and revalidate_report
     re-derives it from those checked verdicts; PAPER_ASSERTED entries
-    (catalog overlays) carry a citation instead. UNKNOWN verdicts have
-    status None.
+    (catalog overlays) carry a citation instead, and only where those rules
+    say UNKNOWN. UNKNOWN verdicts have status None.
     """
 
     verdict: str  # FINITE | INFINITE | UNKNOWN
@@ -263,18 +263,21 @@ def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
 
 def revalidate_report(data: PicardData, report: K3Report) -> bool:
     """Re-check a report against its input: the report's lattice is the
-    input's, witnesses evaluate correctly, certificates replay, and a PROVEN
-    aut entry is exactly what the rank rules derive from the two sub-verdicts
-    just checked."""
+    input's, witnesses evaluate correctly, certificates replay, and the aut
+    entry is exactly what the rank rules derive from the two sub-verdicts
+    just checked, or, where those rules say UNKNOWN, a PAPER_ASSERTED
+    FINITE or INFINITE with a citation."""
     if report.lattice != data.lattice:
         return False
     if not _verdict_ok(data.lattice, -2, report.has_minus2):
         return False
     if not _verdict_ok(data.lattice, 0, report.has_isotropic):
         return False
-    if report.aut.status != PROVEN:
-        return True
-    return _aut_from_verdicts(data.rank, report.has_minus2, report.has_isotropic) == report.aut
+    derived = _aut_from_verdicts(data.rank, report.has_minus2, report.has_isotropic)
+    aut = report.aut
+    if derived.verdict != UNKNOWN or aut.status != PAPER_ASSERTED:
+        return aut == derived
+    return aut.verdict in (FINITE, INFINITE) and bool(aut.citation)
 
 
 def same_positive_cone_component(data: PicardData, u, v) -> bool:

@@ -2,9 +2,9 @@
 
 Matrices are plain lists of row lists of Python ints, with fractions.Fraction
 only in rational_inverse's output, so no overflow and no rounding anywhere.
-Two eliminations do all the work: fraction-free Bareiss for det and inertia,
-and the Smith normal form, which also gives every inverse the package needs
-(from U M V = D, M^-1 = V D^-1 U).
+Two eliminations do all the work: one fraction-free symmetric Bareiss pass,
+which det and inertia both read, and the Smith normal form, which gives every
+inverse the package needs (from U M V = D, M^-1 = V D^-1 U).
 """
 
 from __future__ import annotations
@@ -66,31 +66,8 @@ def is_symmetric(m) -> bool:
 
 
 def det(m) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by Bareiss: prev divides the cross product
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Determinant of a symmetric matrix; det([]) is 1."""
+    return _symmetric_bareiss(m)[3]
 
 
 def rational_inverse(m) -> list[list[Fraction]]:
@@ -100,24 +77,33 @@ def rational_inverse(m) -> list[list[Fraction]]:
 
 
 def unimodular_inverse(m) -> Matrix:
-    """Integer inverse of a matrix with determinant +-1."""
-    if det(m) not in (1, -1):
+    """Integer inverse of a square matrix whose Smith diagonal is all ones."""
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("inverse requires a square matrix")
+    snf = smith_normal_form(m)
+    if any(x != 1 for x in snf.diagonal()):
         raise ValueError("matrix is not unimodular")
-    v, _, u = _inverse_factors(m)
-    return mat_mul(v, u)
+    return mat_mul(snf.v, snf.u)
 
 
 def inertia(m) -> tuple[int, int, int]:
-    """(positive, negative, zero) counts of a symmetric matrix.
+    """(positive, negative, zero) counts of a symmetric matrix."""
+    return _symmetric_bareiss(m)[:3]
+
+
+def _symmetric_bareiss(m) -> tuple[int, int, int, int]:
+    """(positive, negative, zero, det) of a symmetric matrix.
 
     Congruence diagonalization by fraction-free symmetric Bareiss
     elimination: the working block is always the last pivot prev times the
     true Schur complement, so each true pivot has the sign of piv / prev and
-    every update divides exactly. Integers only.
+    every update divides exactly. The swaps and the row/column addition are
+    congruences of determinant +-1, so the last pivot is the determinant,
+    unless a zero row was dropped. Integers only.
     """
     n = len(m)
     if not is_symmetric(m):
-        raise ValueError("inertia requires a symmetric matrix")
+        raise ValueError("Bareiss elimination requires a symmetric matrix")
     a = copy_matrix(m)
     pos = neg = zero = 0
     prev = 1
@@ -151,7 +137,7 @@ def inertia(m) -> tuple[int, int, int]:
                 # exact by Bareiss: prev divides the cross product
                 row[j] = (piv * row[j] - f * pivot_row[j]) // prev
         prev = piv
-    return pos, neg, zero
+    return pos, neg, zero, 0 if zero else prev
 
 
 @dataclass

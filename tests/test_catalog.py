@@ -23,7 +23,7 @@ from k3lattice.catalog import (
     theorem3_to_json,
 )
 from k3lattice.embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
-from k3lattice.k3 import PicardData, lattice_form, revalidate_report
+from k3lattice.k3 import AutReport, PicardData, classify, lattice_form, revalidate_report
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.ntheory import is_square
 from k3lattice.qform import BinaryForm, RepresentationVerdict, SearchLimits, verify_certificate
@@ -262,6 +262,31 @@ def test_certified_families_revalidate():
         report = certify_family(spec)
         sub = EmbeddedSublattice(K3, spec.generators)
         assert revalidate_report(PicardData(induced_gram(sub)), report), spec.label
+
+
+def test_revalidate_report_refuses_forged_aut_entries():
+    # an aut entry is what the rank rules derive from the checked verdicts, or,
+    # only where they say UNKNOWN, a PAPER_ASSERTED verdict with a citation
+    reports = {}
+    for fid, n in [(1, 5), (2, None), (3, None), (4, None), (5, None)]:
+        spec = family(fid, n)
+        reports[fid] = report = certify_family(spec)
+        assert revalidate_report(PicardData(GramLattice(3, spec.target_gram)), report), spec.label
+    data = PicardData(GramLattice(3, family(3).target_gram))
+    asserted = reports[3]
+    assert asserted.aut.status == "PAPER_ASSERTED"
+    for forged in (
+        AutReport("FINITE", None, "trust me"),  # a verdict with no provenance
+        dataclasses.replace(asserted.aut, citation=None),  # PAPER_ASSERTED with no citation
+        dataclasses.replace(asserted.aut, verdict="UNKNOWN"),  # an assertion of nothing
+    ):
+        assert not revalidate_report(data, dataclasses.replace(asserted, aut=forged)), forged
+    # a citation cannot replace what the rank rules prove
+    data = PicardData(GramLattice(2, ((2, 0), (0, -16))))
+    report = classify(data)
+    assert (report.aut.verdict, report.aut.status) == ("INFINITE", "PROVEN")
+    forged = AutReport("FINITE", "PAPER_ASSERTED", "asserted", "anyone")
+    assert not revalidate_report(data, dataclasses.replace(report, aut=forged))
 
 
 def test_corrupted_family_spec_raises():

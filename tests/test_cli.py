@@ -187,11 +187,24 @@ def test_one_process_reuses_the_parser_across_calls(capsys):
     assert (code, err) == (EXIT_OK, "") and out == (data / "paper_verify.json").read_text()
 
 
+def _k3_vector(entries):
+    return [entries.get(i, 0) for i in range(22)]
+
+
+_K3_SUBLATTICE = json.dumps(
+    {"ambient": {"name": "K3"}, "basis": [_k3_vector({0: 1, 1: 3}), _k3_vector({6: 1}), _k3_vector({14: 1})]}
+)
+
+
 @pytest.mark.parametrize(
     "args, golden",
     [
         (("lattice", "info", '{"name": "K3"}'), "lattice_info_k3.json"),
         (("lattice", "disc-group", '{"sum": [{"name": "U"}, {"gram": [[-8]]}]}'), "disc_group_u_m8.json"),
+        # a zero row and column: det 0, signature [1, 1, 1]
+        (("lattice", "info", '{"gram": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}'), "lattice_info_degenerate.json"),
+        # a primitive K3 sublattice: e1 + 3 e2 and the first simple root of each E8(-1) block
+        (("lattice", "info", _K3_SUBLATTICE, "--format", "table"), "lattice_info_k3_sublattice.txt"),
     ],
 )
 def test_lattice_commands_match_golden_output(capsys, args, golden):
@@ -307,6 +320,20 @@ def test_json_of_the_wrong_type_is_an_input_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ("[1, 2, 3]", "form JSON must be an object"),
+        ('{"binary": [1, 2]}', 'form JSON "binary" needs exactly 3 integers'),
+        ('{"ternary": [1, 2, 3]}', 'form JSON needs one of "binary", "diag", "unary"'),
+    ],
+)
+def test_form_json_refusals_exit_1_with_their_message(capsys, form, message):
+    code, out, err = run(capsys, "qform", "represents", form, "--t", "2")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ def test_fibration_validation():
         FibrationData(5, [1])  # a reducible fiber has >= 2 components
     with pytest.raises(ValueError):
         FibrationData(3, [2, 2])  # components exceed rho - 2
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # every fibration has a section; there is no flag
         FibrationData(3, has_section=False)
     data = FibrationData(5, [2, 3])
     assert data.reducible_fiber_component_counts == (2, 3)

@@ -233,6 +233,14 @@ def test_extend_minus_one_on_minus8():
         extend_by_identity(minus_one, sub)
 
 
+def test_extend_by_identity_refuses_a_degenerate_sublattice():
+    # e1 in U is isotropic: it lies in its own complement, so [B | C] is
+    # singular, and the refusal must be a ValueError, never a division by 0
+    sub = EmbeddedSublattice(standard_lattice("U"), [[1, 0]])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        extend_by_identity(IsometryMap(GramLattice(1, ((0,),)), [[-1]]), sub)
+
+
 def test_sublattice_json_roundtrip():
     k3 = standard_lattice("K3")
     sub = EmbeddedSublattice(k3, [_e(22, 0), _e(22, 1)])

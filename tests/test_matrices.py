@@ -7,6 +7,7 @@ from k3lattice import matrices
 from k3lattice.lattices import standard_lattice
 from oracles import (
     det_cofactor,
+    det_subset_dp,
     random_matrix,
     random_symmetric,
     random_unimodular,
@@ -17,11 +18,32 @@ from oracles import (
 
 
 def test_det_matches_cofactor_oracle():
+    # det reads the symmetric Bareiss pass, so its inputs are symmetric; zero
+    # diagonals run the swap and row/column-addition branches, repeated rows
+    # the zero-row exit
     rng = random.Random(101)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n, -7, 7)
-        assert matrices.det(m) == det_cofactor(m)
+    singular = zero_diagonal = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        m = random_symmetric(rng, n, -7, 7)
+        shape = rng.randrange(3)
+        if shape == 1:
+            for i in range(n):
+                m[i][i] = 0
+        elif shape == 2 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            m[j] = list(m[i])
+            for row in m:
+                row[j] = row[i]
+        want = det_cofactor(m)
+        assert matrices.det(m) == want, m
+        singular += want == 0
+        zero_diagonal += any(m[i][i] == 0 for i in range(n))
+    assert singular > 100 and zero_diagonal > 200
+    for bad in ([[1, 2], [3, 4]], [[0, 1], [0, 0]], [[1, 0]], [[1], [2]], [[1, 2], [2]]):
+        for read in (matrices.det, matrices.inertia):
+            with pytest.raises(ValueError, match="requires a symmetric matrix"):
+                read(bad)
 
 
 def test_det_known_values():
@@ -73,8 +95,10 @@ def test_unimodular_inverse():
     for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[0]]):
         with pytest.raises(ValueError, match="matrix is not unimodular"):
             matrices.unimodular_inverse(bad)
-    with pytest.raises(ValueError, match="determinant requires a square matrix"):
-        matrices.unimodular_inverse([[1, 0]])
+    for ragged in ([[1, 0]], [[1], [0]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="inverse requires a square matrix"):
+            matrices.unimodular_inverse(ragged)
+    assert matrices.unimodular_inverse([]) == []
 
 
 def test_inertia_on_knowns():
@@ -134,8 +158,8 @@ def test_smith_normal_form_properties():
         m = random_matrix(rng, rows, cols, -8, 8)
         snf = matrices.smith_normal_form(m)
         assert matrices.mat_mul(matrices.mat_mul(snf.u, m), snf.v) == snf.d
-        assert abs(matrices.det(snf.u)) == 1
-        assert abs(matrices.det(snf.v)) == 1
+        assert abs(det_cofactor(snf.u)) == 1
+        assert abs(det_subset_dp(snf.v)) == 1
         diag = snf.diagonal()
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):

@@ -278,3 +278,12 @@ def test_square_disc_past_the_factor_budget_is_undecided():
     t = 1000000000000037 * 1000000000000091
     v = binary_represents(BinaryForm(1, 0, -1), t)
     assert v == RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
+
+
+def test_cycle_past_the_factor_budget_is_undecided():
+    # 4 t**2 < disc puts t on the reduced cycle's short branch, whose walk is
+    # quick; listing the square divisors of the same t then runs out of rho steps
+    t = 1000000000000037 * 1000000000000091
+    q = BinaryForm(1, 0, -(10**62 + 1))
+    assert 4 * t * t < q.disc
+    assert binary_represents(q, t) == RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
