@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import gcd
 from operator import mul
 
-from . import elliptic, lattices, matrices, qform
+from . import elliptic, lattices, qform
 from .embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
 from .k3 import (
     INFINITE,
@@ -111,6 +111,13 @@ def _k3_vector(entries: dict[int, int]) -> tuple[int, ...]:
     return tuple(v)
 
 
+def _invariant_factors(x, y) -> tuple[int, int]:
+    """Invariant factors of the rank-2 matrix with columns x, y from its determinantal divisors: d1 is
+    the gcd of the entries, d1*d2 the gcd of the 2 x 2 minors (Newman, Integral Matrices, 1972)."""
+    d1 = gcd(*x, *y)
+    return d1, gcd(*(x[r] * y[t] - x[t] * y[r] for r, t in combinations(range(len(x)), 2))) // d1
+
+
 def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     """Walk (N, M) pairs in the diagonal order (N+M ascending, then N
     ascending) and return the first hyperbolic, primitive, certified
@@ -124,7 +131,10 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     tested on integers before any vector or form is built. Along a diagonal
     N + M = s, n grows and m shrinks, so for B^2 - 4AC < 0 that quantity
     only decreases and the diagonal ends at its first failure; for
-    B^2 - 4AC >= 0 it is at least 4Am > 0 and never fails.
+    B^2 - 4AC >= 0 it is at least 4Am > 0 and never fails. A double-NO plane
+    is kept when the determinantal divisors of its 6 x 2 U^3 block give the
+    invariant factors (1, 1); its Gram, paired through the U^3 rows of the K3
+    Gram, is cross-checked against the closed form.
     """
     if exact_int(bound) < 1:
         raise ValueError("bound must be positive")
@@ -148,14 +158,15 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
             minus2 = qform.binary_represents(q, -2)
             if minus2.kind != "NO":
                 continue
-            # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32
+            # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32; both vectors vanish
+            # off the U^3 coordinates 0..5, and zero rows change neither the invariant factors nor the Gram
             gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})
-            # both vectors vanish off the U^3 coordinates 0..5; zero rows change neither SNF nor B^T G B
-            block = [[vec_l[i], gen[i]] for i in range(6)]
-            factors = tuple(matrices.smith_normal_form(block).invariant_factors())
+            cols = (vec_l[:6], gen[:6])
+            factors = _invariant_factors(*cols)
             if any(f != 1 for f in factors):
                 continue
-            got = tuple(map(tuple, matrices.mat_mul(matrices.mat_mul(matrices.transpose(block), u3_gram), block)))
+            g_cols = [[sum(map(mul, row, c)) for row in u3_gram] for c in cols]
+            got = tuple(tuple(sum(map(mul, x, gy)) for gy in g_cols) for x in cols)
             expected = ((2 * a_, n * b_), (n * b_, 2 * (n * n * c_ - m)))
             if got != expected:
                 raise RuntimeError("internal error: induced Gram differs from the closed form")
@@ -412,82 +423,70 @@ class Theorem3Example:
     height_bound: int
 
 
-def _shell(h: int, dim: int) -> list[tuple[int, ...]]:
-    """The vectors with max |x_i| = h, in the order of product(range(-h, h + 1), repeat=dim)."""
-    if dim == 0:
-        return []
-    side = range(-h, h + 1)
-    cube, inner = list(product(side, repeat=dim - 1)), _shell(h, dim - 1)
-    return [(x,) + t for x in side for t in (cube if abs(x) == h else inner)]
-
-
-def _plane_key(u, i, w) -> tuple[int, int] | None:
-    """For u[i] = +-1: the entries other than i of w - (w[i] u[i]) u, primitive and first nonzero
-    one positive; None when w is parallel to u. It names span(u, w), and with 0 put back at i it
-    is a v with Zu + Zv the plane's primitive closure, since Z^3 = Zu + {x : x[i] = 0}."""
-    s = w[i] * u[i]
-    j, k = (1, 2) if i == 0 else (0, 3 - i)
-    a, b = w[j] - s * u[j], w[k] - s * u[k]
-    g = gcd(a, b) if a > 0 or (a == 0 and b >= 0) else -gcd(a, b)
-    return (a // g, b // g) if g else None
-
-
 def theorem3_example(height_bound: int = 10) -> Theorem3Example:
     """Search rank-2 primitive hyperbolic sublattices of U + A1(-1) for one
     whose form is certified to represent neither 0 nor -2, walking the shells
     max|w_i| = h in lexicographic order and testing each rational plane
-    span(u, w) once, looked up by its _plane_key (per u) before w is paired.
-    A new plane is retired at once if the form of its closure basis (u, v) has
-    a discriminant <= 0 or a square one (this covers w.w == 0), or if w.w == -2
-    (its closure holds w, so no sound -2 decider says NO). Every other plane
-    represents no 0, and only -2 is decided: on (u, v), where YES retires it,
-    then on the closure of (u, w), where NO returns it. That closure is the
-    lattice Zu + Zv, which just answered "not YES" (NO, as below), so no
-    sound decider answers YES on it.
-    UNDECIDED retires nothing (it may depend on the basis), and 0 is decided
-    only on the returned plane. The ambient lattice is even, so DIVISIBILITY
-    or the reduced cycle settles -2 and no search bound can act."""
+    span(u, w) once per u. For u_i = +-1 and {j, k} the other indices, s = u_i w_i
+    and (a, b) = (w_j - s u_j, w_k - s u_k) give w = s u + c v with c = +-gcd(a, b)
+    and v the key (a, b) / c, first nonzero entry positive, with 0 put back at i;
+    Zu + Zv is the plane's primitive closure, since Z^3 = Zu + {x : x_i = 0}.
+    The walk updates (a, b) as integers and looks the plane up by its key, so a
+    seen plane costs no vector, pairing or tuple, and nothing is kept across calls.
+    A new plane is retired at once if the form of (u, v) has a discriminant <= 0
+    or a square one (this covers w.w == 0), or if w.w = s^2 u.u + 2sc u.v + c^2 v.v
+    is -2 (its closure holds w, so no sound -2 decider says NO). Every other plane
+    represents no 0, and only -2 is decided: on (u, v), where YES retires it, then
+    on the closure of (u, w), where NO returns it. That closure is Zu + Zv, which
+    just answered "not YES" (NO, as below), so no sound decider answers YES on it.
+    UNDECIDED retires nothing (it may depend on the basis), and 0 is decided only
+    on the returned plane. The ambient lattice is even, so DIVISIBILITY or the
+    reduced cycle settles -2 and no search bound can act."""
     if exact_int(height_bound) < 0:
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-    # primitive u with max |u_i| <= 2 (so some u_i = +-1) and first nonzero entry positive, by height
-    pool = [
-        u
-        for h in (1, 2)
-        for u in _shell(h, 3)
-        if gcd(*u) == 1 and next(x for x in u if x) > 0 and ambient.square(u) not in (0, -2)
-    ]
-    for u in pool:
-        uu = ambient.square(u)
-        gu = [sum(map(mul, row, u)) for row in ambient.gram]
+    g = ambient.gram
+    m = 6 * height_bound + 1  # |a|, |b| <= 3 * height_bound, so the key (p, q) is stored as p * m + q
+    # u from the box max |u_i| <= 2 by height: primitive (so some u_i = +-1), first nonzero entry positive
+    for u in sorted(product(range(-2, 3), repeat=3), key=lambda x: max(map(abs, x))):
+        gu = [sum(map(mul, row, u)) for row in g]
+        uu = sum(map(mul, gu, u))
+        if gcd(*u) != 1 or next(x for x in u if x) < 0 or uu in (0, -2):
+            continue
         i = next(k for k, x in enumerate(u) if x in (1, -1))
+        j, k = (1, 2) if i == 0 else (0, 3 - i)
+        # the coefficients of w_0, w_1, w_2 in a and in b
+        (a0, a1, a2), (b0, b1, b2) = ([(t == r) - u[i] * u[r] * (t == i) for t in range(3)] for r in (j, k))
         settled: set = set()
-        for shell in range(1, height_bound + 1):
-            for w in _shell(shell, 3):
-                key = _plane_key(u, i, w)
-                if key is None or key in settled:
-                    continue
-                v = key[:i] + (0,) + key[i:]
-                uv, vv = sum(map(mul, gu, v)), ambient.square(v)
-                disc = 4 * (uv * uv - uu * vv)
-                if disc <= 0 or is_square(disc) or ambient.square(w) == -2:
-                    settled.add(key)
-                    continue
-                if qform.binary_represents(BinaryForm(uu, 2 * uv, vv), -2).kind == "YES":
-                    settled.add(key)
-                    continue
-                closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))
-                lat = induced_gram(closed)
-                q = lattice_form(lat)
-                minus2 = qform.binary_represents(q, -2)
-                if minus2.kind == "NO":
-                    return Theorem3Example(
-                        generators=closed.columns,
-                        gram=lat.gram,
-                        zero_verdict=qform.binary_represents_zero(q),
-                        minus2_verdict=minus2,
-                        height_bound=height_bound,
-                    )
+        for h in range(1, height_bound + 1):
+            side = range(-h, h + 1)
+            for x0 in side:
+                for x1 in side:
+                    a01, b01 = a0 * x0 + a1 * x1, b0 * x0 + b1 * x1
+                    for x2 in side if h in (abs(x0), abs(x1)) else (-h, h):
+                        a, b = a01 + a2 * x2, b01 + b2 * x2
+                        c = gcd(a, b) if a > 0 or (not a and b >= 0) else -gcd(a, b)
+                        if not c or (key := a // c * m + b // c) in settled:
+                            continue  # w is parallel to u, or its plane is seen
+                        p, q, w = a // c, b // c, (x0, x1, x2)
+                        uv, vv = gu[j] * p + gu[k] * q, g[j][j] * p * p + 2 * g[j][k] * p * q + g[k][k] * q * q
+                        disc, s = 4 * (uv * uv - uu * vv), u[i] * w[i]
+                        retired = disc <= 0 or is_square(disc) or s * s * uu + 2 * s * c * uv + c * c * vv == -2
+                        if retired or qform.binary_represents(BinaryForm(uu, 2 * uv, vv), -2).kind == "YES":
+                            settled.add(key)
+                            continue
+                        closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))
+                        lat = induced_gram(closed)
+                        form = lattice_form(lat)
+                        minus2 = qform.binary_represents(form, -2)
+                        if minus2.kind == "NO":
+                            return Theorem3Example(
+                                generators=closed.columns,
+                                gram=lat.gram,
+                                zero_verdict=qform.binary_represents_zero(form),
+                                minus2_verdict=minus2,
+                                height_bound=height_bound,
+                            )
     raise SearchExhausted(
         f"no double-NO primitive plane found with coordinate height <= {height_bound}",
         height_bound,

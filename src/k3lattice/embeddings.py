@@ -122,18 +122,19 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
     [B g | C], so it is (B g | C) F^-1; from the Smith form U F V = D that is
     (B g | C) V D^-1 U. The extension exists exactly when this is integral,
     that is when column j of (B g | C) V is divisible by d_j; otherwise the
-    call raises "extension is not integral on the ambient lattice". The
-    pairing is then checked on a full ambient basis.
+    call raises "extension is not integral on the ambient lattice". A
+    sublattice whose induced Gram is singular is refused first, since it
+    meets its complement. The pairing is then checked on a full ambient basis.
     """
     ind = induced_gram(sub)
     if g.domain.gram != ind.gram:
         raise ValueError("isometry domain does not match the induced pairing")
+    if matrices.det(ind.gram) == 0:
+        raise ValueError("sublattice is degenerate inside the ambient lattice")
     if not is_primitive(sub):
         raise ValueError("sublattice is not primitive")
     comp = orthogonal_complement(sub)
     n = sub.ambient.rank
-    if sub.rank + comp.rank != n:
-        raise ValueError("sublattice is degenerate inside the ambient lattice")
     b = sub.basis_matrix()
     c = comp.basis_matrix()
     bg = matrices.mat_mul(b, g.matrix)

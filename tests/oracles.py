@@ -3,10 +3,12 @@
 Everything here recomputes results from first principles (cofactor
 expansions, minor gcds, brute-force witness scans, Moebius-counted
 generating tuples) and shares no code path with the package internals it
-checks. The two exceptions are references for candidate walks only:
+checks. The exceptions are references for candidate walks only:
 claim3_reference_walk asks the package's binary deciders for its verdicts,
-and theorem3_reference_walk is the plain theorem-3 walk built from package
-code (pool, primitive closure, induced Gram, deciders).
+theorem3_reference_walk is the plain theorem-3 walk built from package
+code (primitive closure, induced Gram, deciders), and
+theorem3_planes_reference lists that walk's planes with the package's
+primitive closure and induced Gram.
 """
 
 from __future__ import annotations
@@ -710,6 +712,62 @@ def plane_normal_reference(u, w):
 
 
 
+def _theorem3_ambient():
+    from k3lattice.lattices import direct_sum, standard_lattice
+
+    return direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+
+
+def _theorem3_pair(u, v) -> int:
+    """Pairing of U + A1(-1) by the double index loop over its Gram."""
+    g = ((0, 1, 0), (1, 0, 0), (0, 0, -2))
+    return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
+
+
+def _theorem3_pool() -> list[tuple[int, ...]]:
+    """The primitive vectors u of the box |u_i| <= 2 whose first nonzero
+    entry is positive and whose square is neither 0 nor -2, by height, then
+    lexicographically."""
+    box = [
+        v
+        for v in product(range(-2, 3), repeat=3)
+        if gcd(*v) == 1 and next(x for x in v if x) > 0
+    ]
+    box.sort(key=lambda v: (max(map(abs, v)), v))
+    return [u for u in box if _theorem3_pair(u, u) not in (0, -2)]
+
+
+def theorem3_planes_reference(height_bound: int, pool=None) -> dict:
+    """For each u of the theorem-3 pool (or of `pool`), the rational planes
+    span(u, w) in the order the shells max |w_i| = 1 .. height_bound, each in
+    product order, first meet them: a list of (normal, det). det is the
+    determinant of the Gram of the plane's primitive closure, or None when
+    the plane is retired at first sight: its discriminant -4 det is <= 0 or a
+    square, or the first w that meets it has w.w == -2.
+    """
+    from k3lattice.embeddings import EmbeddedSublattice, induced_gram, primitive_closure
+
+    ambient = _theorem3_ambient()
+    out = {}
+    for u in _theorem3_pool() if pool is None else pool:
+        planes, seen = [], set()
+        for shell in range(1, height_bound + 1):
+            for w in product(range(-shell, shell + 1), repeat=3):
+                if max(abs(x) for x in w) != shell:
+                    continue
+                normal = plane_normal_reference(u, w)
+                if normal is None or normal in seen:
+                    continue
+                seen.add(normal)
+                (p, r), (_, t) = induced_gram(primitive_closure(EmbeddedSublattice(ambient, [u, w]))).gram
+                det = p * t - r * r
+                disc = -4 * det
+                retired = disc <= 0 or isqrt(disc) ** 2 == disc or _theorem3_pair(w, w) == -2
+                planes.append((normal, None if retired else det))
+        out[u] = planes
+    return out
+
+
 def theorem3_reference_walk(height_bound: int, limits=None):
     """The theorem-3 search candidate by candidate, as theorem3_to_json would
     print its result, or None when the height bound is exhausted.
@@ -725,33 +783,20 @@ def theorem3_reference_walk(height_bound: int, limits=None):
     from k3lattice.catalog import Theorem3Example, theorem3_to_json
     from k3lattice.embeddings import EmbeddedSublattice, induced_gram, primitive_closure
     from k3lattice.k3 import lattice_form
-    from k3lattice.lattices import direct_sum, standard_lattice
 
-    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-    g = ambient.gram
-
-    def pair(u, v):
-        return sum(u[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
-
-    # primitive vectors of the box |u_i| <= 2 whose first nonzero entry is positive
-    box = [
-        v
-        for v in product(range(-2, 3), repeat=3)
-        if gcd(*v) == 1 and next(x for x in v if x) > 0
-    ]
-    box.sort(key=lambda v: (max(map(abs, v)), v))
-    pool = [u for u in box if pair(u, u) not in (0, -2)]
+    ambient = _theorem3_ambient()
+    pool = _theorem3_pool()
     memo: dict = {}
     for u in pool:
-        uu = pair(u, u)
+        uu = _theorem3_pair(u, u)
         for shell in range(1, height_bound + 1):
             for w in product(range(-shell, shell + 1), repeat=3):
                 if max(abs(x) for x in w) != shell:
                     continue
-                ww = pair(w, w)
+                ww = _theorem3_pair(w, w)
                 if ww in (0, -2):
                     continue
-                uw = pair(u, w)
+                uw = _theorem3_pair(u, w)
                 disc = 4 * (uw * uw - uu * ww)
                 if disc <= 0 or isqrt(disc) ** 2 == disc:
                     continue

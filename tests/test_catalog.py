@@ -3,7 +3,6 @@ example, and the aggregate verification table."""
 
 import dataclasses
 import random
-from collections import Counter
 from itertools import product
 from math import gcd
 
@@ -28,7 +27,12 @@ from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.ntheory import is_square
 from k3lattice.qform import BinaryForm, RepresentationVerdict, SearchLimits, verify_certificate
 
-from oracles import claim3_reference_walk, plane_normal_reference, theorem3_reference_walk
+from oracles import (
+    claim3_reference_walk,
+    plane_normal_reference,
+    theorem3_planes_reference,
+    theorem3_reference_walk,
+)
 
 
 K3 = standard_lattice("K3")
@@ -122,6 +126,66 @@ def test_claim3_matches_reference_walk_by_discriminant_sign():
             assert (d > 0) - (d < 0) == sign
             for bound in (1, 2, 7, 50):
                 _assert_matches_reference_walk(a, b, c, bound)
+
+
+def _claim3_grid(bound):
+    """Run claim3_search over the benchmark grid A 1..12, B, C 0..11."""
+    for a in range(1, 13):
+        for b in range(12):
+            for c in range(12):
+                try:
+                    claim3_search(Claim3Input(a, b, c), bound)
+                except SearchExhausted:
+                    pass
+
+
+def _smith_factors(x, y):
+    return tuple(matrices.smith_normal_form([[p, q] for p, q in zip(x, y)]).invariant_factors())
+
+
+def test_claim3_invariant_factors_match_the_smith_form(monkeypatch):
+    # claim3_search reads the invariant factors of its 6 x 2 U^3 block from
+    # determinantal divisors; the Smith form must agree on every block the
+    # grid accepts at bound 50, and on random rank-2 blocks with d1 > 1 or
+    # d2 > 1, where a wrong minor set or an undivided d2 shows
+    blocks = []
+    real = catalog._invariant_factors
+
+    def recording(x, y):
+        blocks.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(catalog, "_invariant_factors", recording)
+    _claim3_grid(50)
+    assert len(blocks) == 1338
+    for x, y in blocks:
+        assert real(x, y) == _smith_factors(x, y) == (1, 1), (x, y)
+    rng = random.Random(1972)
+    checked, d1_above_1, d2_above_1 = 0, 0, 0
+    while checked < 600:
+        d1, k = rng.choice((1, 1, 2, 3, 12)), rng.choice((1, 1, 2, 7, 30))
+        lim = 10**6 // (2 * d1 * k)
+        x = [d1 * rng.randint(-lim, lim) * (rng.random() < 0.8) for _ in range(6)]
+        y = [d1 * k * rng.randint(-lim, lim) * (rng.random() < 0.8) for _ in range(6)]
+        t = rng.choice((-1, 0, 1))
+        x, y = ([p + t * q for p, q in zip(x, y)], y) if rng.random() < 0.5 else (y, x)
+        want = _smith_factors(x, y)
+        if len(want) < 2:
+            continue  # rank below 2
+        assert catalog._invariant_factors(x, y) == want, (x, y)
+        checked += 1
+        d1_above_1 += want[0] > 1
+        d2_above_1 += want[1] > 1
+    assert d1_above_1 >= 100 and d2_above_1 >= 100, (d1_above_1, d2_above_1)
+
+
+def test_claim3_grid_takes_no_smith_form_or_matrix_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("claim3_search reached the matrix layer")
+
+    for name in ("smith_normal_form", "mat_mul"):
+        monkeypatch.setattr(matrices, name, refuse)
+    _claim3_grid(50)
 
 
 def test_claim3_json():
@@ -386,86 +450,139 @@ def test_theorem3_undecided_plane_is_not_settled(monkeypatch):
     assert theorem3_to_json(theorem3_example(7)) == want
 
 
-def test_shell_matches_filtered_cube():
-    for dim in (1, 2, 3):
-        for h in range(9):
-            cube = product(range(-h, h + 1), repeat=dim)
-            assert list(catalog._shell(h, dim)) == [v for v in cube if max(abs(x) for x in v) == h], (dim, h)
+def _form_det(q: BinaryForm) -> int:
+    return q.a * q.c - (q.b // 2) ** 2
 
 
-def _theorem3_ambient_and_pool():
+def _theorem3_undecided_walk(monkeypatch, height_bound):
+    """Run theorem3_example with every -2 decision answered UNDECIDED, which
+    settles no plane, so every w of an unretired plane reaches the closure
+    step. Returns (u, w, q) in walk order: the pair handed to
+    primitive_closure and the (u, v) form decided just before it."""
+    events = []
+
+    def undecided(q, t, limits=None):
+        events.append(q)
+        return RepresentationVerdict.undecided({"patched": 1})
+
+    def recording_closure(sub):
+        events.append(sub.columns)
+        return sub
+
+    monkeypatch.setattr(qform, "binary_represents", undecided)
+    monkeypatch.setattr(catalog, "primitive_closure", recording_closure)
+    with pytest.raises(SearchExhausted):
+        theorem3_example(height_bound)
+    # each such w gives three events: the (u, v) form, the closure, its form
+    assert len(events) % 3 == 0
+    walk = list(zip(events[::3], events[1::3]))
+    assert all(isinstance(q, BinaryForm) and len(cols) == 2 for q, cols in walk)
+    return [(u, w, q) for q, (u, w) in walk]
+
+
+def test_shell_matches_filtered_cube(monkeypatch):
+    # For each pool u in turn, the walk meets w shell by shell in the order of
+    # the cube product(range(-h, h + 1), repeat=3) filtered to max |w_i| == h.
+    # With no plane settled by a decision, its w at the closure step are the
+    # filtered cube's w on an unretired plane of u, up to the first w of that
+    # plane with w.w == -2, which retires it.
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
-    box = [u for u in product(range(-2, 3), repeat=3) if gcd(*u) == 1 and next(x for x in u if x) > 0]
-    return ambient, [u for u in box if ambient.square(u) not in (0, -2)]
-
-
-def test_plane_key_names_the_plane_of_its_normal():
-    # for every pool u and every unit entry i of u, two vectors w get the
-    # same key exactly when the oracle gives span(u, w) the same normal, and
-    # the key is None exactly when w is parallel to u
-    _, pool = _theorem3_ambient_and_pool()
-    box = list(product(range(-4, 5), repeat=3))
-    checked = 0
-    for u in pool:
-        for i in (k for k, x in enumerate(u) if x in (1, -1)):
-            normal_of, key_of = {}, {}
-            for w in box:
-                key = catalog._plane_key(u, i, w)
+    walk = _theorem3_undecided_walk(monkeypatch, 4)
+    want = []
+    for u, found in theorem3_planes_reference(4).items():
+        live = {normal for normal, det in found if det is not None}
+        for h in range(1, 5):
+            for w in product(range(-h, h + 1), repeat=3):
                 normal = plane_normal_reference(u, w)
-                assert (key is None) == (normal is None), (u, i, w)
-                if key is None:
+                if max(abs(x) for x in w) != h or normal not in live:
                     continue
-                assert gcd(*key) == 1 and next(x for x in key if x) > 0, (u, i, w)
-                assert normal_of.setdefault(key, normal) == normal, (u, i, w)
-                assert key_of.setdefault(normal, key) == key, (u, i, w)
-            checked += len(key_of)
-    assert checked == 4208
+                if ambient.square(w) == -2:
+                    live.discard(normal)
+                else:
+                    want.append((u, w))
+    assert [(u, w) for u, w, _ in walk] == want
+    assert len(want) == 6498
 
 
-def test_plane_key_basis_is_the_closure_of_the_plane():
-    # theorem3_example decides a plane on (u, v), v the key with 0 put back
-    # at i: the pair is primitive, lies in span(u, w), and has the Gram
-    # determinant of the primitive closure of (u, w)
-    ambient, pool = _theorem3_ambient_and_pool()
-    checked = 0
-    for u in pool:
-        i = next(k for k, x in enumerate(u) if x in (1, -1))
-        for w in product(range(-2, 3), repeat=3):
-            key = catalog._plane_key(u, i, w)
-            if key is None:
-                continue
-            v = key[:i] + (0,) + key[i:]
-            assert sum(a * b for a, b in zip(plane_normal_reference(u, w), v)) == 0, (u, w)
-            sub = EmbeddedSublattice(ambient, [u, v])
-            assert is_primitive(sub), (u, w)
-            closed = primitive_closure(EmbeddedSublattice(ambient, [u, w]))
-            want = matrices.det(induced_gram(closed).gram)
-            assert matrices.det(induced_gram(sub).gram) == want, (u, w)
-            checked += 1
-    assert checked == 4264
+def test_plane_key_names_the_plane_of_its_normal(monkeypatch):
+    # The walk keys a plane by its coordinates off u. Every w of one plane
+    # (one plane_normal_reference normal) is decided on the one form of the
+    # plane's basis (u, v), and no w parallel to u is decided. With every
+    # decision answered YES, each plane is decided once, on first sight, so
+    # the sequence is the planes' forms in first-appearance order: a key that
+    # merged two normals would drop a form, one that split a normal would
+    # repeat one.
+    form_of = {}
+    for u, w, q in _theorem3_undecided_walk(monkeypatch, 4):
+        normal = plane_normal_reference(u, w)
+        assert normal is not None, (u, w)
+        assert form_of.setdefault((u, normal), q) == q, (u, w)
+    decided = []
+
+    def always_yes(q, t, limits=None):
+        decided.append(q)
+        return RepresentationVerdict.yes((0, 0))
+
+    monkeypatch.setattr(qform, "binary_represents", always_yes)
+    with pytest.raises(SearchExhausted):
+        theorem3_example(4)
+    assert decided == list(form_of.values())
+    assert len(decided) == 1428
+
+
+def test_plane_key_basis_is_the_closure_of_the_plane(monkeypatch):
+    # every w of an unretired plane is decided on the form of (u, v), a basis
+    # of the plane's primitive closure: a = u.u, the determinant is that of
+    # the Gram of primitive_closure(u, w), and the form is hyperbolic and not
+    # rationally isotropic
+    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+    dets = {(u, normal): det for u, found in theorem3_planes_reference(4).items() for normal, det in found}
+    walk = _theorem3_undecided_walk(monkeypatch, 4)
+    for u, w, q in walk:
+        assert q.a == ambient.square(u), (u, w)
+        assert _form_det(q) == dets[u, plane_normal_reference(u, w)], (u, w)
+        assert q.disc > 0 and not is_square(q.disc), (u, w)
+    assert len(walk) == 6498
+
+
+def test_theorem3_decides_the_oracle_planes_in_order(monkeypatch):
+    # With every -2 decision answered YES, each plane is settled where it is
+    # first decided. So for each pool u in turn, theorem3_example(4) decides
+    # exactly the oracle's unretired planes, in first-appearance order, each on
+    # a basis of its primitive closure: a form with a = u.u and the closure's
+    # determinant. Merging two planes under one key drops a decision, and
+    # splitting one plane repeats one. Nothing is closed, and the bound is
+    # exhausted.
+    forms = []
+
+    def always_yes(q, t, limits=None):
+        forms.append((q, t))
+        return RepresentationVerdict.yes((0, 0))
+
+    monkeypatch.setattr(qform, "binary_represents", always_yes)
+    with pytest.raises(SearchExhausted):
+        theorem3_example(4)
+    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+    planes = theorem3_planes_reference(4)
+    want = [(ambient.square(u), det) for u, found in planes.items() for _, det in found if det is not None]
+    assert all(t == -2 for _, t in forms)
+    assert [(q.a, _form_det(q)) for q, _ in forms] == want
+    assert (len(planes), sum(map(len, planes.values())), len(want)) == (35, 2890, 1428)
 
 
 def test_theorem3_decides_each_plane_once_on_its_closure_basis(monkeypatch):
     # Up to and including the default hit, u = (1, -1, -1) meets 140 rational
-    # planes over 2,200 vectors w: 77 are not hyperbolic, 6 are rationally
-    # isotropic and 3 are first seen through a w of square -2, so 54 are
-    # decided for -2, each once on the form of its basis (u, v). Only the
-    # returned plane is closed and decided again, and only there is 0 decided.
-    # No Smith form of a plane normal is taken.
+    # planes over 2,200 vectors w; 86 are retired on sight (not hyperbolic,
+    # rationally isotropic, or first seen through a w of square -2), so 54 are
+    # decided for -2, each once on the form of a basis of its closure. Only
+    # the returned plane is closed and decided again, and only there is 0
+    # decided. No Smith form is taken outside that closure.
     u = (1, -1, -1)
-    ambient, _ = _theorem3_ambient_and_pool()
-    closures, keys, forms, snfs, zero_calls = [], set(), [], [], [0]
-    real_key = catalog._plane_key
+    closures, forms, snfs, zero_calls = [], [], [], [0]
     real_closure = catalog.primitive_closure
     real_represents = qform.binary_represents
     real_snf = matrices.smith_normal_form
     real_zero = qform.binary_represents_zero
-
-    def recording_key(u_, i, w):
-        key = real_key(u_, i, w)
-        if u_ == u and key is not None:
-            keys.add((i, key))
-        return key
 
     def counting_closure(sub):
         closures.append(sub.columns)
@@ -483,7 +600,6 @@ def test_theorem3_decides_each_plane_once_on_its_closure_basis(monkeypatch):
         zero_calls[0] += 1
         return real_zero(q)
 
-    monkeypatch.setattr(catalog, "_plane_key", recording_key)
     monkeypatch.setattr(catalog, "primitive_closure", counting_closure)
     monkeypatch.setattr(qform, "binary_represents", counting_represents)
     monkeypatch.setattr(matrices, "smith_normal_form", counting_snf)
@@ -491,21 +607,19 @@ def test_theorem3_decides_each_plane_once_on_its_closure_basis(monkeypatch):
     ex = theorem3_example()
     assert closures == [((1, -1, -1), (-7, -7, -4))]
     assert len(forms) == 55 and all(t == -2 for _, t in forms)
-    assert len(keys) == 140
-    # the 54 forms are those of (u, v) for as many distinct planes
-    plane_forms = Counter()
-    for i, key in keys:
-        v = key[:i] + (0,) + key[i:]
-        plane_forms[BinaryForm(ambient.square(u), 2 * ambient.pairing(u, v), ambient.square(v))] += 1
-    basis_forms = Counter(q for q, _ in forms[:54])
-    assert basis_forms <= plane_forms
+    planes = theorem3_planes_reference(7, [u])[u]
+    hit = [normal for normal, _ in planes].index(plane_normal_reference(u, (-7, -7, -4)))
+    assert hit + 1 == 140
+    decided = [det for _, det in planes[: hit + 1] if det is not None]
+    assert [(q.a, _form_det(q)) for q, _ in forms[:54]] == [(-4, det) for det in decided]
     assert forms[54][0] == lattice_form(GramLattice(2, ex.gram))
     assert snfs == []  # the one closure's 3 x 2 Smith form is embeddings' own
     assert zero_calls[0] == 1  # on the returned closure only
 
 
 def test_theorem3_pairs_nothing_on_a_seen_plane(monkeypatch):
-    # a seen plane is looked up by its key before w is squared or paired
+    # the walk pairs through u's Gram row and integer plane coordinates, so
+    # no vector is paired, seen plane or new
     calls = [0]
     real = GramLattice.pairing
 
@@ -515,7 +629,7 @@ def test_theorem3_pairs_nothing_on_a_seen_plane(monkeypatch):
 
     monkeypatch.setattr(GramLattice, "pairing", counting)
     theorem3_example()
-    assert 0 < calls[0] <= 330
+    assert calls[0] == 0
 
 
 def test_theorem3_minus2_retirement_premise():
@@ -524,7 +638,12 @@ def test_theorem3_minus2_retirement_premise():
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
     box = [u for u in product(range(-2, 3), repeat=3) if gcd(*u) == 1 and next(x for x in u if x) > 0]
     pool = [u for u in box if ambient.square(u) not in (0, -2)]
-    roots = [w for h in range(1, 8) for w in catalog._shell(h, 3) if ambient.square(w) == -2]
+    roots = [
+        w
+        for h in range(1, 8)
+        for w in product(range(-h, h + 1), repeat=3)
+        if max(map(abs, w)) == h and ambient.square(w) == -2
+    ]
     checked = 0
     for u in pool:
         uu = ambient.square(u)

@@ -234,11 +234,17 @@ def test_extend_minus_one_on_minus8():
 
 
 def test_extend_by_identity_refuses_a_degenerate_sublattice():
-    # e1 in U is isotropic: it lies in its own complement, so [B | C] is
-    # singular, and the refusal must be a ValueError, never a division by 0
-    sub = EmbeddedSublattice(standard_lattice("U"), [[1, 0]])
-    with pytest.raises(ValueError, match="matrix is singular"):
-        extend_by_identity(IsometryMap(GramLattice(1, ((0,),)), [[-1]]), sub)
+    # e1 in U is isotropic, and so is span(e1, e3) in U + U: each lies in its
+    # own complement, so [B | C] would be singular; the induced Gram's
+    # determinant 0 refuses it first, never a division by 0
+    u = standard_lattice("U")
+    for ambient, basis, gram, iso in (
+        (u, [[1, 0]], ((0,),), [[-1]]),
+        (direct_sum(u, u), [[1, 0, 0, 0], [0, 0, 1, 0]], ((0, 0), (0, 0)), [[0, 1], [1, 0]]),
+    ):
+        sub = EmbeddedSublattice(ambient, basis)
+        with pytest.raises(ValueError, match="sublattice is degenerate inside the ambient lattice"):
+            extend_by_identity(IsometryMap(GramLattice(len(gram), gram), iso), sub)
 
 
 def test_sublattice_json_roundtrip():
