@@ -22,6 +22,7 @@ from .k3 import (
     FINITE,
     PAPER_ASSERTED,
     PROVEN,
+    AutReport,
     K3Report,
     PicardData,
     classify,
@@ -111,13 +112,6 @@ def _k3_vector(entries: dict[int, int]) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _invariant_factors(x, y) -> tuple[int, int]:
-    """Invariant factors of the rank-2 matrix with columns x, y from its determinantal divisors: d1 is
-    the gcd of the entries, d1*d2 the gcd of the 2 x 2 minors (Newman, Integral Matrices, 1972)."""
-    d1 = gcd(*x, *y)
-    return d1, gcd(*(x[r] * y[t] - x[t] * y[r] for r, t in combinations(range(len(x)), 2))) // d1
-
-
 def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     """Walk (N, M) pairs in the diagonal order (N+M ascending, then N
     ascending) and return the first hyperbolic, primitive, certified
@@ -131,10 +125,12 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     tested on integers before any vector or form is built. Along a diagonal
     N + M = s, n grows and m shrinks, so for B^2 - 4AC < 0 that quantity
     only decreases and the diagonal ends at its first failure; for
-    B^2 - 4AC >= 0 it is at least 4Am > 0 and never fails. A double-NO plane
-    is kept when the determinantal divisors of its 6 x 2 U^3 block give the
-    invariant factors (1, 1); its Gram, paired through the U^3 rows of the K3
-    Gram, is cross-checked against the closed form.
+    B^2 - 4AC >= 0 it is at least 4Am > 0 and never fails. The first double-NO
+    plane is returned, and it is primitive: l has 1, 0 and the generator 0, 1
+    at coordinates 0 and 4, so that 2 x 2 minor is 1 and both invariant
+    factors are 1 (Newman, Integral Matrices, 1972). The minor is checked, and
+    the Gram, paired through the U^3 rows of the K3 Gram, is cross-checked
+    against the closed form.
     """
     if exact_int(bound) < 1:
         raise ValueError("bound must be positive")
@@ -159,12 +155,11 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
             if minus2.kind != "NO":
                 continue
             # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32; both vectors vanish
-            # off the U^3 coordinates 0..5, and zero rows change neither the invariant factors nor the Gram
+            # off the U^3 coordinates 0..5, and zero rows do not change the Gram
             gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})
+            if vec_l[0] * gen[4] - vec_l[4] * gen[0] != 1:
+                raise RuntimeError("internal error: the plane's minor on coordinates 0 and 4 is not 1")
             cols = (vec_l[:6], gen[:6])
-            factors = _invariant_factors(*cols)
-            if any(f != 1 for f in factors):
-                continue
             g_cols = [[sum(map(mul, row, c)) for row in u3_gram] for c in cols]
             got = tuple(tuple(sum(map(mul, x, gy)) for gy in g_cols) for x in cols)
             expected = ((2 * a_, n * b_), (n * b_, 2 * (n * n * c_ - m)))
@@ -181,7 +176,7 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
                 gram=got,
                 zero_verdict=zero,
                 minus2_verdict=minus2,
-                invariant_factors=factors,
+                invariant_factors=(1, 1),
             )
     raise SearchExhausted(f"no certified plane found with N, M <= {bound}", bound)
 
@@ -359,7 +354,9 @@ def certify_family(spec: FamilySpec) -> K3Report:
     """Realize the family inside the K3 lattice, check the Gram contract and
     primitivity, run the predicates at the default search limits, and compare
     against the expected table.
-    Any PROVEN disagreement raises CatalogMismatch naming the family."""
+    Any PROVEN disagreement raises CatalogMismatch naming the family. Where
+    the rank rules leave aut UNKNOWN, the spec's cited overlay (its verdict is
+    expected["aut"]) is attached as the report's aut_overlay."""
     sub = EmbeddedSublattice(standard_lattice("K3"), spec.generators)
     lattice = induced_gram(sub)
     if lattice.gram != spec.target_gram:
@@ -374,15 +371,14 @@ def certify_family(spec: FamilySpec) -> K3Report:
         if got != want:
             raise CatalogMismatch(f"{spec.label}: {key} is {got}, expected {want}")
     aut = report.aut
-    if aut.status == PROVEN:
-        if aut.verdict != spec.expected["aut"]:
-            raise CatalogMismatch(
-                f"{spec.label}: proven aut verdict {aut.verdict} contradicts expected {spec.expected['aut']}"
-            )
-    elif spec.aut_overlay is not None:
-        aut = replace(aut, verdict=spec.expected["aut"], status=PAPER_ASSERTED, **spec.aut_overlay)
-    extras = _family_extras(spec)
-    return replace(report, aut=aut, extras=extras, assertions=spec.assertions)
+    if aut.status == PROVEN and aut.verdict != spec.expected["aut"]:
+        raise CatalogMismatch(
+            f"{spec.label}: proven aut verdict {aut.verdict} contradicts expected {spec.expected['aut']}"
+        )
+    overlay = None
+    if aut.status is None and spec.aut_overlay is not None:
+        overlay = AutReport(spec.expected["aut"], **spec.aut_overlay)
+    return replace(report, aut_overlay=overlay, extras=_family_extras(spec), assertions=spec.assertions)
 
 
 def _family_extras(spec: FamilySpec) -> dict:

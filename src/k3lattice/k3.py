@@ -1,6 +1,5 @@
 """Hyperbolic-lattice predicates behind the K3 statements: existence of
-square(-2) and isotropic classes, the rank-based automorphism verdict, and
-positive-cone membership.
+square(-2) and isotropic classes, and the rank-based automorphism verdict.
 
 Verdict provenance is explicit everywhere: PROVEN entries carry witnesses or
 replayable certificates; nothing in this module asserts literature facts
@@ -16,7 +15,6 @@ from operator import mul
 from . import lattices, qform
 from .embeddings import lattice_or_sublattice_from_json
 from .lattices import GramLattice, Signature
-from .ntheory import exact_int
 from .qform import (
     BinaryForm,
     DiagonalTernaryForm,
@@ -41,7 +39,6 @@ __all__ = [
     "has_isotropic_class",
     "classify",
     "revalidate_report",
-    "same_positive_cone_component",
     "report_to_json",
     "picard_from_json",
 ]
@@ -159,66 +156,77 @@ def has_isotropic_class(data: PicardData) -> RepresentationVerdict:
 class AutReport:
     """Finiteness verdict for the automorphism group, with provenance.
 
-    status PROVEN means the verdict follows by the rank rules below from the
-    report's own has_minus2 and has_isotropic, and revalidate_report
-    re-derives it from those checked verdicts; PAPER_ASSERTED entries
-    (catalog overlays) carry a citation instead, and only where those rules
-    say UNKNOWN. UNKNOWN verdicts have status None.
+    A K3Report derives it by the rank rules below from its own has_minus2 and
+    has_isotropic; only a catalog overlay, cited and where those rules say
+    UNKNOWN, is stored. The status is read off the entry: None for UNKNOWN,
+    PAPER_ASSERTED when a citation backs it, PROVEN otherwise.
     """
 
     verdict: str  # FINITE | INFINITE | UNKNOWN
-    status: str | None
     reason: str
     citation: str | None = None
+
+    @property
+    def status(self) -> str | None:
+        if self.verdict == UNKNOWN:
+            return None
+        return PROVEN if self.citation is None else PAPER_ASSERTED
 
 
 def _aut_from_verdicts(rank: int, m2: RepresentationVerdict, iso: RepresentationVerdict) -> AutReport:
     if rank == 1:
-        return AutReport(
-            FINITE,
-            PROVEN,
-            "rank-1 Picard lattice: the only isometries are plus and minus the identity",
-        )
+        return AutReport(FINITE, "rank-1 Picard lattice: the only isometries are plus and minus the identity")
     if rank == 2:
         if m2.kind == "YES" or iso.kind == "YES":
             return AutReport(
                 FINITE,
-                PROVEN,
                 "rank 2: a square(-2) class or an isotropic class makes the automorphism group finite",
             )
         if m2.kind == "NO" and iso.kind == "NO":
             return AutReport(
                 INFINITE,
-                PROVEN,
                 "rank 2: the form represents neither 0 nor -2, so the automorphism group is infinite",
             )
-        return AutReport(UNKNOWN, None, "rank 2 with an undecided sub-verdict")
+        return AutReport(UNKNOWN, "rank 2 with an undecided sub-verdict")
     if m2.kind == "NO":
         return AutReport(
             INFINITE,
-            PROVEN,
             "rank >= 3 with no square(-2) class: the ample cone is the full positive cone "
             "and the isometry group of an indefinite lattice of rank >= 3 is infinite",
         )
     return AutReport(
         UNKNOWN,
-        None,
         "rank >= 3 with square(-2) classes present (or undecided): finiteness is not decided here",
     )
 
 
 @dataclass(frozen=True)
 class K3Report:
-    """The verdicts on one Picard lattice, which the report holds; rank, det
-    and signature are read from it, never stored beside it."""
+    """The verdicts on one Picard lattice, which the report holds; rank, det,
+    signature and the aut entry are read from them, never stored beside them.
+    The one stored aut fact is aut_overlay, a cited FINITE or INFINITE verdict
+    that the catalog asserts where the rank rules say UNKNOWN; any other
+    overlay is refused here, so no report can disagree with its sub-verdicts."""
 
     lattice: GramLattice
     has_minus2: RepresentationVerdict
     has_isotropic: RepresentationVerdict
-    aut: AutReport
     label: str | None = None
     extras: dict = field(default_factory=dict)
     assertions: tuple = ()
+    aut_overlay: AutReport | None = None
+
+    def __post_init__(self):
+        overlay = self.aut_overlay
+        if overlay is not None and not (
+            overlay.verdict in (FINITE, INFINITE)
+            and overlay.citation
+            and _aut_from_verdicts(self.rank, self.has_minus2, self.has_isotropic).verdict == UNKNOWN
+        ):
+            raise ValueError(
+                "an aut overlay must be a cited FINITE or INFINITE verdict on a report "
+                "whose rank rules say UNKNOWN"
+            )
 
     @property
     def rank(self) -> int:
@@ -232,17 +240,15 @@ class K3Report:
     def signature(self) -> Signature:
         return lattices.signature(self.lattice)
 
+    @property
+    def aut(self) -> AutReport:
+        if self.aut_overlay is not None:
+            return self.aut_overlay
+        return _aut_from_verdicts(self.rank, self.has_minus2, self.has_isotropic)
+
 
 def classify(data: PicardData, limits: SearchLimits | None = None, label: str | None = None) -> K3Report:
-    m2 = has_minus2_class(data, limits)
-    iso = has_isotropic_class(data)
-    return K3Report(
-        lattice=data.lattice,
-        has_minus2=m2,
-        has_isotropic=iso,
-        aut=_aut_from_verdicts(data.rank, m2, iso),
-        label=label,
-    )
+    return K3Report(data.lattice, has_minus2_class(data, limits), has_isotropic_class(data), label)
 
 
 def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
@@ -263,33 +269,15 @@ def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
 
 def revalidate_report(data: PicardData, report: K3Report) -> bool:
     """Re-check a report against its input: the report's lattice is the
-    input's, witnesses evaluate correctly, certificates replay, and the aut
-    entry is exactly what the rank rules derive from the two sub-verdicts
-    just checked, or, where those rules say UNKNOWN, a PAPER_ASSERTED
-    FINITE or INFINITE with a citation."""
-    if report.lattice != data.lattice:
-        return False
-    if not _verdict_ok(data.lattice, -2, report.has_minus2):
-        return False
-    if not _verdict_ok(data.lattice, 0, report.has_isotropic):
-        return False
-    derived = _aut_from_verdicts(data.rank, report.has_minus2, report.has_isotropic)
-    aut = report.aut
-    if derived.verdict != UNKNOWN or aut.status != PAPER_ASSERTED:
-        return aut == derived
-    return aut.verdict in (FINITE, INFINITE) and bool(aut.citation)
-
-
-def same_positive_cone_component(data: PicardData, u, v) -> bool:
-    """For classes of positive square in a hyperbolic lattice: True exactly
-    when u and v lie in the same component of the positive cone, which is the
-    sign of their pairing."""
-    lat = data.lattice if isinstance(data, PicardData) else data
-    u = tuple(map(exact_int, u))
-    v = tuple(map(exact_int, v))
-    if lat.square(u) <= 0 or lat.square(v) <= 0:
-        raise ValueError("positive-cone membership needs classes of positive square")
-    return lat.pairing(u, v) > 0
+    input's, witnesses evaluate correctly and certificates replay. The aut
+    entry needs no check of its own: it is derived from the two sub-verdicts
+    just checked, and a cited overlay was refused when the report was built
+    unless those verdicts leave aut UNKNOWN."""
+    return (
+        report.lattice == data.lattice
+        and _verdict_ok(data.lattice, -2, report.has_minus2)
+        and _verdict_ok(data.lattice, 0, report.has_isotropic)
+    )
 
 
 def _aut_to_json(report: K3Report) -> dict:

@@ -766,7 +766,7 @@ _VERIFY_SIEVE_LIMIT = 512
 
 def _verify_divisibility(q, t, data) -> bool:
     d = data["divisor"]
-    if not isinstance(d, int):
+    if type(d) is not int:
         return False
     return all(divides(d, c) for c in q.coefficients()) and not divides(d, t)
 
@@ -775,7 +775,7 @@ def _verify_sieve(q, t, data) -> bool:
     # no decider emits SIEVE for t = 0: NONSQUARE_DISC, LEGENDRE or DEFINITE
     # settle every such question
     m = data["modulus"]
-    if t == 0 or not isinstance(m, int) or not 2 <= m <= _VERIFY_SIEVE_LIMIT:
+    if t == 0 or type(m) is not int or not 2 <= m <= _VERIFY_SIEVE_LIMIT:
         return False
     if isinstance(q, BinaryForm):
         tm = t % m
@@ -841,7 +841,7 @@ def _content_reduced(q, t, data):
     if not isinstance(q, BinaryForm) or t == 0:
         return None
     g = data.get("content", 1)
-    if not isinstance(g, int) or g < 1 or any(c % g for c in q.coefficients()) or t % g:
+    if type(g) is not int or g < 1 or any(c % g for c in q.coefficients()) or t % g:
         return None
     return BinaryForm(q.a // g, q.b // g, q.c // g), t // g
 
@@ -863,7 +863,8 @@ def _verify_legendre(q, t, data) -> bool:
     if 0 in q.coefficients():
         return False
     reduced, _, primes = _legendre_reduce(q)
-    if list(data.get("reduced", [])) != list(reduced):
+    # a non-integer entry raises, and verify_certificate answers False
+    if list(map(exact_int, data.get("reduced", []))) != list(reduced):
         return False
     idx = data.get("condition")
     if type(idx) is not int or idx not in (0, 1, 2):

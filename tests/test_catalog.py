@@ -25,7 +25,7 @@ from k3lattice.embeddings import EmbeddedSublattice, induced_gram, is_primitive,
 from k3lattice.k3 import AutReport, PicardData, classify, lattice_form, revalidate_report
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.ntheory import is_square
-from k3lattice.qform import BinaryForm, RepresentationVerdict, SearchLimits, verify_certificate
+from k3lattice.qform import BinaryForm, Certificate, RepresentationVerdict, SearchLimits, verify_certificate
 
 from oracles import (
     claim3_reference_walk,
@@ -129,54 +129,29 @@ def test_claim3_matches_reference_walk_by_discriminant_sign():
 
 
 def _claim3_grid(bound):
-    """Run claim3_search over the benchmark grid A 1..12, B, C 0..11."""
+    """claim3_search over the benchmark grid A 1..12, B, C 0..11: the results
+    of the inputs that do not exhaust the bound."""
+    results = []
     for a in range(1, 13):
         for b in range(12):
             for c in range(12):
                 try:
-                    claim3_search(Claim3Input(a, b, c), bound)
+                    results.append(claim3_search(Claim3Input(a, b, c), bound))
                 except SearchExhausted:
                     pass
+    return results
 
 
-def _smith_factors(x, y):
-    return tuple(matrices.smith_normal_form([[p, q] for p, q in zip(x, y)]).invariant_factors())
-
-
-def test_claim3_invariant_factors_match_the_smith_form(monkeypatch):
-    # claim3_search reads the invariant factors of its 6 x 2 U^3 block from
-    # determinantal divisors; the Smith form must agree on every block the
-    # grid accepts at bound 50, and on random rank-2 blocks with d1 > 1 or
-    # d2 > 1, where a wrong minor set or an undivided d2 shows
-    blocks = []
-    real = catalog._invariant_factors
-
-    def recording(x, y):
-        blocks.append((x, y))
-        return real(x, y)
-
-    monkeypatch.setattr(catalog, "_invariant_factors", recording)
-    _claim3_grid(50)
-    assert len(blocks) == 1338
-    for x, y in blocks:
-        assert real(x, y) == _smith_factors(x, y) == (1, 1), (x, y)
-    rng = random.Random(1972)
-    checked, d1_above_1, d2_above_1 = 0, 0, 0
-    while checked < 600:
-        d1, k = rng.choice((1, 1, 2, 3, 12)), rng.choice((1, 1, 2, 7, 30))
-        lim = 10**6 // (2 * d1 * k)
-        x = [d1 * rng.randint(-lim, lim) * (rng.random() < 0.8) for _ in range(6)]
-        y = [d1 * k * rng.randint(-lim, lim) * (rng.random() < 0.8) for _ in range(6)]
-        t = rng.choice((-1, 0, 1))
-        x, y = ([p + t * q for p, q in zip(x, y)], y) if rng.random() < 0.5 else (y, x)
-        want = _smith_factors(x, y)
-        if len(want) < 2:
-            continue  # rank below 2
-        assert catalog._invariant_factors(x, y) == want, (x, y)
-        checked += 1
-        d1_above_1 += want[0] > 1
-        d2_above_1 += want[1] > 1
-    assert d1_above_1 >= 100 and d2_above_1 >= 100, (d1_above_1, d2_above_1)
+def test_claim3_invariant_factors_match_the_smith_form():
+    # every plane the grid accepts at bound 50 is primitive: the Smith form
+    # of its 6 x 2 U^3 block has invariant factors (1, 1), which the result
+    # records
+    results = _claim3_grid(50)
+    assert len(results) == 1338
+    for res in results:
+        block = [[p, q] for p, q in zip(res.vector_l[:6], res.vector_generator[:6])]
+        factors = tuple(matrices.smith_normal_form(block).invariant_factors())
+        assert factors == res.invariant_factors == (1, 1), res.inputs
 
 
 def test_claim3_grid_takes_no_smith_form_or_matrix_product(monkeypatch):
@@ -203,6 +178,8 @@ def test_family_validation():
         family(1, n=3)  # divisible by 3
     with pytest.raises(ValueError):
         family(1, n=0)
+    with pytest.raises(ValueError, match="family 1 needs a positive n for a hyperbolic lattice"):
+        family(1, n=-1)
     with pytest.raises(ValueError):
         family(6)
     assert family(1).n == 1  # default parameter
@@ -328,29 +305,40 @@ def test_certified_families_revalidate():
         assert revalidate_report(PicardData(induced_gram(sub)), report), spec.label
 
 
-def test_revalidate_report_refuses_forged_aut_entries():
-    # an aut entry is what the rank rules derive from the checked verdicts, or,
-    # only where they say UNKNOWN, a PAPER_ASSERTED verdict with a citation
+def test_forged_aut_entries_are_refused_when_the_report_is_built():
+    # the certified families revalidate; a stored aut entry is only a cited
+    # FINITE or INFINITE overlay where the rank rules say UNKNOWN, and any
+    # other entry is refused before a report exists
     reports = {}
     for fid, n in [(1, 5), (2, None), (3, None), (4, None), (5, None)]:
         spec = family(fid, n)
         reports[fid] = report = certify_family(spec)
         assert revalidate_report(PicardData(GramLattice(3, spec.target_gram)), report), spec.label
-    data = PicardData(GramLattice(3, family(3).target_gram))
     asserted = reports[3]
-    assert asserted.aut.status == "PAPER_ASSERTED"
+    assert asserted.aut is asserted.aut_overlay and asserted.aut.status == "PAPER_ASSERTED"
     for forged in (
-        AutReport("FINITE", None, "trust me"),  # a verdict with no provenance
-        dataclasses.replace(asserted.aut, citation=None),  # PAPER_ASSERTED with no citation
+        AutReport("FINITE", "trust me"),  # a verdict with no citation
+        dataclasses.replace(asserted.aut, citation=None),
+        dataclasses.replace(asserted.aut, citation=""),
         dataclasses.replace(asserted.aut, verdict="UNKNOWN"),  # an assertion of nothing
     ):
-        assert not revalidate_report(data, dataclasses.replace(asserted, aut=forged)), forged
+        with pytest.raises(ValueError, match="aut overlay"):
+            dataclasses.replace(asserted, aut_overlay=forged)
     # a citation cannot replace what the rank rules prove
-    data = PicardData(GramLattice(2, ((2, 0), (0, -16))))
-    report = classify(data)
+    report = classify(PicardData(GramLattice(2, ((2, 0), (0, -16)))))
     assert (report.aut.verdict, report.aut.status) == ("INFINITE", "PROVEN")
-    forged = AutReport("FINITE", "PAPER_ASSERTED", "asserted", "anyone")
-    assert not revalidate_report(data, dataclasses.replace(report, aut=forged))
+    with pytest.raises(ValueError, match="aut overlay"):
+        dataclasses.replace(report, aut_overlay=AutReport("FINITE", "asserted", "anyone"))
+    with pytest.raises(TypeError):
+        dataclasses.replace(report, aut=AutReport("FINITE", "asserted", "anyone"))
+    # U's rules prove FINITE, so no overlay may stand there either
+    report = classify(PicardData(standard_lattice("U")))
+    with pytest.raises(ValueError, match="aut overlay"):
+        dataclasses.replace(report, aut_overlay=AutReport("INFINITE", "asserted", "anyone"))
+    # nor may an overlay survive a sub-verdict that lets the rules decide
+    fake_no = RepresentationVerdict.no(Certificate("DIVISIBILITY", {"divisor": 3}))
+    with pytest.raises(ValueError, match="aut overlay"):
+        dataclasses.replace(asserted, has_minus2=fake_no)
 
 
 def test_corrupted_family_spec_raises():

@@ -109,6 +109,12 @@ def test_legendre_tampering():
     bad = copy.deepcopy(good)
     bad["data"]["reduced"] = [1, 1, -5]
     assert not verify_certificate(q, 0, bad)
+    # each reduced entry follows the exact_int rule
+    assert good["data"]["reduced"] == [1, 1, -3]
+    for reduced in ([True, True, -3], [1.0, 1.0, -3]):
+        bad = copy.deepcopy(good)
+        bad["data"]["reduced"] = reduced
+        assert not verify_certificate(q, 0, bad), reduced
     bad = copy.deepcopy(good)
     bad["data"]["condition"] = 5
     assert not verify_certificate(q, 0, bad)
@@ -343,3 +349,10 @@ def test_content_must_be_a_positive_integer_dividing_form_and_target():
         for g in (0, -2, 3, 4, 2.0, "2"):
             assert not verify_certificate(q, t, {"kind": kind, "data": dict(cert.data, content=g)}), g
         assert not verify_certificate(q, 0, cert)
+    # the content follows the exact_int rule: True is not 1
+    for q, t, kind in ((BinaryForm(1, 0, -1), 2, "SQUARE_DISC_EXHAUST"), (BinaryForm(1, 1, -10**6), 7, "CYCLE")):
+        cert = binary_represents(q, t).certificate
+        assert cert.kind == kind and cert.data["content"] == 1
+        assert verify_certificate(q, t, cert)
+        for g in (True, 1.0):
+            assert not verify_certificate(q, t, {"kind": kind, "data": dict(cert.data, content=g)}), g

@@ -175,6 +175,10 @@ def test_orthogonal_complement():
     assert comp.rank == 1
     assert induced_gram(comp).gram == ((0,),)
 
+    degenerate = GramLattice(3, ((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError, match="requires a nondegenerate ambient lattice"):
+        orthogonal_complement(EmbeddedSublattice(degenerate, [[1, 0, 0]]))
+
 
 def test_isometry_validation_and_apply():
     u = standard_lattice("U")
@@ -184,6 +188,8 @@ def test_isometry_validation_and_apply():
     assert minus.apply((1, 2)) == [-1, -2]
     with pytest.raises(ValueError):
         IsometryMap(u, [[1, 1], [0, 1]])  # does not preserve the pairing
+    with pytest.raises(ValueError, match="shape does not match the lattice rank"):
+        IsometryMap(u, [[1, 0, 0], [0, 1, 0]])
 
 
 def test_extend_by_identity_across_k3():
@@ -245,6 +251,15 @@ def test_extend_by_identity_refuses_a_degenerate_sublattice():
         sub = EmbeddedSublattice(ambient, basis)
         with pytest.raises(ValueError, match="sublattice is degenerate inside the ambient lattice"):
             extend_by_identity(IsometryMap(GramLattice(len(gram), gram), iso), sub)
+    # span((2, 2, 0, 0)) in U + U has induced Gram <8> and is not primitive;
+    # an isometry of another lattice is refused before that
+    sub = EmbeddedSublattice(direct_sum(u, u), [[2, 2, 0, 0]])
+    for square, message in (
+        (8, "sublattice is not primitive"),
+        (4, "isometry domain does not match the induced pairing"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            extend_by_identity(IsometryMap(GramLattice(1, ((square,),)), [[-1]]), sub)
 
 
 def test_sublattice_json_roundtrip():

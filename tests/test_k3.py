@@ -1,4 +1,4 @@
-"""Hyperbolic-lattice classification: verdicts, provenance, positive-cone membership."""
+"""Hyperbolic-lattice classification: verdicts and provenance."""
 
 import dataclasses
 import random
@@ -8,6 +8,8 @@ import pytest
 
 from k3lattice import matrices
 from k3lattice.k3 import (
+    AutReport,
+    K3Report,
     PicardData,
     _witness_scan,
     classify,
@@ -17,7 +19,6 @@ from k3lattice.k3 import (
     picard_from_json,
     report_to_json,
     revalidate_report,
-    same_positive_cone_component,
 )
 from k3lattice.lattices import GramLattice, lattice_to_json, signature, standard_lattice
 from k3lattice.qform import (
@@ -25,6 +26,7 @@ from k3lattice.qform import (
     Certificate,
     DiagonalTernaryForm,
     RepresentationVerdict,
+    SearchLimits,
     UnaryForm,
     verdict_to_json,
 )
@@ -224,9 +226,10 @@ def test_revalidate_report_accepts_honest_and_rejects_tampered():
         has_minus2=RepresentationVerdict.no(Certificate("DIVISIBILITY", {"divisor": 3})),
     )
     assert not revalidate_report(data, bad)
-    # flipped proven aut verdict
-    bad = dataclasses.replace(report, aut=dataclasses.replace(report.aut, verdict="FINITE"))
-    assert not revalidate_report(data, bad)
+    # aut is read from the sub-verdicts, so a flipped proven aut verdict
+    # cannot even be stored
+    with pytest.raises(TypeError):
+        dataclasses.replace(report, aut=dataclasses.replace(report.aut, verdict="FINITE"))
 
 
 def test_revalidate_report_refuses_a_report_on_another_lattice():
@@ -247,19 +250,41 @@ def test_revalidate_report_refuses_a_report_on_another_lattice():
             dataclasses.replace(report, **{name: 1})
 
 
-def test_revalidate_report_rederives_aut_from_the_checked_sub_verdicts():
-    # Aut of U is finite; a PROVEN INFINITE entry on U's honest sub-verdicts
-    # must not pass, since the rank rules derive FINITE from them
+def test_aut_follows_the_sub_verdicts():
+    # aut is derived, never stored: forging the sub-verdicts moves it, and
+    # revalidate_report refuses the forged sub-verdicts
+    fake_no = RepresentationVerdict.no(Certificate("DIVISIBILITY", {"divisor": 3}))
     data = PicardData(U)
     report = classify(data)
+    assert (report.aut.verdict, report.aut.status) == ("FINITE", "PROVEN")
+    forged = dataclasses.replace(report, has_minus2=fake_no, has_isotropic=fake_no)
+    assert (forged.aut.verdict, forged.aut.status) == ("INFINITE", "PROVEN")
+    assert not revalidate_report(data, forged)
+    # at rank 3 a forged -2 NO alone reads INFINITE
+    data = PicardData(_diag(6, -2, -2))
+    report = classify(data)
+    assert report.aut.verdict == "UNKNOWN"
+    forged = dataclasses.replace(report, has_minus2=fake_no)
+    assert (forged.aut.verdict, forged.aut.status) == ("INFINITE", "PROVEN")
+    assert not revalidate_report(data, forged)
+    assert [f.name for f in dataclasses.fields(AutReport)] == ["verdict", "reason", "citation"]
+    assert "aut" not in {f.name for f in dataclasses.fields(K3Report)}
+
+
+def test_rank_two_unknown_rule():
+    # <2, -4; -4, 7> (det -2): at bound 1 the -2 search stops undecided while
+    # the nonsquare discriminant settles 0, so the rank-2 rule falls through
+    data = PicardData(GramLattice(2, ((2, -4), (-4, 7))))
+    report = classify(data, SearchLimits(1))
+    assert (report.has_minus2.kind, report.has_isotropic.kind) == ("UNDECIDED", "NO")
+    assert (report.aut.verdict, report.aut.status) == ("UNKNOWN", None)
+    assert report.aut.reason == "rank 2 with an undecided sub-verdict"
     assert revalidate_report(data, report)
-    forged = dataclasses.replace(
-        report.aut,
-        verdict="INFINITE",
-        reason="rank 2: the form represents neither 0 nor -2, so the automorphism group is infinite",
-    )
-    assert forged.status == "PROVEN"
-    assert not revalidate_report(data, dataclasses.replace(report, aut=forged))
+    # at the default limits -2 is found, and that makes Aut finite
+    report = classify(data)
+    assert (report.has_minus2.kind, report.has_minus2.witness) == ("YES", (3, 2))
+    assert (report.aut.verdict, report.aut.status) == ("FINITE", "PROVEN")
+    assert revalidate_report(data, report)
 
 
 def test_revalidate_report_rejects_malformed_sub_verdicts():
@@ -300,18 +325,6 @@ def test_every_seeded_classify_report_revalidates():
         assert aut["minus2"] == verdict_to_json(report.has_minus2)
         assert aut["isotropic"] == verdict_to_json(report.has_isotropic)
         checked += 1
-
-
-def test_same_positive_cone_component():
-    data = PicardData(U)
-    assert same_positive_cone_component(data, (1, 1), (2, 1))
-    assert not same_positive_cone_component(data, (1, 1), (-1, -1))
-    # also accepts a bare lattice
-    assert same_positive_cone_component(U, (1, 1), (1, 2))
-    with pytest.raises(ValueError):
-        same_positive_cone_component(data, (1, 0), (1, 1))  # square 0
-    with pytest.raises(ValueError):
-        same_positive_cone_component(data, (1, 1), (1, -1))  # square -2
 
 
 def test_report_json_shape():
@@ -357,5 +370,3 @@ def test_picard_data_refuses_non_integers():
         picard_from_json({"lattice": {"gram": [[0, "1"], [1, 0]]}})
     with pytest.raises(ValueError, match="expected an integer"):
         picard_from_json({"lattice": {"ambient": {"name": "U"}, "basis": [[1.0, -1]]}})
-    with pytest.raises(ValueError, match="expected an integer"):
-        same_positive_cone_component(U, (1, 1), (1.0, 2))

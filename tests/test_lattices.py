@@ -194,6 +194,8 @@ def test_lattice_json_roundtrip():
         lattice_from_json({"nope": 1})
     with pytest.raises(ValueError):
         lattice_from_json([1, 2])
+    with pytest.raises(ValueError, match='"sum" must be a list of lattices'):
+        lattice_from_json({"sum": 3})
 
 
 def test_gram_lattice_refuses_non_integers():

@@ -172,6 +172,8 @@ def test_smith_normal_form_properties():
             for j in range(cols):
                 if i != j:
                     assert snf.d[i][j] == 0
+    with pytest.raises(ValueError, match="ragged matrix"):
+        matrices.smith_normal_form([[1, 2], [3]])
 
 
 def test_smith_diagonal_matches_minor_gcd_oracle():
@@ -208,3 +210,5 @@ def test_mat_mul_dimension_mismatch():
         matrices.mat_mul([[1, 2, 3]], [[1], [2]])
     with pytest.raises(ValueError, match="dimension mismatch"):
         matrices.mat_mul([[1, 2]], [])
+    with pytest.raises(ValueError, match="dimension mismatch in matrix-vector product"):
+        matrices.mat_vec([[1, 2]], [1])
