@@ -8,6 +8,7 @@ __all__ = [
     "is_square",
     "sqrt_exact",
     "divides",
+    "trial_division",
     "factorize",
     "FactorBudgetError",
     "RHO_LIMIT",
@@ -51,6 +52,7 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 # the primes below 1000, tried by division before any other test
 _SMALL_PRIMES = _primes_below(1000)
+_TRIAL_SQUARE = 1000 * 1000
 # Miller-Rabin with the first 6 prime bases is deterministic below this bound
 # (Jaeschke, Math. Comp. 61, 1993), with the first 13 below _MR_LIMIT
 # (Sorenson & Webster, Math. Comp. 86, 2017)
@@ -119,12 +121,10 @@ def _rho_factor(n: int, steps: int) -> tuple[int, int]:
     raise AssertionError("internal error: rho found no factor")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| in increasing order; {} for n in {-1, 0, 1}.
-
-    Trial division by the primes below 1000, then deterministic Miller-Rabin
-    and Pollard-Brent rho on the cofactor; FactorBudgetError past RHO_LIMIT
-    rho steps."""
+def trial_division(n: int) -> tuple[dict[int, int], int]:
+    """Divide |n| by the primes below 1000, stopping at p**2 > n: (the prime
+    factors found, in increasing order with exponents, and the cofactor left:
+    1, or a number above 1000**2 with no prime factor below 1000)."""
     n = abs(n)
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -133,15 +133,24 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # no prime below the last p tried divides n, so a factor below p**2 is prime
-    if n < p * p:
+    if n < _TRIAL_SQUARE:
         if n > 1:
             out[n] = 1
-        return out
-    stack, steps = [n], 0
+        n = 1
+    return out, n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| in increasing order; {} for n in {-1, 0, 1}.
+
+    trial_division, then deterministic Miller-Rabin and Pollard-Brent rho on
+    the cofactor; FactorBudgetError past RHO_LIMIT rho steps."""
+    out, n = trial_division(n)
+    stack, steps = ([n] if n > 1 else []), 0
     while stack:
         m = stack.pop()
-        if m < p * p or _strong_probable_prime(m):
+        # no prime below 1000 divides m, so m below 1000**2 is prime
+        if m < _TRIAL_SQUARE or _strong_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         r = sqrt_exact(m)

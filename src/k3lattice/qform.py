@@ -3,6 +3,7 @@
 Verdicts are YES with an exact witness, NO with a certificate that
 verify_certificate can replay without any unbounded search, or UNDECIDED
 with the bounds that were exhausted. NO is never "search gave up".
+Binary t != 0 tries LOCAL and the cycle before the sieve and the search.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from .ntheory import (
     divides,
     divisors,
     exact_int,
+    factorize,
     is_square,
     sqrt_exact,
     squarefree_split,
+    trial_division,
 )
 
 __all__ = [
@@ -38,6 +41,7 @@ __all__ = [
     "DEFINITE",
     "DEFINITE_EXHAUST",
     "CYCLE",
+    "LOCAL",
     "represents",
     "unary_represents",
     "binary_represents_zero",
@@ -59,6 +63,7 @@ NONSQUARE_DISC = "NONSQUARE_DISC"
 DEFINITE = "DEFINITE"
 DEFINITE_EXHAUST = "DEFINITE_EXHAUST"
 CYCLE = "CYCLE"
+LOCAL = "LOCAL"
 
 DEFAULT_SIEVE_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 64)
 DEFAULT_SEARCH_BOUND = 10_000
@@ -373,7 +378,8 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
     for i, f in enumerate(cycle):
         leading.setdefault(f[0], i)
     try:
-        fs = divisors(squarefree_split(t1)[1])
+        # f = 1 comes first, so a t1 on the cycle needs no factoring
+        fs = [1] if t1 in leading else divisors(squarefree_split(t1)[1])
     except FactorBudgetError:
         return RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
     # f**2 divides t1 exactly when f divides its square factor; smallest f first
@@ -455,6 +461,29 @@ def _binary_sieve(q: BinaryForm, t: int) -> int | None:
     return None
 
 
+def _local_no(q1: BinaryForm, t1: int, p: int) -> bool:
+    """q1 = t1 has no p-adic solution, for q1 primitive, t1 != 0, p an odd
+    prime, by (i) p | D, p not dividing t1, and (t1 a' / p) = -1 for a' the
+    one of a1, c1 prime to p: 4 a1 q1 = (2 a1 x + b1 y)**2 mod p, so every
+    value prime to p has the class of a1 (of c1, by symmetry); or by (ii) p
+    not dividing D, v_p(t1) odd and (D / p) = -1: q1 = 0 mod p only at
+    x = y = 0 mod p, so every v_p(q1) is even."""
+    d, h = q1.disc, (p - 1) // 2
+    if d % p == 0:
+        return t1 % p != 0 and pow(t1 * (q1.a if q1.a % p else q1.c), h, p) == p - 1
+    v = 0
+    while t1 % p == 0:
+        t1 //= p
+        v += 1
+    return v % 2 == 1 and pow(d, h, p) == p - 1
+
+
+def _local_prime(q1: BinaryForm, t1: int) -> int | None:
+    """The least odd prime of D t1 that ntheory.trial_division finds and
+    _local_no holds at, or None; no rho step, so no budget runs out."""
+    return next((p for p in trial_division(q1.disc * t1)[0] if p > 2 and _local_no(q1, t1, p)), None)
+
+
 def _binary_bounded_search(q1: BinaryForm, t1: int, bound: int):
     # only reached with positive nonsquare discriminant, so a, c != 0;
     # solutions with a negative scanned coordinate are sign-flips of these;
@@ -467,7 +496,9 @@ def _binary_bounded_search(q1: BinaryForm, t1: int, bound: int):
 
 def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
     """Decide q = t for nondegenerate binary q (t = 0 is routed to the
-    discriminant test)."""
+    discriminant test). Past the content, the definite box and the square-disc
+    walk: a LOCAL obstruction at an odd prime of D or t1, the reduced cycle
+    when 4 t1**2 < D, the sieve ladder, the bounded search."""
     t = exact_int(t)
     if t == 0:
         return binary_represents_zero(q)
@@ -506,6 +537,9 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
         return RepresentationVerdict.no(
             Certificate(SQUARE_DISC_EXHAUST, {"content": g, "pairs_tried": pairs})
         )
+    p = _local_prime(q1, t1)
+    if p is not None:
+        return RepresentationVerdict.no(Certificate(LOCAL, {"content": g, "prime": p}))
     if 4 * t1 * t1 < d1:
         return _cycle_decide(q1, t1, g)
     m = _binary_sieve(q, t)
@@ -616,11 +650,15 @@ def _holzer_scan(a: int, b: int, c: int):
     """Witness of a x**2 + b y**2 + c z**2 = 0 in the box |x| <= sqrt|bc|,
     |y| <= sqrt|ac|. For squarefree, pairwise coprime a, b, c of mixed sign
     that meet the residue conditions, Holzer's theorem puts a nontrivial zero
-    there, so one scan of the box is complete."""
-    ys = range(isqrt(abs(a * c)) + 1)
-    for w in _exact_roots(a, b, c, 0, range(isqrt(abs(b * c)) + 1), lambda x: ys):
+    there, so one scan of the box is complete; past _EXHAUST_CELL_LIMIT cells
+    the scan stops and answers None."""
+    bx, ys = isqrt(abs(b * c)), range(isqrt(abs(a * c)) + 1)
+    rows = min(bx + 1, _EXHAUST_CELL_LIMIT // len(ys))
+    for w in _exact_roots(a, b, c, 0, range(rows), lambda x: ys):
         if any(w):
             return w
+    if rows <= bx:
+        return None
     raise AssertionError("internal error: no zero in the Holzer box")
 
 
@@ -628,8 +666,8 @@ def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
     """Decision of nontrivial isotropy for diagonal ternary forms: squarefree
     pairwise-coprime reduction, then Legendre's three solvability conditions
     by Euler's criterion at each prime, and on the solvable side one scan of
-    the Holzer box for the witness. Complete, except that a coefficient whose
-    factoring runs past ntheory.RHO_LIMIT answers UNDECIDED."""
+    the Holzer box for the witness. Complete, except for UNDECIDED when
+    factoring runs past ntheory.RHO_LIMIT or the box past its cell limit."""
     _require_nonzero_diag(q)
     sign = q.definite_sign
     if sign is not None:
@@ -647,6 +685,9 @@ def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
                 )
             )
     w = _holzer_scan(a, b, c)
+    if w is None:
+        bounds = [isqrt(abs(b * c)), isqrt(abs(a * c))]
+        return RepresentationVerdict.undecided({"bounds": bounds, "cell_limit": _EXHAUST_CELL_LIMIT})
     w = _backmap_zero(w, steps)
     g = gcd(*w)
     w = [x // g for x in w]
@@ -873,6 +914,14 @@ def _verify_legendre(q, t, data) -> bool:
     return not _is_square_mod(v, primes[idx])
 
 
+def _verify_local(q, t, data) -> bool:
+    reduced, p = _content_reduced(q, t, data), data.get("prime")
+    if reduced is None or type(p) is not int or p < 3 or gcd(*reduced[0].coefficients()) != 1:
+        return False
+    # past ntheory.RHO_LIMIT factorize raises, and verify_certificate answers False
+    return factorize(p) == {p: 1} and _local_no(*reduced, p)
+
+
 def _verify_cycle(q, t, data) -> bool:
     reduced = _content_reduced(q, t, data)
     if reduced is None:
@@ -920,6 +969,7 @@ _VERIFIERS = {
     SQUARE_DISC_EXHAUST: _verify_square_disc,
     LEGENDRE: _verify_legendre,
     CYCLE: _verify_cycle,
+    LOCAL: _verify_local,
 }
 
 

@@ -257,6 +257,61 @@ def legendre_certificate_reference(d1: int, d2: int, d3: int):
     return None
 
 
+def binary_local_miss(a: int, b: int, c: int, t: int, p: int, k: int) -> bool:
+    """True iff no (x, y) has a x^2 + b x y + c y^2 = t (mod p^k): a
+    depth-first search through the solutions mod p, p^2, ..., p^k, where each
+    solution mod p^(j+1) is one of the p^2 lifts of a solution mod p^j."""
+
+    def lifts_to_the_top(x: int, y: int, m: int) -> bool:
+        if m == p**k:
+            return True
+        n = m * p
+        return any(
+            (a * u * u + b * u * v + c * v * v - t) % n == 0 and lifts_to_the_top(u, v, n)
+            for u in range(x, n, m)
+            for v in range(y, n, m)
+        )
+
+    return not lifts_to_the_top(0, 0, 1)
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity and
+    the supplement for 2, not by Euler's criterion."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def binary_local_prime_reference(a: int, b: int, c: int, t: int):
+    """The prime of a LOCAL certificate for the primitive form a, b, c and
+    t != 0: the least odd prime p of D t with (i) p | D, p not dividing t and
+    (t a' / p) = -1, for a' = a unless p | a, then c; or (ii) p not dividing
+    D, the power of p in t odd and (D / p) = -1. Every prime of D t is tried,
+    so this is the decider's choice where trial division below 1000 factors
+    D and t completely (both below 10^6). None when no prime works."""
+    disc = b * b - 4 * a * c
+    for p in sorted(set(_factor(abs(disc))) | set(_factor(abs(t))) - {2}):
+        if disc % p == 0:
+            if t % p and jacobi(t * (a if a % p else c), p) == -1:
+                return p
+            continue
+        v, u = 0, t
+        while u % p == 0:
+            u, v = u // p, v + 1
+        if v % 2 and jacobi(disc, p) == -1:
+            return p
+    return None
+
+
 # ------------------------------------------------------------ witness scans
 
 
@@ -536,7 +591,9 @@ def binary_scan_reference(a: int, b: int, c: int, t: int, bound: int):
     """verdict_to_json of binary_represents for a x^2 + b x y + c y^2 = t
     with search bound `bound` where a witness scan answers, or None where
     another branch does (t = 0, content, definite sign, square discriminant,
-    cycle). The scans keep the first witness in this order:
+    cycle). An indefinite form first meets the LOCAL step, whose prime is
+    binary_local_prime_reference's, so D and t / content must stay below
+    10^6. The scans keep the first witness in this order:
 
     - definite: rows y = 0..by of the box from 4a q = (2ax + by)^2 + |D| y^2,
       and in a row the x with 2ax + by = +r before the one with -r;
@@ -567,7 +624,12 @@ def binary_scan_reference(a: int, b: int, c: int, t: int, bound: int):
                 return {"kind": "YES", "witness": [x, y]}
         data = {"content": g, "bound_x": bx, "bound_y": by}
         return {"kind": "NO", "certificate": {"kind": "DEFINITE_EXHAUST", "data": data}}
-    if isqrt(disc) ** 2 == disc or 4 * t1 * t1 < disc:
+    if isqrt(disc) ** 2 == disc:
+        return None
+    p = binary_local_prime_reference(a1, b1, c1, t1)
+    if p is not None:
+        return {"kind": "NO", "certificate": {"kind": "LOCAL", "data": {"content": g, "prime": p}}}
+    if 4 * t1 * t1 < disc:
         return None
     for m in DEFAULT_SIEVE_MODULI:
         if t % m not in {(a * x * x + b * x * y + c * y * y) % m for x in range(m) for y in range(m)}:

@@ -84,6 +84,15 @@ def test_every_earlier_export_survives():
         assert hasattr(k3lattice, name), name
 
 
+def test_every_certificate_kind_is_exported_and_replayed():
+    kinds = [
+        "DIVISIBILITY", "SIEVE", "LEGENDRE", "SQUARE_DISC_EXHAUST", "NONSQUARE_DISC",
+        "DEFINITE", "DEFINITE_EXHAUST", "CYCLE", "LOCAL",
+    ]
+    assert [getattr(k3lattice, kind) for kind in kinds] == kinds
+    assert set(kinds) == set(qform._VERIFIERS)
+
+
 def _readme_python_blocks() -> list[str]:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     return re.findall(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)

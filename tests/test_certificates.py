@@ -6,6 +6,7 @@ import random
 from itertools import permutations
 from math import isqrt
 
+from k3lattice import qform
 from k3lattice.qform import (
     BinaryForm,
     Certificate,
@@ -36,7 +37,8 @@ def test_honest_certificates_replay_for_all_arities():
     _no_cert(unary_represents, UnaryForm(2), 6)      # DEFINITE_EXHAUST
     _no_cert(unary_represents, UnaryForm(2), 0)      # DEFINITE (note form)
     _no_cert(binary_represents, BinaryForm(2, 0, -16), -2)   # CYCLE
-    _no_cert(binary_represents, BinaryForm(1, 0, -2), 3)     # SIEVE
+    _no_cert(binary_represents, BinaryForm(1, 0, -6), -3)    # SIEVE
+    _no_cert(binary_represents, BinaryForm(1, 0, -2), 3)     # LOCAL
     _no_cert(binary_represents, BinaryForm(1, 0, -2), 0)     # NONSQUARE_DISC
     _no_cert(binary_represents, BinaryForm(1, 0, -4), 3)     # SQUARE_DISC_EXHAUST
     _no_cert(ternary_represents, DiagonalTernaryForm(4, -4, -4), -2)
@@ -63,16 +65,17 @@ def test_divisibility_tampering():
 
 
 def test_sieve_tampering():
-    q = BinaryForm(1, 0, -2)
-    good = binary_represents(q, 3).certificate.to_json()
+    # 3 divides both D = 24 and t = -3, so no LOCAL prime settles it first
+    q = BinaryForm(1, 0, -6)
+    good = binary_represents(q, -3).certificate.to_json()
     assert good["data"]["modulus"] == 8
     bad = copy.deepcopy(good)
-    bad["data"]["modulus"] = 7  # 3 is attained mod 7
-    assert not verify_certificate(q, 3, bad)
+    bad["data"]["modulus"] = 7  # -3 = q(2, 0) mod 7
+    assert not verify_certificate(q, -3, bad)
     bad["data"]["modulus"] = 1
-    assert not verify_certificate(q, 3, bad)
+    assert not verify_certificate(q, -3, bad)
     bad["data"]["modulus"] = 100000  # over the replay limit
-    assert not verify_certificate(q, 3, bad)
+    assert not verify_certificate(q, -3, bad)
     # the certified obstruction does not transfer to another target
     assert not verify_certificate(q, 1, good)  # 1 = q(1, 0)
 
@@ -128,6 +131,44 @@ def test_legendre_tampering():
     bad = copy.deepcopy(good)
     bad["data"]["condition"] = True
     assert not verify_certificate(q, 0, bad)
+
+
+def test_local_tampering():
+    def local(p, content=1):
+        return {"kind": "LOCAL", "data": {"content": content, "prime": p}}
+
+    # (i): 3 | D = 12 and (-1/3) = -1; (ii): 3 does not divide D = 8,
+    # v_3(3) = 1 and (8/3) = -1
+    q_i, q_ii = BinaryForm(1, 0, -3), BinaryForm(1, 0, -2)
+    assert binary_represents(q_i, -1).certificate.to_json() == local(3)
+    assert binary_represents(q_ii, 3).certificate.to_json() == local(3)
+    # the symbols hold at 15 and at 2 as well, so only the primality checks
+    # refuse them: x**2 - 15 y**2 = -1 has pow(-1, 7, 15) = 14, and every
+    # odd t is pow(t, 0, 2) = 1 = 2 - 1
+    q15 = BinaryForm(1, 0, -15)
+    assert verify_certificate(q15, -1, local(3))
+    assert qform._local_no(q15, -1, 15) and qform._local_no(q_ii, 3, 2)
+    assert not verify_certificate(q15, -1, local(15))
+    assert not verify_certificate(q_ii, 3, local(2))
+    for p in (True, 3.0, "3", None, 1, -3, 9):
+        assert not verify_certificate(q_ii, 3, local(p)), p
+    # 5 divides neither D = 8 nor t = 3
+    assert not verify_certificate(q_ii, 3, local(5))
+    # v_3(9) = 2 is even, and 9 = q(3, 0)
+    assert not verify_certificate(q_ii, 9, local(3))
+    # a wrong content: 3 does not divide the form, True is not 1
+    for content in (3, 0, -1, True):
+        assert not verify_certificate(q_ii, 3, local(3, content)), content
+    # 3 (x**2 + x y - y**2) = 6 fails at 5 | D = 5 of the primitive part,
+    # (2/5) = -1; the replay refuses the same symbols on the non-primitive form
+    q = BinaryForm(3, 3, -3)
+    assert binary_represents(q, 6).certificate.to_json() == local(5, 3)
+    assert qform._local_no(q, 6, 5)
+    assert not verify_certificate(q, 6, local(5))
+    # no ternary form and no t = 0
+    assert not verify_certificate(DiagonalTernaryForm(1, -2, 5), 3, local(3))
+    assert not verify_certificate(q_ii, 0, local(3))
+    assert not verify_certificate(q_i, 0, local(3))
 
 
 def test_cycle_tampering():
@@ -340,9 +381,13 @@ def test_fuzzed_dicts_never_raise():
 
 
 def test_content_must_be_a_positive_integer_dividing_form_and_target():
-    # SQUARE_DISC_EXHAUST and CYCLE divide the form and t by the stated
-    # content before replaying; any other content is refused
-    for q, t, kind in ((BinaryForm(2, 6, 0), 4, "SQUARE_DISC_EXHAUST"), (BinaryForm(2, 0, -6), -2, "CYCLE")):
+    # SQUARE_DISC_EXHAUST, CYCLE and LOCAL divide the form and t by the
+    # stated content before replaying; any other content is refused
+    for q, t, kind in (
+        (BinaryForm(2, 6, 0), 4, "SQUARE_DISC_EXHAUST"),
+        (BinaryForm(2, 0, -16), -2, "CYCLE"),
+        (BinaryForm(2, 0, -6), -2, "LOCAL"),
+    ):
         cert = binary_represents(q, t).certificate
         assert cert.kind == kind and cert.data["content"] == 2
         assert verify_certificate(q, t, cert)
@@ -350,7 +395,11 @@ def test_content_must_be_a_positive_integer_dividing_form_and_target():
             assert not verify_certificate(q, t, {"kind": kind, "data": dict(cert.data, content=g)}), g
         assert not verify_certificate(q, 0, cert)
     # the content follows the exact_int rule: True is not 1
-    for q, t, kind in ((BinaryForm(1, 0, -1), 2, "SQUARE_DISC_EXHAUST"), (BinaryForm(1, 1, -10**6), 7, "CYCLE")):
+    for q, t, kind in (
+        (BinaryForm(1, 0, -1), 2, "SQUARE_DISC_EXHAUST"),
+        (BinaryForm(1, 0, -124), 2, "CYCLE"),
+        (BinaryForm(1, 1, -10**6), 7, "LOCAL"),
+    ):
         cert = binary_represents(q, t).certificate
         assert cert.kind == kind and cert.data["content"] == 1
         assert verify_certificate(q, t, cert)

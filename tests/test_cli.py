@@ -55,7 +55,11 @@ def test_qform_represents_yes_no_undecided(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert obj["verdict"]["kind"] == "NO"
-    assert obj["verdict"]["certificate"]["kind"] == "SIEVE"
+    assert obj["verdict"]["certificate"] == {"kind": "LOCAL", "data": {"content": 1, "prime": 3}}
+
+    code, out, _ = run(capsys, "qform", "represents", '{"binary": [1, 0, -6]}', "--t", "-3")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"]["certificate"] == {"kind": "SIEVE", "data": {"modulus": 8}}
 
     # no sieve modulus obstructs x**2 - 7 y**2 = 8 and its witness (6, ±2)
     # lies past the capped scan: the question becomes undecided
@@ -223,6 +227,10 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
         (("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": [9, 9, 3]}'), EXIT_OK, "mw_rank.json"),
         # rank-2 PROVEN INFINITE: the aut entry repeats two NO certificates
         (("k3", "classify", '{"lattice": {"gram": [[2, 0], [0, -16]]}}'), EXIT_OK, "k3_classify_2_m16.json"),
+        # a LOCAL NO at 5 | D, (-2 * 264606 / 5) = -1, where the cycle walk
+        # runs past its 100000 steps
+        (("qform", "represents", '{"binary": [264606, 439487, -151714]}', "--t", "-2"), EXIT_OK,
+         "qform_represents_local.json"),
     ],
 )
 def test_other_commands_match_golden_output(capsys, args, expected_code, golden):

@@ -308,3 +308,17 @@ def test_isotropy_past_the_factor_budget_is_undecided():
     assert v == RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
     data = {"reduced": [n, -1, -3], "steps": [], "condition": 0, "modulus": n, "target": n - 3}
     assert verify_certificate(q, 0, {"kind": "LEGENDRE", "data": data}) is False
+
+
+def test_holzer_box_past_the_cell_limit_is_undecided():
+    # three primes near 10**6 and 10**4 that meet the residue conditions: the
+    # box is about 10**5 x 10**5 cells, so only its first 4000000 // 100036
+    # = 39 rows of x are scanned, and no zero lies there
+    q = DiagonalTernaryForm(1000003, -1000033, -10007)
+    start = time.process_time()
+    v = ternary_represents_zero(q)
+    assert time.process_time() - start < 5.0
+    assert v == RepresentationVerdict.undecided(
+        {"bounds": [100036, 100035], "cell_limit": qform._EXHAUST_CELL_LIMIT}
+    )
+    assert qform._EXHAUST_CELL_LIMIT == 4_000_000
