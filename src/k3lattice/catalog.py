@@ -430,14 +430,16 @@ def theorem3_example(height_bound: int = 10) -> Theorem3Example:
     The walk updates (a, b) as integers and looks the plane up by its key, so a
     seen plane costs no vector, pairing or tuple, and nothing is kept across calls.
     A new plane is retired at once if the form of (u, v) has a discriminant <= 0
-    or a square one (this covers w.w == 0), or if w.w = s^2 u.u + 2sc u.v + c^2 v.v
-    is -2 (its closure holds w, so no sound -2 decider says NO). Every other plane
-    represents no 0, and only -2 is decided: on (u, v), where YES retires it, then
+    or a square one (this covers w.w == 0), or if -2 is one of w.w = s^2 u.u +
+    2sc u.v + c^2 v.v, v.v and (u +- v).(u +- v): each of w, v, u +- v lies in
+    Zu + Zv, so no sound -2 decider says NO, and the last three spare a decider
+    call that would answer YES. Every other plane represents no 0, and only -2
+    is decided: on (u, v), where YES retires it, then
     on the closure of (u, w), where NO returns it. That closure is Zu + Zv, which
     just answered "not YES" (NO, as below), so no sound decider answers YES on it.
     UNDECIDED retires nothing (it may depend on the basis), and 0 is decided only
-    on the returned plane. The ambient lattice is even, so DIVISIBILITY or the
-    reduced cycle settles -2 and no search bound can act."""
+    on the returned plane. The ambient lattice is even, so DIVISIBILITY, LOCAL or
+    the reduced cycle settles -2 and no search bound can act."""
     if exact_int(height_bound) < 0:
         raise ValueError("height bound must be non-negative")
     ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
@@ -467,7 +469,8 @@ def theorem3_example(height_bound: int = 10) -> Theorem3Example:
                         p, q, w = a // c, b // c, (x0, x1, x2)
                         uv, vv = gu[j] * p + gu[k] * q, g[j][j] * p * p + 2 * g[j][k] * p * q + g[k][k] * q * q
                         disc, s = 4 * (uv * uv - uu * vv), u[i] * w[i]
-                        retired = disc <= 0 or is_square(disc) or s * s * uu + 2 * s * c * uv + c * c * vv == -2
+                        ww = s * s * uu + 2 * s * c * uv + c * c * vv
+                        retired = disc <= 0 or is_square(disc) or -2 in (ww, vv, uu + 2 * uv + vv, uu - 2 * uv + vv)
                         if retired or qform.binary_represents(BinaryForm(uu, 2 * uv, vv), -2).kind == "YES":
                             settled.add(key)
                             continue

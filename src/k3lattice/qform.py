@@ -3,7 +3,8 @@
 Verdicts are YES with an exact witness, NO with a certificate that
 verify_certificate can replay without any unbounded search, or UNDECIDED
 with the bounds that were exhausted. NO is never "search gave up".
-Binary t != 0 tries LOCAL and the cycle before the sieve and the search.
+Binary t != 0 tries LOCAL before the cycle and the search; ternary t != 0
+tries the sieve ladder before the search.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ class DiagonalTernaryForm:
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Coordinate bound of the witness searches that run after the sieve
-    ladder (always DEFAULT_SIEVE_MODULI) has found no obstruction."""
+    """Coordinate bound of the witness searches that run once binary LOCAL
+    or the ternary DEFAULT_SIEVE_MODULI ladder finds no obstruction."""
 
     search_bound: int = DEFAULT_SEARCH_BOUND
 
@@ -445,43 +446,72 @@ def _square_disc_search(q1: BinaryForm, t1: int):
     return None, pairs
 
 
-def _binary_sieve(q: BinaryForm, t: int) -> int | None:
-    for m in DEFAULT_SIEVE_MODULI:
-        hit = False
-        tm = t % m
-        for x in range(m):
-            for y in range(m):
-                if (q.a * x * x + q.b * x * y + q.c * y * y) % m == tm:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            return m
-    return None
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, w) with n = p**v w and p not dividing w, for n != 0."""
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v, n
 
 
 def _local_no(q1: BinaryForm, t1: int, p: int) -> bool:
-    """q1 = t1 has no p-adic solution, for q1 primitive, t1 != 0, p an odd
-    prime, by (i) p | D, p not dividing t1, and (t1 a' / p) = -1 for a' the
-    one of a1, c1 prime to p: 4 a1 q1 = (2 a1 x + b1 y)**2 mod p, so every
-    value prime to p has the class of a1 (of c1, by symmetry); or by (ii) p
-    not dividing D, v_p(t1) odd and (D / p) = -1: q1 = 0 mod p only at
-    x = y = 0 mod p, so every v_p(q1) is even."""
-    d, h = q1.disc, (p - 1) // 2
-    if d % p == 0:
-        return t1 % p != 0 and pow(t1 * (q1.a if q1.a % p else q1.c), h, p) == p - 1
-    v = 0
-    while t1 % p == 0:
-        t1 //= p
-        v += 1
-    return v % 2 == 1 and pow(d, h, p) == p - 1
+    """q1 = t1 has no solution over Z_p, for q1 primitive, t1 = p**k w != 0
+    and p prime (Cassels, Rational Quadratic Forms, ch. 8).
+
+    Odd p not dividing D: q1 is unimodular at p and represents every unit,
+    and p**k w with k odd only when (D / p) = 1. Odd p | D, D = p**m D0:
+    4 a' q1 = (2 a' x + b1 y)**2 - D y**2 gives q1 = <e1, e2 p**m> with
+    e1 = a', e2 = -D0 a' for a' the one of a1, c1 prime to p, and t1 is a
+    value iff k is even with (w e1 / p) = 1, or k >= m, k = m mod 2 with
+    (w e2 / p) = 1, or m is even, k >= m and k is even or (-e1 e2 / p) = 1.
+    p = 2, b1 odd: q1 is the hyperbolic plane when D = 1 mod 8, else
+    x**2 + x y + y**2, whose values have even v_2. p = 2, b1 even: for a'
+    odd, a' q1 = X**2 + d Y**2 with d = a' c' - (b1 / 2)**2, and n = a' t1
+    is a value iff n = 1 + d s mod 8 for some square s in {0, 1, 4} (X odd),
+    or n - d is an even square mod 2**(v_2(d) + 3) (X even, Y odd, Hensel),
+    or 4 | n and n / 4 is a value (X, Y even)."""
+    a, b, c = q1.coefficients()
+    disc = q1.disc
+    k, w = _split(t1, p)
+    if p == 2:
+        if b % 2:
+            return disc % 8 == 5 and k % 2 == 1
+        if a % 2 == 0:
+            a, c = c, a
+        d, n = a * c - b * b // 4, a * t1
+        e = _split(d, 2)[0] + 3
+        while (n - 1) % 8 not in (0, d % 8, 4 * d % 8):
+            r = (n - d) % (1 << e)
+            v = (r & -r).bit_length() - 1
+            # r = X**2 mod 2**e for an even X: 0, or 4**j times 1 mod 2**min(3, e - v)
+            if r == 0 or (v >= 2 and v % 2 == 0 and (r >> v) % (1 << min(3, e - v)) == 1):
+                return False
+            if n % 4:
+                return True
+            n //= 4
+        return False
+    h = (p - 1) // 2
+    if disc % p:
+        return k % 2 == 1 and pow(disc, h, p) == p - 1
+    m, d0 = _split(disc, p)
+    e1 = a if a % p else c
+    e2 = -d0 * e1
+    return not (
+        (k % 2 == 0 and pow(w * e1, h, p) == 1)
+        or (k >= m and (k - m) % 2 == 0 and pow(w * e2, h, p) == 1)
+        or (m % 2 == 0 and k >= m and (k % 2 == 0 or pow(-e1 * e2, h, p) == 1))
+    )
 
 
 def _local_prime(q1: BinaryForm, t1: int) -> int | None:
-    """The least odd prime of D t1 that ntheory.trial_division finds and
-    _local_no holds at, or None; no rho step, so no budget runs out."""
-    return next((p for p in trial_division(q1.disc * t1)[0] if p > 2 and _local_no(q1, t1, p)), None)
+    """The first prime _local_no holds at, or None, trying the odd primes of
+    D t1 that ntheory.trial_division finds in increasing order, those that
+    divide only one of D and t1 (one Legendre symbol each) before those
+    that divide both, and then 2. No rho step, so no budget runs out."""
+    disc = q1.disc
+    odd = [p for p in trial_division(disc * t1)[0] if p > 2]
+    order = sorted(odd, key=lambda p: disc % p == 0 == t1 % p) + [2]
+    return next((p for p in order if _local_no(q1, t1, p)), None)
 
 
 def _binary_bounded_search(q1: BinaryForm, t1: int, bound: int):
@@ -497,8 +527,9 @@ def _binary_bounded_search(q1: BinaryForm, t1: int, bound: int):
 def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
     """Decide q = t for nondegenerate binary q (t = 0 is routed to the
     discriminant test). Past the content, the definite box and the square-disc
-    walk: a LOCAL obstruction at an odd prime of D or t1, the reduced cycle
-    when 4 t1**2 < D, the sieve ladder, the bounded search."""
+    walk: a LOCAL obstruction over Z_p at a prime of 2 D t1, then the reduced
+    cycle when 4 t1**2 < D, else the bounded search. LOCAL is exact, so no
+    sieve runs: a ladder modulus with no solution has a prime p | 2 D t1."""
     t = exact_int(t)
     if t == 0:
         return binary_represents_zero(q)
@@ -542,15 +573,10 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
         return RepresentationVerdict.no(Certificate(LOCAL, {"content": g, "prime": p}))
     if 4 * t1 * t1 < d1:
         return _cycle_decide(q1, t1, g)
-    m = _binary_sieve(q, t)
-    if m is not None:
-        return RepresentationVerdict.no(Certificate(SIEVE, {"modulus": m}))
     w = _binary_bounded_search(q1, t1, limits.search_bound)
     if w is not None:
         return _checked_yes(q, t, w)
-    return RepresentationVerdict.undecided(
-        {"search_bound": limits.search_bound, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
-    )
+    return RepresentationVerdict.undecided({"search_bound": limits.search_bound})
 
 
 # ---------------------------------------------------------------- ternary
@@ -916,7 +942,7 @@ def _verify_legendre(q, t, data) -> bool:
 
 def _verify_local(q, t, data) -> bool:
     reduced, p = _content_reduced(q, t, data), data.get("prime")
-    if reduced is None or type(p) is not int or p < 3 or gcd(*reduced[0].coefficients()) != 1:
+    if reduced is None or type(p) is not int or p < 2 or gcd(*reduced[0].coefficients()) != 1:
         return False
     # past ntheory.RHO_LIMIT factorize raises, and verify_certificate answers False
     return factorize(p) == {p: 1} and _local_no(*reduced, p)

@@ -18,7 +18,6 @@ from itertools import combinations, product
 from math import gcd, isqrt
 
 from k3lattice.qform import (
-    DEFAULT_SIEVE_MODULI,
     BinaryForm,
     binary_represents,
     binary_represents_zero,
@@ -275,6 +274,49 @@ def binary_local_miss(a: int, b: int, c: int, t: int, p: int, k: int) -> bool:
     return not lifts_to_the_top(0, 0, 1)
 
 
+def binary_zp_represents(a: int, b: int, c: int, t: int, p: int) -> bool:
+    """True iff a x^2 + b x y + c y^2 = t != 0 has a solution over Z_p, by
+    search, for D = b^2 - 4ac != 0. A solution with x or y prime to p has a
+    gradient (2ax + by, bx + 2cy) of valuation at most v = v_p(D), since
+    [[2a, b], [b, 2c]] has determinant -D; so Hensel's lemma lifts every such
+    solution mod p^(2v + 1), and a depth-first search through the solutions
+    mod p, p^2, ..., p^(2v + 1) decides it. A solution (x, y) mod m = p^j,
+    j >= 1, lifts to (x + m u, y + m w) mod m p exactly when (q(x, y) - t) / m
+    + (2ax + by) u + (bx + 2cy) w = 0 mod p, as m^2 q(u, w) = 0 mod m p, so
+    each step solves that linear congruence. Any other solution is p times
+    a solution of q = t / p^2, so the search repeats on that target."""
+    disc, v = b * b - 4 * a * c, 0
+    while disc % p ** (v + 1) == 0:
+        v += 1
+    top = p ** (2 * v + 1)
+
+    def lifts_to_the_top(x: int, y: int, m: int) -> bool:
+        if m == top:
+            return True
+        r, gx, gy = (a * x * x + b * x * y + c * y * y - t) // m, 2 * a * x + b * y, b * x + 2 * c * y
+        for u in range(p):
+            rest = (r + gx * u) % p
+            if gy % p:
+                ws = [-rest * pow(gy, -1, p) % p]
+            else:
+                ws = range(p) if rest == 0 else []
+            if any(lifts_to_the_top(x + m * u, y + m * w, m * p) for w in ws):
+                return True
+        return False
+
+    while True:
+        if any(
+            (a * x * x + b * x * y + c * y * y - t) % p == 0 and lifts_to_the_top(x, y, p)
+            for x in range(p)
+            for y in range(p)
+            if x or y
+        ):
+            return True
+        if t % (p * p):
+            return False
+        t //= p * p
+
+
 def jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity and
     the supplement for 2, not by Euler's criterion."""
@@ -293,13 +335,18 @@ def jacobi(a: int, n: int) -> int:
 
 def binary_local_prime_reference(a: int, b: int, c: int, t: int):
     """The prime of a LOCAL certificate for the primitive form a, b, c and
-    t != 0: the least odd prime p of D t with (i) p | D, p not dividing t and
-    (t a' / p) = -1, for a' = a unless p | a, then c; or (ii) p not dividing
-    D, the power of p in t odd and (D / p) = -1. Every prime of D t is tried,
-    so this is the decider's choice where trial division below 1000 factors
-    D and t completely (both below 10^6). None when no prime works."""
+    t != 0. First the least odd prime p of D t dividing only one of D and t
+    with (i) p | D and (t a' / p) = -1, for a' = a unless p | a, then c; or
+    (ii) the power of p in t odd and (D / p) = -1. Then the least odd prime
+    of gcd(D, t), then 2, at which binary_zp_represents finds no solution.
+    Every prime of D t is tried, so this is the decider's choice where trial
+    division below 1000 factors D and t completely (both below 10^6). None
+    when no prime works, and for t = 0, which takes no LOCAL certificate."""
+    if t == 0:
+        return None
     disc = b * b - 4 * a * c
-    for p in sorted(set(_factor(abs(disc))) | set(_factor(abs(t))) - {2}):
+    primes = sorted((set(_factor(abs(disc))) | set(_factor(abs(t)))) - {2})
+    for p in primes:
         if disc % p == 0:
             if t % p and jacobi(t * (a if a % p else c), p) == -1:
                 return p
@@ -308,6 +355,9 @@ def binary_local_prime_reference(a: int, b: int, c: int, t: int):
         while u % p == 0:
             u, v = u // p, v + 1
         if v % 2 and jacobi(disc, p) == -1:
+            return p
+    for p in [p for p in primes if disc % p == 0 == t % p] + [2]:
+        if not binary_zp_represents(a, b, c, t, p):
             return p
     return None
 
@@ -597,7 +647,7 @@ def binary_scan_reference(a: int, b: int, c: int, t: int, bound: int):
 
     - definite: rows y = 0..by of the box from 4a q = (2ax + by)^2 + |D| y^2,
       and in a row the x with 2ax + by = +r before the one with -r;
-    - indefinite past the sieve: x = 0..bound solving for y, then
+    - indefinite past the LOCAL step: x = 0..bound solving for y, then
       y = 0..bound solving for x, each with the +r root first.
     """
 
@@ -631,16 +681,13 @@ def binary_scan_reference(a: int, b: int, c: int, t: int, bound: int):
         return {"kind": "NO", "certificate": {"kind": "LOCAL", "data": {"content": g, "prime": p}}}
     if 4 * t1 * t1 < disc:
         return None
-    for m in DEFAULT_SIEVE_MODULI:
-        if t % m not in {(a * x * x + b * x * y + c * y * y) % m for x in range(m) for y in range(m)}:
-            return {"kind": "NO", "certificate": {"kind": "SIEVE", "data": {"modulus": m}}}
     for x in range(bound + 1):
         for y in roots(c1, b1 * x, a1 * x * x - t1):
             return {"kind": "YES", "witness": [x, y]}
     for y in range(bound + 1):
         for x in roots(a1, b1 * y, c1 * y * y - t1):
             return {"kind": "YES", "witness": [x, y]}
-    return {"kind": "UNDECIDED", "bounds": {"search_bound": bound, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}}
+    return {"kind": "UNDECIDED", "bounds": {"search_bound": bound}}
 
 
 def binary_cycle_reference(a: int, b: int, c: int, t: int, limit: int = 100_000):
@@ -799,13 +846,24 @@ def _theorem3_pool() -> list[tuple[int, ...]]:
     return [u for u in box if _theorem3_pair(u, u) not in (0, -2)]
 
 
+def theorem3_basis_reference(u, n) -> list[int]:
+    """The primitive vector v with v_i = 0, for i the first index with
+    u_i = +-1, of the plane through u with normal n: n times e_i, divided
+    by its gcd (up to sign). Zu + Zv is the plane's integer points."""
+    i = next(k for k, x in enumerate(u) if x in (1, -1))
+    v = [n[(i + 1) % 3] * (k == (i + 2) % 3) - n[(i + 2) % 3] * (k == (i + 1) % 3) for k in range(3)]
+    return [x // gcd(*v) for x in v]
+
+
 def theorem3_planes_reference(height_bound: int, pool=None) -> dict:
     """For each u of the theorem-3 pool (or of `pool`), the rational planes
     span(u, w) in the order the shells max |w_i| = 1 .. height_bound, each in
     product order, first meet them: a list of (normal, det). det is the
     determinant of the Gram of the plane's primitive closure, or None when
     the plane is retired at first sight: its discriminant -4 det is <= 0 or a
-    square, or the first w that meets it has w.w == -2.
+    square, the first w that meets it has w.w == -2, or -2 is one of v.v and
+    (u +- v).(u +- v) for v the plane's primitive vector with v_i = 0 at the
+    first i with u_i = +-1 (the normal times e_i, divided by its gcd).
     """
     from k3lattice.embeddings import EmbeddedSublattice, induced_gram, primitive_closure
 
@@ -824,7 +882,9 @@ def theorem3_planes_reference(height_bound: int, pool=None) -> dict:
                 (p, r), (_, t) = induced_gram(primitive_closure(EmbeddedSublattice(ambient, [u, w]))).gram
                 det = p * t - r * r
                 disc = -4 * det
-                retired = disc <= 0 or isqrt(disc) ** 2 == disc or _theorem3_pair(w, w) == -2
+                v = theorem3_basis_reference(u, normal)
+                squares = [_theorem3_pair(x, x) for x in (w, v, [a + b for a, b in zip(u, v)], [a - b for a, b in zip(u, v)])]
+                retired = disc <= 0 or isqrt(disc) ** 2 == disc or -2 in squares
                 planes.append((normal, None if retired else det))
         out[u] = planes
     return out

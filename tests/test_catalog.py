@@ -30,6 +30,7 @@ from k3lattice.qform import BinaryForm, Certificate, RepresentationVerdict, Sear
 from oracles import (
     claim3_reference_walk,
     plane_normal_reference,
+    theorem3_basis_reference,
     theorem3_planes_reference,
     theorem3_reference_walk,
 )
@@ -48,11 +49,12 @@ def test_claim3_input_validation():
 
 def test_claim3_frozen_traces():
     table = [
-        # (A, B, C) -> N, M, n, m, gram, minus2 certificate kind
-        ((1, 0, 0), 1, 2, 4, 8, ((2, 0), (0, -16)), "CYCLE"),
+        # (A, B, C) -> N, M, n, m, gram, minus2 certificate kind; x**2 - 8 y**2
+        # = -1 has no 2-adic solution, so the Gram (2, -16) is a LOCAL NO at 2
+        ((1, 0, 0), 1, 2, 4, 8, ((2, 0), (0, -16)), "LOCAL"),
         ((2, 0, 0), 1, 2, 2, 4, ((4, 0), (0, -8)), "DIVISIBILITY"),
         ((2, 1, 0), 1, 1, 2, 2, ((4, 2), (2, -4)), "DIVISIBILITY"),
-        ((1, 0, 1), 1, 6, 4, 24, ((2, 0), (0, -16)), "CYCLE"),
+        ((1, 0, 1), 1, 6, 4, 24, ((2, 0), (0, -16)), "LOCAL"),
     ]
     for (a, b, c), n_, m_, nn, mm, gram, m2kind in table:
         res = claim3_search(Claim3Input(a, b, c))
@@ -169,7 +171,7 @@ def test_claim3_json():
     assert out["inputs"] == {"A": 1, "B": 0, "C": 0}
     assert out["gram"] == [[2, 0], [0, -16]]
     assert out["zero"]["kind"] == "NO"
-    assert out["minus2"]["certificate"]["kind"] == "CYCLE"
+    assert out["minus2"]["certificate"] == {"kind": "LOCAL", "data": {"content": 2, "prime": 2}}
     assert len(out["l"]) == 22 and len(out["generator"]) == 22
 
 
@@ -489,7 +491,7 @@ def test_shell_matches_filtered_cube(monkeypatch):
                 else:
                     want.append((u, w))
     assert [(u, w) for u, w, _ in walk] == want
-    assert len(want) == 6498
+    assert len(want) == 5254
 
 
 def test_plane_key_names_the_plane_of_its_normal(monkeypatch):
@@ -515,7 +517,7 @@ def test_plane_key_names_the_plane_of_its_normal(monkeypatch):
     with pytest.raises(SearchExhausted):
         theorem3_example(4)
     assert decided == list(form_of.values())
-    assert len(decided) == 1428
+    assert len(decided) == 1082
 
 
 def test_plane_key_basis_is_the_closure_of_the_plane(monkeypatch):
@@ -530,7 +532,7 @@ def test_plane_key_basis_is_the_closure_of_the_plane(monkeypatch):
         assert q.a == ambient.square(u), (u, w)
         assert _form_det(q) == dets[u, plane_normal_reference(u, w)], (u, w)
         assert q.disc > 0 and not is_square(q.disc), (u, w)
-    assert len(walk) == 6498
+    assert len(walk) == 5254
 
 
 def test_theorem3_decides_the_oracle_planes_in_order(monkeypatch):
@@ -555,13 +557,14 @@ def test_theorem3_decides_the_oracle_planes_in_order(monkeypatch):
     want = [(ambient.square(u), det) for u, found in planes.items() for _, det in found if det is not None]
     assert all(t == -2 for _, t in forms)
     assert [(q.a, _form_det(q)) for q, _ in forms] == want
-    assert (len(planes), sum(map(len, planes.values())), len(want)) == (35, 2890, 1428)
+    assert (len(planes), sum(map(len, planes.values())), len(want)) == (35, 2890, 1082)
 
 
 def test_theorem3_decides_each_plane_once_on_its_closure_basis(monkeypatch):
     # Up to and including the default hit, u = (1, -1, -1) meets 140 rational
-    # planes over 2,200 vectors w; 86 are retired on sight (not hyperbolic,
-    # rationally isotropic, or first seen through a w of square -2), so 54 are
+    # planes over 2,200 vectors w; 105 are retired on sight (not hyperbolic,
+    # rationally isotropic, first seen through a w of square -2, or with -2
+    # among v.v and (u +- v).(u +- v) for the closure basis (u, v)), so 35 are
     # decided for -2, each once on the form of a basis of its closure. Only
     # the returned plane is closed and decided again, and only there is 0
     # decided. No Smith form is taken outside that closure.
@@ -594,13 +597,13 @@ def test_theorem3_decides_each_plane_once_on_its_closure_basis(monkeypatch):
     monkeypatch.setattr(qform, "binary_represents_zero", counting_zero)
     ex = theorem3_example()
     assert closures == [((1, -1, -1), (-7, -7, -4))]
-    assert len(forms) == 55 and all(t == -2 for _, t in forms)
+    assert len(forms) == 36 and all(t == -2 for _, t in forms)
     planes = theorem3_planes_reference(7, [u])[u]
     hit = [normal for normal, _ in planes].index(plane_normal_reference(u, (-7, -7, -4)))
     assert hit + 1 == 140
     decided = [det for _, det in planes[: hit + 1] if det is not None]
-    assert [(q.a, _form_det(q)) for q, _ in forms[:54]] == [(-4, det) for det in decided]
-    assert forms[54][0] == lattice_form(GramLattice(2, ex.gram))
+    assert [(q.a, _form_det(q)) for q, _ in forms[:35]] == [(-4, det) for det in decided]
+    assert forms[35][0] == lattice_form(GramLattice(2, ex.gram))
     assert snfs == []  # the one closure's 3 x 2 Smith form is embeddings' own
     assert zero_calls[0] == 1  # on the returned closure only
 
@@ -650,6 +653,25 @@ def test_theorem3_minus2_retirement_premise():
             assert verdict.kind == "YES", (u, w, verdict.kind)
         checked += len(seen)
     assert checked == 948
+
+
+def test_theorem3_basis_retirement_premise():
+    # theorem3_example retires a hyperbolic plane when -2 is v.v or
+    # (u +- v).(u +- v) for its closure basis (u, v): the -2 decider answers
+    # YES on the form of (u, v) for each such plane up to height 4, so the
+    # walk skips only decider calls that would retire the plane anyway
+    ambient = direct_sum(standard_lattice("U"), standard_lattice("A1_neg"))
+    checked = 0
+    for u, found in theorem3_planes_reference(4).items():
+        uu = ambient.square(u)
+        for normal, _ in found:
+            v = theorem3_basis_reference(u, normal)
+            uv, vv = ambient.pairing(u, v), ambient.square(v)
+            disc = 4 * (uv * uv - uu * vv)
+            if disc > 0 and not is_square(disc) and -2 in (vv, uu + 2 * uv + vv, uu - 2 * uv + vv):
+                assert qform.binary_represents(BinaryForm(uu, 2 * uv, vv), -2).kind == "YES", (u, v)
+                checked += 1
+    assert checked == 440
 
 
 def test_paper_verification_table():

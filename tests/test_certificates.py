@@ -36,9 +36,11 @@ def test_honest_certificates_replay_for_all_arities():
     _no_cert(unary_represents, UnaryForm(2), -2)     # DEFINITE
     _no_cert(unary_represents, UnaryForm(2), 6)      # DEFINITE_EXHAUST
     _no_cert(unary_represents, UnaryForm(2), 0)      # DEFINITE (note form)
-    _no_cert(binary_represents, BinaryForm(2, 0, -16), -2)   # CYCLE
-    _no_cert(binary_represents, BinaryForm(1, 0, -6), -3)    # SIEVE
+    _no_cert(binary_represents, BinaryForm(2, 0, -68), -2)   # CYCLE
+    _no_cert(binary_represents, BinaryForm(1, 0, -6), -3)    # LOCAL at 3 | gcd(D, t)
     _no_cert(binary_represents, BinaryForm(1, 0, -2), 3)     # LOCAL
+    _no_cert(binary_represents, BinaryForm(2, 0, -16), -2)   # LOCAL at 2
+    _no_cert(ternary_represents, DiagonalTernaryForm(1, 1, -8), 3)  # SIEVE
     _no_cert(binary_represents, BinaryForm(1, 0, -2), 0)     # NONSQUARE_DISC
     _no_cert(binary_represents, BinaryForm(1, 0, -4), 3)     # SQUARE_DISC_EXHAUST
     _no_cert(ternary_represents, DiagonalTernaryForm(4, -4, -4), -2)
@@ -46,7 +48,7 @@ def test_honest_certificates_replay_for_all_arities():
 
 
 def test_certificates_verify_as_plain_dicts():
-    q = BinaryForm(2, 0, -16)
+    q = BinaryForm(2, 0, -68)
     cert = binary_represents(q, -2).certificate
     assert verify_certificate(q, -2, cert.to_json())
     assert verify_certificate(q, -2, {"kind": cert.kind, "data": dict(cert.data)})
@@ -65,10 +67,13 @@ def test_divisibility_tampering():
 
 
 def test_sieve_tampering():
-    # 3 divides both D = 24 and t = -3, so no LOCAL prime settles it first
+    # the binary decider emits no SIEVE: LOCAL is exact at every prime of a
+    # sieve modulus, so here it settles 3 | gcd(D, t) = 3 first. A binary
+    # SIEVE certificate saved before still replays
     q = BinaryForm(1, 0, -6)
-    good = binary_represents(q, -3).certificate.to_json()
-    assert good["data"]["modulus"] == 8
+    assert binary_represents(q, -3).certificate.to_json() == {"kind": "LOCAL", "data": {"content": 1, "prime": 3}}
+    good = {"kind": "SIEVE", "data": {"modulus": 8}}
+    assert verify_certificate(q, -3, good)
     bad = copy.deepcopy(good)
     bad["data"]["modulus"] = 7  # -3 = q(2, 0) mod 7
     assert not verify_certificate(q, -3, bad)
@@ -142,15 +147,17 @@ def test_local_tampering():
     q_i, q_ii = BinaryForm(1, 0, -3), BinaryForm(1, 0, -2)
     assert binary_represents(q_i, -1).certificate.to_json() == local(3)
     assert binary_represents(q_ii, 3).certificate.to_json() == local(3)
-    # the symbols hold at 15 and at 2 as well, so only the primality checks
-    # refuse them: x**2 - 15 y**2 = -1 has pow(-1, 7, 15) = 14, and every
-    # odd t is pow(t, 0, 2) = 1 = 2 - 1
+    # the symbols hold at 15 as well, so only the primality check refuses
+    # it: x**2 - 15 y**2 = -1 has pow(-1, 7, 15) = 14
     q15 = BinaryForm(1, 0, -15)
     assert verify_certificate(q15, -1, local(3))
-    assert qform._local_no(q15, -1, 15) and qform._local_no(q_ii, 3, 2)
+    assert qform._local_no(q15, -1, 15)
     assert not verify_certificate(q15, -1, local(15))
-    assert not verify_certificate(q_ii, 3, local(2))
-    for p in (True, 3.0, "3", None, 1, -3, 9):
+    # 2 is decided exactly: the odd values of x**2 - 2 y**2 are +-1 mod 8, so
+    # 3 has no 2-adic solution, and 7 = q(3, 1) has one
+    assert verify_certificate(q_ii, 3, local(2))
+    assert not verify_certificate(q_ii, 7, local(2))
+    for p in (True, 3.0, "3", None, 1, 0, -2, -3, 4, 9):
         assert not verify_certificate(q_ii, 3, local(p)), p
     # 5 divides neither D = 8 nor t = 3
     assert not verify_certificate(q_ii, 3, local(5))
@@ -172,7 +179,8 @@ def test_local_tampering():
 
 
 def test_cycle_tampering():
-    q = BinaryForm(2, 0, -16)
+    # x**2 - 34 y**2 = -1 is solvable over every Z_p, but not over Z
+    q = BinaryForm(2, 0, -68)
     good = binary_represents(q, -2).certificate.to_json()
 
     bad = copy.deepcopy(good)
@@ -204,7 +212,7 @@ def test_cycle_tampering():
 
 
 def test_cycle_replay_refuses_non_integer_entries():
-    q = BinaryForm(2, 0, -16)
+    q = BinaryForm(2, 0, -68)
     good = binary_represents(q, -2).certificate.to_json()
     assert good["data"]["cycle"][0][0] == 1 and good["data"]["transform"][1][0] == 0
     assert verify_certificate(q, -2, good)
@@ -385,7 +393,7 @@ def test_content_must_be_a_positive_integer_dividing_form_and_target():
     # stated content before replaying; any other content is refused
     for q, t, kind in (
         (BinaryForm(2, 6, 0), 4, "SQUARE_DISC_EXHAUST"),
-        (BinaryForm(2, 0, -16), -2, "CYCLE"),
+        (BinaryForm(2, 0, -68), -2, "CYCLE"),
         (BinaryForm(2, 0, -6), -2, "LOCAL"),
     ):
         cert = binary_represents(q, t).certificate
@@ -397,7 +405,7 @@ def test_content_must_be_a_positive_integer_dividing_form_and_target():
     # the content follows the exact_int rule: True is not 1
     for q, t, kind in (
         (BinaryForm(1, 0, -1), 2, "SQUARE_DISC_EXHAUST"),
-        (BinaryForm(1, 0, -124), 2, "CYCLE"),
+        (BinaryForm(1, 0, -274), 2, "CYCLE"),
         (BinaryForm(1, 1, -10**6), 7, "LOCAL"),
     ):
         cert = binary_represents(q, t).certificate

@@ -57,19 +57,20 @@ def test_qform_represents_yes_no_undecided(capsys):
     assert obj["verdict"]["kind"] == "NO"
     assert obj["verdict"]["certificate"] == {"kind": "LOCAL", "data": {"content": 1, "prime": 3}}
 
+    # 3 divides both D = 24 and t = -3
     code, out, _ = run(capsys, "qform", "represents", '{"binary": [1, 0, -6]}', "--t", "-3")
     assert code == EXIT_OK
-    assert json.loads(out)["verdict"]["certificate"] == {"kind": "SIEVE", "data": {"modulus": 8}}
+    assert json.loads(out)["verdict"]["certificate"] == {"kind": "LOCAL", "data": {"content": 1, "prime": 3}}
 
-    # no sieve modulus obstructs x**2 - 7 y**2 = 8 and its witness (6, ±2)
-    # lies past the capped scan: the question becomes undecided
+    # no prime obstructs x**2 - 7 y**2 = 8 and its witness (6, ±2) lies past
+    # the capped scan: the question becomes undecided
     code, out, _ = run(
         capsys, "qform", "represents", '{"binary": [1, 0, -7]}', "--t", "8", "--search-bound", "1",
     )
     assert code == EXIT_UNDECIDED
     obj = json.loads(out)
     assert obj["verdict"]["kind"] == "UNDECIDED"
-    assert obj["verdict"]["bounds"]["search_bound"] == 1
+    assert obj["verdict"]["bounds"] == {"search_bound": 1}
 
     code, out, _ = run(capsys, "qform", "represents", '{"diag": [4, -4, -4]}', "--t", "-2")
     assert code == EXIT_OK
@@ -231,6 +232,9 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
         # runs past its 100000 steps
         (("qform", "represents", '{"binary": [264606, 439487, -151714]}', "--t", "-2"), EXIT_OK,
          "qform_represents_local.json"),
+        # a LOCAL NO at 2, where the cycle walk runs past its 100000 steps
+        (("qform", "represents", '{"binary": [723537, 636064, -623498]}', "--t", "-2"), EXIT_OK,
+         "qform_represents_local2.json"),
     ],
 )
 def test_other_commands_match_golden_output(capsys, args, expected_code, golden):
@@ -241,7 +245,7 @@ def test_other_commands_match_golden_output(capsys, args, expected_code, golden)
 
 
 def test_undecided_bounds_match_golden_output(capsys):
-    # UNDECIDED bounds list the whole sieve ladder; compared in CI as well
+    # ternary UNDECIDED bounds list the whole sieve ladder; compared in CI as well
     args = ("qform", "represents", '{"diag": [1, -1, -1]}', "--t", "7", "--search-bound", "1")
     code, out, _ = run(capsys, *args)
     assert code == EXIT_UNDECIDED

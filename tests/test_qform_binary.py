@@ -10,7 +10,6 @@ import pytest
 from k3lattice import ntheory, qform
 from k3lattice.ntheory import RHO_LIMIT
 from k3lattice.qform import (
-    DEFAULT_SIEVE_MODULI,
     BinaryForm,
     RepresentationVerdict,
     SearchLimits,
@@ -26,6 +25,7 @@ from oracles import (
     binary_local_prime_reference,
     binary_scan_reference,
     binary_witness,
+    binary_zp_represents,
     is_prime_trial,
     jacobi,
 )
@@ -39,7 +39,10 @@ def _value(q: BinaryForm, xy) -> int:
 def test_frozen_decisions():
     # (coefficients, target) -> (verdict kind, certificate kind or None)
     table = [
-        ((2, 0, -16), -2, "NO", "CYCLE"),
+        # x**2 - 8 y**2 = -1 has no 2-adic solution; x**2 - 34 y**2 = -1 has
+        # one at every prime, so only the reduced cycle refutes it
+        ((2, 0, -16), -2, "NO", "LOCAL"),
+        ((2, 0, -68), -2, "NO", "CYCLE"),
         ((1, 0, -2), -1, "YES", None),
         ((2, 0, 3), 1, "NO", "DEFINITE_EXHAUST"),
         ((2, 0, 3), -5, "NO", "DEFINITE"),
@@ -49,8 +52,8 @@ def test_frozen_decisions():
         ((2, 4, 6), 3, "NO", "DIVISIBILITY"),
         ((-1, 0, 3), 1, "NO", "LOCAL"),
         ((1, 0, -2), 3, "NO", "LOCAL"),
-        # 3 divides both D = 24 and t, where LOCAL does not look: 8 obstructs
-        ((1, 0, -6), -3, "NO", "SIEVE"),
+        # 3 divides both D = 24 and t, where the step is exact too
+        ((1, 0, -6), -3, "NO", "LOCAL"),
     ]
     for coeffs, t, kind, cert_kind in table:
         q = BinaryForm(*coeffs)
@@ -70,8 +73,14 @@ def test_frozen_certificate_payloads():
     # 3 does not divide D = 8 and (8/3) = -1, so 3 must divide an even power
     v = binary_represents(BinaryForm(1, 0, -2), 3)
     assert v.certificate.data == {"content": 1, "prime": 3}
+    # x**2 - 6 y**2 = -3 over Z_3: -3 = 3 * -1 with 3 | D = 3 * 8, and
+    # <1, -8 * 3> represents 3 * -1 only if (-1 * -8 / 3) = 1; it is -1
     v = binary_represents(BinaryForm(1, 0, -6), -3)
-    assert v.certificate.data["modulus"] == 8
+    assert v.certificate.data == {"content": 1, "prime": 3}
+    # 2 (x**2 - 8 y**2) = -2: x**2 - 8 y**2 is 1 mod 8 for odd x and even for
+    # even x, so never -1 over Z_2
+    v = binary_represents(BinaryForm(2, 0, -16), -2)
+    assert v.certificate.data == {"content": 2, "prime": 2}
     v = binary_represents(BinaryForm(2, 0, 3), -5)
     assert v.certificate.data["sign"] == 1
 
@@ -108,22 +117,24 @@ def test_search_limit_validation():
 
 
 def test_undecided_reports_bounds():
-    # x**2 - 7 y**2 = 8 passes the whole sieve ladder; its smallest witness
+    # x**2 - 7 y**2 = 8 has no local obstruction; its smallest witness
     # (6, ±2) lies past search bound 1
+    assert qform._local_prime(BinaryForm(1, 0, -7), 8) is None
     v = binary_represents(BinaryForm(1, 0, -7), 8, SearchLimits(search_bound=1))
     assert v.kind == "UNDECIDED"
-    assert v.bounds == {"search_bound": 1, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
+    assert v.bounds == {"search_bound": 1}
     assert binary_represents(BinaryForm(1, 0, -7), 8).witness == (6, -2)
 
 
 def test_cycle_past_its_limit_is_undecided(monkeypatch):
-    # x**2 - 124 y**2 has a reduced cycle of 16 forms, and 2 falls in the
-    # cycle regime (4 * 2**2 < 496) with no odd-prime obstruction (the odd
-    # prime 31 of D has (2/31) = 1); capped at 4 steps the walk stops
-    q = BinaryForm(1, 0, -124)
+    # x**2 - 274 y**2 has a reduced cycle of 14 forms, and 2 falls in the
+    # cycle regime (4 * 2**2 < 1096) with no local obstruction (the odd
+    # prime 137 of D has (2/137) = 1, and 2 = q(2, y) for y**2 = 1/137 over
+    # Z_2); capped at 4 steps the walk stops
+    q = BinaryForm(1, 0, -274)
     assert qform._local_prime(q, 2) is None
     v = binary_represents(q, 2)
-    assert v.kind == "NO" and len(v.certificate.data["cycle"]) == 16
+    assert v.kind == "NO" and len(v.certificate.data["cycle"]) == 14
     monkeypatch.setattr(qform, "_CYCLE_LIMIT", 4)
     assert binary_represents(q, 2) == RepresentationVerdict.undecided({"cycle_limit": 4})
     # the replay shares the cap, so the longer certificate no longer replays
@@ -131,18 +142,18 @@ def test_cycle_past_its_limit_is_undecided(monkeypatch):
 
 
 def test_cycle_limit_boundary_and_early_stop(monkeypatch):
-    # x**2 - 124 y**2 takes 2 reduction steps onto its 16-form cycle, so the
-    # walk closes the cycle under a limit of 19 steps and not under 18
-    q = BinaryForm(1, 0, -124)
-    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 18)
-    assert binary_represents(q, 2) == RepresentationVerdict.undecided({"cycle_limit": 18})
-    # 8 leads the third cycle form, 4 steps in: the walk stops there, so a
+    # x**2 - 274 y**2 takes 2 reduction steps onto its 14-form cycle, so the
+    # walk closes the cycle under a limit of 17 steps and not under 16
+    q = BinaryForm(1, 0, -274)
+    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 16)
+    assert binary_represents(q, 2) == RepresentationVerdict.undecided({"cycle_limit": 16})
+    # 15 leads the third cycle form, 4 steps in: the walk stops there, so a
     # limit of 5 answers it although it cannot close the cycle
     monkeypatch.setattr(qform, "_CYCLE_LIMIT", 5)
-    assert binary_represents(q, 8) == RepresentationVerdict.yes((78, 7))
+    assert binary_represents(q, 15) == RepresentationVerdict.yes((17, 1))
     monkeypatch.setattr(qform, "_CYCLE_LIMIT", 4)
-    assert binary_represents(q, 8) == RepresentationVerdict.undecided({"cycle_limit": 4})
-    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 19)
+    assert binary_represents(q, 15) == RepresentationVerdict.undecided({"cycle_limit": 4})
+    monkeypatch.setattr(qform, "_CYCLE_LIMIT", 17)
     v = binary_represents(q, 2)
     assert v.kind == "NO" and v.certificate.kind == "CYCLE" and verify_certificate(q, 2, v.certificate)
 
@@ -336,36 +347,109 @@ def test_local_census_against_the_decider_without_it_and_the_oracle(monkeypatch)
     queries = _local_census()
     verdicts = [binary_represents(q, t) for q, t in queries]
     for (q, t), v in zip(queries, verdicts):
-        if v.kind == "NO" and v.certificate.kind == "LOCAL":
+        g = gcd(*q.coefficients())
+        a1, b1, c1, t1 = q.a // g, q.b // g, q.c // g, t // g
+        # D and t / g stay below 10**6, so trial division finds every prime
+        if _outcome(v) == "LOCAL":
             assert verify_certificate(q, t, v.certificate), (q, t)
-            g, p = v.certificate.data["content"], v.certificate.data["prime"]
-            a1, b1, c1, t1 = q.a // g, q.b // g, q.c // g, t // g
-            # D and t / g stay below 10**6, so trial division finds every prime
+            p = v.certificate.data["prime"]
+            assert v.certificate.data["content"] == g
             assert p == binary_local_prime_reference(a1, b1, c1, t1), (q, t)
-            if p < 200:
-                assert binary_local_miss(a1, b1, c1, t1, p, _local_modulus_exponent(BinaryForm(a1, b1, c1), t1, p))
+            if p < 100:  # the search tries all p**2 pairs mod p first
+                assert not binary_zp_represents(a1, b1, c1, t1, p), (q, t)
+        elif _outcome(v) in ("UNDECIDED", "CYCLE"):
+            # past the LOCAL step: no prime of D t obstructs
+            assert binary_local_prime_reference(a1, b1, c1, t1) is None, (q, t)
     # the same decider with the LOCAL step switched off
     monkeypatch.setattr(qform, "_local_prime", lambda q1, t1: None)
     before = [binary_represents(q, t) for q, t in queries]
     moves = Counter((_outcome(w), _outcome(v)) for v, w in zip(verdicts, before) if v != w)
-    # only CYCLE, SIEVE and UNDECIDED become LOCAL; every other verdict,
-    # every YES witness among them, is unchanged
-    assert moves == {("SIEVE", "LOCAL"): 823, ("UNDECIDED", "LOCAL"): 346, ("CYCLE", "LOCAL"): 49}
+    # only CYCLE and UNDECIDED become LOCAL; every other verdict, every YES
+    # witness among them, is unchanged. No binary SIEVE is left: the step is
+    # exact at every prime, and so at every prime of a sieve modulus
+    assert moves == {("UNDECIDED", "LOCAL"): 1209, ("CYCLE", "LOCAL"): 50}
     counts = Counter(map(_outcome, verdicts))
     assert counts["YES"] == Counter(map(_outcome, before))["YES"] == 319
-    assert (counts["LOCAL"], counts["UNDECIDED"], counts["SIEVE"], counts["CYCLE"]) == (1218, 58, 38, 7)
+    assert (counts["LOCAL"], counts["UNDECIDED"], counts["SIEVE"], counts["CYCLE"]) == (1259, 56, 0, 6)
+
+
+def _zp_case(rng, case):
+    """A primitive form and t != 0 for one bucket of the Z_p comparison:
+    p = 2 with b odd or even, or an odd p dividing D and t, with powers of p
+    in D and t so that every clause of the step is met. The search oracle
+    grows with its modulus p**(2 v_p(D) + 1), so draws past 10**7 repeat."""
+    while True:
+        p = 2 if case != "odd p | gcd(D, t)" else rng.choice((3, 5, 7, 11, 13))
+        a = rng.choice((-1, 1)) * rng.randint(1, 40)
+        b = 2 * rng.randint(-20, 20) + (case == "p = 2, b odd")
+        if a % p == 0:
+            continue
+        # c = b**2 / 4a mod p**j puts p**j (times 4 at p = 2) into D
+        j = rng.randint(0 if p == 2 else 1, 3)
+        if p == 2 and b % 2:
+            c = rng.randint(-40, 40)
+        else:
+            c = (b // 2) ** 2 * pow(a, -1, p**j) % p**j if p == 2 else b * b * pow(4 * a, -1, p**j) % p**j
+            c += p**j * rng.randint(-3, 3)
+        t = rng.choice((-1, 1)) * rng.randint(1, 30) * p ** rng.randint(p > 2, 5)
+        disc, v = b * b - 4 * a * c, 0
+        while disc and disc % p ** (v + 1) == 0:
+            v += 1
+        if gcd(a, b, c) == 1 and disc and p ** (2 * v + 1) <= 10**7 and (p == 2 or disc % p == 0 == t % p):
+            return a, b, c, t, p
+
+
+def test_local_no_matches_the_zp_search_oracle():
+    # the step at 2 and at an odd p | gcd(D, t) is exact: _local_no holds
+    # exactly when a Hensel search finds no solution over Z_p
+    rng = random.Random(26)
+    seen = Counter()
+    for case in ("p = 2, b odd", "p = 2, b even", "odd p | gcd(D, t)"):
+        for _ in range(400):
+            a, b, c, t, p = _zp_case(rng, case)
+            miss = not binary_zp_represents(a, b, c, t, p)
+            assert qform._local_no(BinaryForm(a, b, c), t, p) == miss, (a, b, c, t, p)
+            seen[case, miss] += 1
+    assert len(seen) == 6 and min(seen.values()) > 20, seen
+
+
+def test_new_2_adic_nos_have_no_integer_solution():
+    # 40 seeded 2-adic LOCAL NOs, each also refuted by sympy's diophantine
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diophantine
+
+    x, y = sympy.symbols("x y", integer=True)
+    rng = random.Random(27)
+    checked = 0
+    while checked < 40:
+        a, b, c = (rng.randint(-30, 30) for _ in range(3))
+        t = rng.choice((-2, rng.randint(-60, 60)))
+        if b * b == 4 * a * c or not t:
+            continue
+        v = binary_represents(BinaryForm(a, b, c), t)
+        if v.kind == "NO" and v.certificate.kind == "LOCAL" and v.certificate.data["prime"] == 2:
+            assert not diophantine(a * x**2 + b * x * y + c * y**2 - t), (a, b, c, t)
+            checked += 1
 
 
 def test_local_step_runs_no_rho_and_adds_no_wall(monkeypatch):
     # the LOCAL step trial-divides D and t below 1000 and tries no cofactor
-    # it cannot prove prime, so rho never runs there; ROADMAP's 0.3 ms wall
-    # stays a fraction of a millisecond (process time, best of five)
+    # it cannot prove prime, so rho never runs there: not at the odd primes,
+    # not at those of gcd(D, t), not at 2. ROADMAP's 0.3 ms wall stays a
+    # fraction of a millisecond (process time, best of five)
     def no_rho(n, steps):
         raise AssertionError("rho ran")
 
     monkeypatch.setattr(ntheory, "_rho_factor", no_rho)
     hard = 1000000000000037 * 1000000000000091
-    assert qform._local_prime(BinaryForm(1, 0, -hard), hard) is None
+    assert qform._local_prime(BinaryForm(1, 1, -hard), hard) is None
+    # hard = 7 mod 8, and x**2 - hard y**2 = x**2 + y**2 mod 8 is never 7;
+    # x**2 - 3 hard y**2 = 3 needs 3 | x, then 3 x'**2 - hard y**2 = 1 with
+    # hard = 1 mod 3 needs y**2 = -1 mod 3
+    for q, t, p in ((BinaryForm(1, 0, -hard), hard, 2), (BinaryForm(1, 0, -3 * hard), 3, 3)):
+        assert qform._local_prime(q, t) == p
+        assert binary_represents(q, t) == RepresentationVerdict.no(qform.Certificate("LOCAL", {"content": 1, "prime": p}))
+        assert verify_certificate(q, t, {"kind": "LOCAL", "data": {"content": 1, "prime": p}})
     q, t = BinaryForm(1, 1, -10**30), 10**14 + 31
     times = []
     for _ in range(5):
@@ -414,10 +498,11 @@ def test_square_disc_past_the_factor_budget_is_undecided():
 def test_cycle_past_the_factor_budget_is_undecided():
     # 4 t**2 < disc puts t on the reduced cycle's short branch, whose walk is
     # quick; listing the square divisors of the same t then runs out of rho
-    # steps. Trial division finds no odd prime of disc = 2**6 * m or of t, so
-    # the LOCAL step has no candidate
+    # steps. Trial division finds no odd prime of disc = 4 * 10**62 + 1 or of
+    # t, and 2 obstructs nothing (b and t are odd), so the LOCAL step has no
+    # candidate
     t = 1000000000000037 * 1000000000000091
-    q = BinaryForm(1, 0, -(10**62 + 16))
+    q = BinaryForm(1, 1, -10**62)
     assert 4 * t * t < q.disc
     assert qform._local_prime(q, t) is None
     assert binary_represents(q, t) == RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
