@@ -448,6 +448,8 @@ def _square_disc_search(q1: BinaryForm, t1: int):
 
 def _split(n: int, p: int) -> tuple[int, int]:
     """(v, w) with n = p**v w and p not dividing w, for n != 0."""
+    if n == 0:
+        raise ValueError("0 has no finite p-adic valuation")
     v = 0
     while n % p == 0:
         n, v = n // p, v + 1
@@ -455,8 +457,8 @@ def _split(n: int, p: int) -> tuple[int, int]:
 
 
 def _local_no(q1: BinaryForm, t1: int, p: int) -> bool:
-    """q1 = t1 has no solution over Z_p, for q1 primitive, t1 = p**k w != 0
-    and p prime (Cassels, Rational Quadratic Forms, ch. 8).
+    """q1 = t1 has no solution over Z_p, for q1 primitive with D != 0 (else
+    _split raises), t1 = p**k w != 0 and p prime (Cassels, ch. 8).
 
     Odd p not dividing D: q1 is unimodular at p and represents every unit,
     and p**k w with k odd only when (D / p) = 1. Odd p | D, D = p**m D0:
@@ -942,7 +944,9 @@ def _verify_legendre(q, t, data) -> bool:
 
 def _verify_local(q, t, data) -> bool:
     reduced, p = _content_reduced(q, t, data), data.get("prime")
-    if reduced is None or type(p) is not int or p < 2 or gcd(*reduced[0].coefficients()) != 1:
+    if reduced is None or type(p) is not int or p < 2 or reduced[0].disc == 0:
+        return False
+    if gcd(*reduced[0].coefficients()) != 1:
         return False
     # past ntheory.RHO_LIMIT factorize raises, and verify_certificate answers False
     return factorize(p) == {p: 1} and _local_no(*reduced, p)

@@ -256,24 +256,6 @@ def legendre_certificate_reference(d1: int, d2: int, d3: int):
     return None
 
 
-def binary_local_miss(a: int, b: int, c: int, t: int, p: int, k: int) -> bool:
-    """True iff no (x, y) has a x^2 + b x y + c y^2 = t (mod p^k): a
-    depth-first search through the solutions mod p, p^2, ..., p^k, where each
-    solution mod p^(j+1) is one of the p^2 lifts of a solution mod p^j."""
-
-    def lifts_to_the_top(x: int, y: int, m: int) -> bool:
-        if m == p**k:
-            return True
-        n = m * p
-        return any(
-            (a * u * u + b * u * v + c * v * v - t) % n == 0 and lifts_to_the_top(u, v, n)
-            for u in range(x, n, m)
-            for v in range(y, n, m)
-        )
-
-    return not lifts_to_the_top(0, 0, 1)
-
-
 def binary_zp_represents(a: int, b: int, c: int, t: int, p: int) -> bool:
     """True iff a x^2 + b x y + c y^2 = t != 0 has a solution over Z_p, by
     search, for D = b^2 - 4ac != 0. A solution with x or y prime to p has a

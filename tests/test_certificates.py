@@ -6,6 +6,8 @@ import random
 from itertools import permutations
 from math import isqrt
 
+import pytest
+
 from k3lattice import qform
 from k3lattice.qform import (
     BinaryForm,
@@ -172,6 +174,15 @@ def test_local_tampering():
     assert binary_represents(q, 6).certificate.to_json() == local(5, 3)
     assert qform._local_no(q, 6, 5)
     assert not verify_certificate(q, 6, local(5))
+    # a degenerate form (D = 0) is refused at once, at an odd p and at 2 with
+    # b odd or even; its zero valuation is refused rather than searched for
+    for q0, t0, p in (((1, 2, 1), 3, 3), ((1, 2, 1), 1, 2), ((1, 2, 1), 1, 3), ((4, 4, 1), 5, 5)):
+        assert not verify_certificate(BinaryForm(*q0), t0, local(p)), (q0, t0, p)
+        assert not verify_certificate(BinaryForm(*q0), t0, {"kind": "LOCAL", "data": {"prime": p}})
+    with pytest.raises(ValueError, match="valuation"):
+        qform._local_no(BinaryForm(1, 2, 1), 1, 2)
+    with pytest.raises(ValueError, match="valuation"):
+        qform._local_no(BinaryForm(1, 2, 1), 3, 3)
     # no ternary form and no t = 0
     assert not verify_certificate(DiagonalTernaryForm(1, -2, 5), 3, local(3))
     assert not verify_certificate(q_ii, 0, local(3))

@@ -21,7 +21,6 @@ from k3lattice.qform import (
 
 from oracles import (
     binary_cycle_reference,
-    binary_local_miss,
     binary_local_prime_reference,
     binary_scan_reference,
     binary_witness,
@@ -286,23 +285,10 @@ def test_against_search_oracle():
     assert checked > 200
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n, v = n // p, v + 1
-    return v
-
-
-def _local_modulus_exponent(q1: BinaryForm, t1: int, p: int) -> int:
-    """k with (i) or (ii) of a LOCAL certificate at p equivalent to: no
-    value of q1 is t1 mod p**k (p not dividing both D and t1)."""
-    return 1 if q1.disc % p == 0 else _valuation(t1, p) + 1
-
-
 def test_local_no_matches_the_brute_force_oracle():
     # at every odd prime p < 200, on primitive forms with p | D (and t prime
-    # to p) and with p not dividing D: (i) and (ii) hold exactly when no
-    # (x, y) mod p**k gives t
+    # to p) and with p not dividing D: (i) and (ii) hold exactly when the
+    # Hensel search finds no solution over Z_p
     rng = random.Random(25)
     seen = Counter()
     for p in filter(is_prime_trial, range(3, 200, 2)):
@@ -321,7 +307,7 @@ def test_local_no_matches_the_brute_force_oracle():
                 continue
             for v in (0,) if p_divides_disc else exponents:
                 t = rng.choice((-1, 1)) * rng.randint(1, p - 1) * p**v
-                miss = binary_local_miss(a, b, c, t, p, _local_modulus_exponent(q, t, p))
+                miss = not binary_zp_represents(a, b, c, t, p)
                 assert qform._local_no(q, t, p) == miss, (a, b, c, t, p)
                 seen[p_divides_disc, miss] += 1
     assert all(seen[key] > 20 for key in ((True, True), (True, False), (False, True), (False, False))), seen
@@ -355,7 +341,7 @@ def test_local_census_against_the_decider_without_it_and_the_oracle(monkeypatch)
             p = v.certificate.data["prime"]
             assert v.certificate.data["content"] == g
             assert p == binary_local_prime_reference(a1, b1, c1, t1), (q, t)
-            if p < 100:  # the search tries all p**2 pairs mod p first
+            if p < 200:  # the search tries all p**2 pairs mod p first
                 assert not binary_zp_represents(a1, b1, c1, t1, p), (q, t)
         elif _outcome(v) in ("UNDECIDED", "CYCLE"):
             # past the LOCAL step: no prime of D t obstructs
