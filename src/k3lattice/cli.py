@@ -39,35 +39,30 @@ class CliError(Exception):
     """User-facing error: message goes to stderr, process exits 1."""
 
 
-def _parse_json(raw: str, source: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"invalid JSON in {source}: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from exc
-
-
 def _load_input(text: str, from_json):
     """Build an input with from_json from a JSON argument: a file path, "-"
-    for stdin, or inline JSON (starts with { or [). A value of the wrong JSON
-    type (a number where a list belongs, a list as a name) surfaces as a
-    TypeError inside the builders; it is bad input and reported as such."""
+    for stdin, or inline JSON (starts with { or [). A wrong JSON type (a
+    number where a list belongs) raises TypeError in a builder, and nesting
+    past the recursion limit RecursionError in the parser or a builder ("sum"
+    recurses); both are bad input and reported as such."""
     if text == "-":
-        obj = _parse_json(sys.stdin.read(), "<stdin>")
+        raw, source = sys.stdin.read(), "<stdin>"
     elif text.lstrip().startswith(("{", "[")):
-        obj = _parse_json(text, "<inline>")
+        raw, source = text, "<inline>"
     else:
         try:
             with open(text, encoding="utf-8") as fh:
-                raw = fh.read()
+                raw, source = fh.read(), text
         except OSError as exc:
             raise CliError(f"cannot read {text}: {exc}") from exc
-        obj = _parse_json(raw, text)
     try:
-        return from_json(obj)
+        return from_json(json.loads(raw))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"invalid JSON in {source}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
     except TypeError as exc:
         raise CliError(f"malformed input JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"JSON in {source} is nested too deeply") from exc
 
 
 # ------------------------------------------------------------------ commands

@@ -4,12 +4,13 @@ Verdicts are YES with an exact witness, NO with a certificate that
 verify_certificate can replay without any unbounded search, or UNDECIDED
 with the bounds that were exhausted. NO is never "search gave up".
 Binary t != 0 tries LOCAL before the cycle and the search; ternary t != 0
-tries the sieve ladder before the search.
+tries a sieve at the prime powers up to 64 of the primes of 2 d1 d2 d3 first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, isqrt
 
 from .ntheory import (
@@ -32,7 +33,6 @@ __all__ = [
     "Certificate",
     "RepresentationVerdict",
     "SearchLimits",
-    "DEFAULT_SIEVE_MODULI",
     "DEFAULT_SEARCH_BOUND",
     "DIVISIBILITY",
     "SIEVE",
@@ -66,7 +66,6 @@ DEFINITE_EXHAUST = "DEFINITE_EXHAUST"
 CYCLE = "CYCLE"
 LOCAL = "LOCAL"
 
-DEFAULT_SIEVE_MODULI = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 64)
 DEFAULT_SEARCH_BOUND = 10_000
 
 # cells a definite exhaust may scan, in the decider and again in its replay;
@@ -166,7 +165,7 @@ class DiagonalTernaryForm:
 @dataclass(frozen=True)
 class SearchLimits:
     """Coordinate bound of the witness searches that run once binary LOCAL
-    or the ternary DEFAULT_SIEVE_MODULI ladder finds no obstruction."""
+    or the ternary sieve finds no obstruction."""
 
     search_bound: int = DEFAULT_SEARCH_BOUND
 
@@ -730,27 +729,35 @@ def _ternary_residues(q: DiagonalTernaryForm, m: int):
     return {(u + v) % m for u in s12 for v in s3}
 
 
+_SIEVE_CAP = 64  # the ternary sieve's largest modulus, the top of the fixed ladder it replaced
+_SIEVE_PRIMES = tuple(p for p in range(2, _SIEVE_CAP + 1) if all(p % r for r in range(2, p)))
+# (m, p) for each prime power 2 < m = p**j <= _SIEVE_CAP, in increasing order
+_SIEVE_POWERS = sorted((p**j, p) for p in _SIEVE_PRIMES for j in range(1, _SIEVE_CAP.bit_length()) if 2 < p**j <= _SIEVE_CAP)
+# the squares mod m, once per m: x**2 = (m - x)**2 mod m, so x <= m // 2 gives every one
+_squares_mod = cache(lambda m: frozenset(x * x % m for x in range(m // 2 + 1)))
+
+
 def _ternary_hit(q: DiagonalTernaryForm, t: int, m: int) -> bool:
-    # x**2 = (m - x)**2 mod m, so x <= m // 2 gives every square
-    squares = {x * x % m for x in range(m // 2 + 1)}
-    s1, s2, s3 = ({d * s % m for s in squares} for d in q.coefficients())
+    # t % m in _ternary_residues(q, m), stopping at the first hit; the SIEVE replay builds the whole set
+    s1, s2, s3 = ({d * s % m for s in _squares_mod(m)} for d in q.coefficients())
     return any((t - u - v) % m in s3 for u in s1 for v in s2)
 
 
 def _ternary_sieve(q: DiagonalTernaryForm, t: int) -> int | None:
-    """First modulus m at which t is not a value of q mod m, or None. Each
-    test is t % m in _ternary_residues(q, m) without building that set: it
-    stops at the first u + v + w = t (mod m) from the three coefficient-times-
-    square sets. The SIEVE verifier replays the full value set instead."""
-    for m in DEFAULT_SIEVE_MODULI:
-        if not _ternary_hit(q, t, m):
-            return m
-    return None
+    """Least prime power m of _SIEVE_POWERS, of a prime p | 2 d1 d2 d3, at
+    which t != 0 (past DIVISIBILITY, so a value mod 2) is not a value of q,
+    or None; at any other odd p, q is unimodular and represents all of Z_p.
+    For N = v_p(t) + max v_p(d_i) + 1 (+ 2 at p = 2), a solution mod p**N has
+    a coordinate with v_p(d_i) + 2 v_p(x_i) <= v_p(t) that Hensel's lemma
+    lifts along: a miss at any power of p is a miss at p**N, and where p**N
+    <= _SIEVE_CAP the sieve decides q = t over Z_p exactly."""
+    prod = 2 * q.d1 * q.d2 * q.d3
+    return next((m for m, p in _SIEVE_POWERS if prod % p == 0 and not _ternary_hit(q, t, m)), None)
 
 
 def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
     """Decide q = t for diagonal ternary q (t = 0 is routed to the isotropy
-    decider). Indefinite forms use a sieve ladder then a separable search."""
+    decider). Indefinite forms use the sieve, then a separable search."""
     t = exact_int(t)
     _require_nonzero_diag(q)
     if t == 0:
@@ -792,9 +799,7 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
         w = [0, 0, 0]
         w[p_axis], w[n1], w[n2] = x, y, z
         return _checked_yes(q, t, w)
-    return RepresentationVerdict.undecided(
-        {"search_bound": limits.search_bound, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
-    )
+    return RepresentationVerdict.undecided({"search_bound": limits.search_bound})
 
 
 def enumerate_primitive_zeros(q: DiagonalTernaryForm, height: int) -> list[tuple[int, int, int]]:

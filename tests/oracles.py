@@ -435,6 +435,62 @@ def ternary_residue_hit_reference(d1: int, d2: int, d3: int, t: int, m: int) -> 
     )
 
 
+def ternary_ladder_reference(d1: int, d2: int, d3: int, t: int):
+    """The first modulus of the fixed ladder 3, 4, 5, 7, 8, 9, 11, 13, 16, 25,
+    27, 32, 64 that the ternary sieve walked for every form until its moduli
+    came from the input, at which t is not a value of d1 x^2 + d2 y^2 + d3 z^2,
+    or None. The value set mod m is the sum of the three sets d_i x^2 mod m
+    over every x < m."""
+    for m in (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 64):
+        sets = [{d * x * x % m for x in range(m)} for d in (d1, d2, d3)]
+        values = {(u + v + w) % m for u in sets[0] for v in sets[1] for w in sets[2]}
+        if t % m not in values:
+            return m
+    return None
+
+
+def _valuation(n: int, p: int) -> int:
+    k = 0
+    while n % p == 0:
+        n, k = n // p, k + 1
+    return k
+
+
+def ternary_zp_exponent(d1: int, d2: int, d3: int, t: int, p: int) -> int:
+    """N = v_p(t) + max v_p(d_i) + 1, plus 2 at p = 2, for t and the d_i
+    nonzero: the power p^N at which the ternary sieve's test at p is exact."""
+    return _valuation(t, p) + max(_valuation(d, p) for d in (d1, d2, d3)) + 1 + 2 * (p == 2)
+
+
+_SQUARES: dict[int, frozenset] = {}
+
+
+def ternary_zp_represents(d1: int, d2: int, d3: int, t: int, p: int) -> bool:
+    """True iff d1 x^2 + d2 y^2 + d3 z^2 = t != 0 (every d_i != 0) has a
+    solution over Z_p, by a search for one mod m = p^(N + 2), two powers past
+    ternary_zp_exponent's N. A solution mod m has a coordinate with v_p(d_i)
+    + 2 v_p(x_i) <= v_p(t), so the derivative 2 d_i x_i along it has a
+    valuation e with 2e < N (the 2 more at p = 2 pay for its factor 2), and
+    Hensel's lemma lifts the solution to Z_p along that coordinate. The
+    search runs over the squares mod m, on the axes ordered by falling
+    valuation: each value of the outer axis once, and the last axis matched
+    against the squares after dividing by its coefficient when that is a
+    unit, else against its values."""
+    m = p ** (ternary_zp_exponent(d1, d2, d3, t, p) + 2)
+    if m not in _SQUARES:
+        _SQUARES[m] = frozenset(x * x % m for x in range(m // 2 + 1))
+    squares = _SQUARES[m]
+    a, b, c = sorted((d1, d2, d3), key=lambda d: -_valuation(d, p))
+    if c % p:
+        inverse = pow(c, -1, m)
+        last = lambda r: r * inverse % m in squares  # noqa: E731
+    else:
+        last = {c * s % m for s in squares}.__contains__
+    # a unit a gives distinct values already, and the search stops at the first hit
+    outer = (a * s % m for s in squares) if a % p else {a * s % m for s in squares}
+    return any(last((t - u - b * s) % m) for u in outer for s in squares)
+
+
 def witness_scan_reference(gram, t: int):
     """First vector of square t found by the k3 witness scan's plain walk:
     basis vectors, then e_i +- e_j, then every nonzero vector of the box

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from k3lattice import cli
 from k3lattice.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, main
 
 
@@ -235,6 +236,8 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
         # a LOCAL NO at 2, where the cycle walk runs past its 100000 steps
         (("qform", "represents", '{"binary": [723537, 636064, -623498]}', "--t", "-2"), EXIT_OK,
          "qform_represents_local2.json"),
+        # a SIEVE NO mod 23, a prime of the coefficients that no fixed ladder tried
+        (("qform", "represents", '{"diag": [23, 46, -5]}', "--t", "-2"), EXIT_OK, "qform_represents_sieve.json"),
     ],
 )
 def test_other_commands_match_golden_output(capsys, args, expected_code, golden):
@@ -245,7 +248,8 @@ def test_other_commands_match_golden_output(capsys, args, expected_code, golden)
 
 
 def test_undecided_bounds_match_golden_output(capsys):
-    # ternary UNDECIDED bounds list the whole sieve ladder; compared in CI as well
+    # a ternary UNDECIDED names only its search bound, as a binary one does;
+    # compared in CI as well
     args = ("qform", "represents", '{"diag": [1, -1, -1]}', "--t", "7", "--search-bound", "1")
     code, out, _ = run(capsys, *args)
     assert code == EXIT_UNDECIDED
@@ -332,6 +336,35 @@ def test_json_of_the_wrong_type_is_an_input_error(capsys, args):
     code, out, err = run(capsys, *args)
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lattice", "info", "[" * 100000 + "]" * 100000),
+        ("lattice", "disc-group", '{"sum": [' * 50000 + '{"name": "U"}' + "]}" * 50000),
+        ("qform", "represents", '{"diag": ' + "[" * 100000 + "]" * 100000 + "}", "--t", "1"),
+        ("k3", "classify", '{"lattice": ' + '{"sum": [' * 50000 + '{"name": "U"}' + "]}" * 50000 + "}"),
+    ],
+    ids=["lattice-info", "disc-group-sum", "qform-represents", "k3-classify-sum"],
+)
+def test_json_nested_past_the_recursion_limit_is_an_input_error(capsys, args):
+    code, out, err = run(capsys, *args)
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: JSON in <inline> is nested too deeply\n"
+
+
+def test_a_builder_past_the_recursion_limit_is_an_input_error(tmp_path):
+    # JSON that parses but recurses too deeply in its builder, as a deep
+    # "sum" can when the parser's limit leaves the builder less room
+    def endless(obj):
+        return endless(obj)
+
+    path = tmp_path / "input.json"
+    path.write_text('{"name": "U"}', encoding="utf-8")
+    with pytest.raises(cli.CliError) as info:
+        cli._load_input(str(path), endless)
+    assert str(info.value) == f"JSON in {path} is nested too deeply"
 
 
 @pytest.mark.parametrize(

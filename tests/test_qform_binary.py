@@ -112,7 +112,7 @@ def test_search_limit_validation():
     with pytest.raises(ValueError):
         SearchLimits(search_bound=0)
     with pytest.raises(TypeError):
-        SearchLimits(sieve_moduli=(3,))  # the sieve ladder is fixed
+        SearchLimits(sieve_moduli=(3,))  # the ternary sieve takes its moduli from the input
 
 
 def test_undecided_reports_bounds():
@@ -199,7 +199,7 @@ def test_cycle_decide_matches_transform_carrying_reference(monkeypatch):
 
 def test_witness_scans_match_the_scan_order_reference():
     # pins which witness the definite box and the bounded search return, and
-    # that the LOCAL step, which comes before the sieve, takes its prime
+    # that the LOCAL step, which comes before the search, takes its prime
     rng = random.Random(20261019)
     kinds = {}
     ties = 0

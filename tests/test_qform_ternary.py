@@ -1,6 +1,7 @@
 """Diagonal ternary decider: isotropy, target values, zero enumeration."""
 
 import json
+import math
 import random
 import time
 
@@ -9,7 +10,6 @@ import pytest
 from k3lattice import ntheory, qform
 from k3lattice.ntheory import RHO_LIMIT, factorize, sqrt_exact
 from k3lattice.qform import (
-    DEFAULT_SIEVE_MODULI,
     DiagonalTernaryForm,
     RepresentationVerdict,
     SearchLimits,
@@ -22,9 +22,12 @@ from k3lattice.qform import (
 from oracles import (
     legendre_certificate_reference,
     primitive_zeros_reference,
+    ternary_ladder_reference,
     ternary_residue_hit_reference,
     ternary_witness,
     ternary_zero_witness,
+    ternary_zp_exponent,
+    ternary_zp_represents,
 )
 
 
@@ -98,7 +101,7 @@ def test_zero_diagonal_rejected():
 def test_undecided_reports_bounds():
     v = ternary_represents(DiagonalTernaryForm(1, -1, -1), 7, SearchLimits(search_bound=1))
     assert v.kind == "UNDECIDED"
-    assert v.bounds == {"search_bound": 1, "sieve_moduli": list(DEFAULT_SIEVE_MODULI)}
+    assert v.bounds == {"search_bound": 1}
     # the default bound finds the witness (4, 3, 0)
     v = ternary_represents(DiagonalTernaryForm(1, -1, -1), 7)
     assert v.kind == "YES"
@@ -182,8 +185,8 @@ def test_ternary_hit_against_brute_force():
                 hit = qform._ternary_hit(q, t, m)
                 assert hit == ternary_residue_hit_reference(*d, t, m), (d, t, m)
                 hits, misses = hits + hit, misses + (not hit)
-            # the rest of the default ladder and the verifier's largest modulus
-            for m in (32, 64, 512):
+            # the sieve's largest moduli and the verifier's largest modulus
+            for m in (32, 49, 64, 512):
                 assert qform._ternary_hit(q, t, m) == (t % m in qform._ternary_residues(q, m)), (d, t, m)
     assert hits >= 100 and misses >= 100, (hits, misses)
 
@@ -191,18 +194,94 @@ def test_ternary_hit_against_brute_force():
 def test_sieve_certificates_replay_without_the_deciders_kernel(monkeypatch):
     # every t is a value of these forms mod every modulus (each has a witness),
     # so a decider whose membership test always misses emits false SIEVE
-    # certificates, and the verifier's own value-set replay rejects them all
-    cases = [((1, 1, -1), 5), ((2, 3, -7), -2), ((1, -2, 3), 2), ((5, -3, -1), -2)]
-    for d, t in cases:
+    # certificates, and the verifier's own value-set replay rejects them all.
+    # The false modulus is the least prime power the sieve tries: 3 when 3
+    # divides d1 d2 d3, else 4
+    cases = [((1, 1, -1), 5, 4), ((2, 3, -7), -2, 3), ((1, -2, 3), 2, 3), ((5, -3, -1), -2, 3), ((5, 7, -1), 3, 4)]
+    for d, t, _ in cases:
         assert ternary_represents(DiagonalTernaryForm(*d), t).kind == "YES"
     monkeypatch.setattr(qform, "_ternary_hit", lambda q, t, m: False)
-    for d, t in cases:
+    for d, t, first in cases:
         q = DiagonalTernaryForm(*d)
         v = ternary_represents(q, t)
         assert v.kind == "NO" and v.certificate.kind == "SIEVE", (d, t, v)
-        assert v.certificate.data == {"modulus": DEFAULT_SIEVE_MODULI[0]}
-        for m in DEFAULT_SIEVE_MODULI:
+        assert v.certificate.data == {"modulus": first}, (d, t, v)
+        for m in range(2, qform._SIEVE_CAP + 1):
             assert not verify_certificate(q, t, {"kind": "SIEVE", "data": {"modulus": m}}), (d, t, m)
+
+
+def _seeded_indefinite_queries(seed: int, count: int):
+    """count seeded (d, t): indefinite diagonal ternaries with coefficients in
+    +-60 and t = -2 or a random nonzero t in +-500, each divisible by the
+    content of d, so that the sieve is the decider's next step."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = [rng.choice((-1, 1)) * rng.randint(1, 60) for _ in range(3)]
+        t = -2 if rng.random() < 0.5 else rng.choice([x for x in range(-500, 501) if x])
+        if min(d) < 0 < max(d) and t % math.gcd(*d) == 0:
+            out.append((tuple(d), t))
+    return out
+
+
+def test_sieve_is_exact_over_z_p_at_its_powers(monkeypatch):
+    # the sieve run at one prime p answers NO exactly when the Z_p oracle
+    # finds no solution, at every p <= 64 with p**N <= 64 for N the exponent
+    # of the Hensel argument; there its kernel's test mod p**N agrees with
+    # the oracle too. The full sieve answers the least of its one-prime answers
+    primes = [p for p in range(2, 65) if all(p % r for r in range(2, p))]
+    rng = random.Random(27)
+    queries = _seeded_indefinite_queries(27, 150)
+    # and up to as many again with each coefficient times 4, 9, 12, 25
+    # or 49, for higher powers of 2, 3, 5 and 7 in the coefficients
+    scaled = [(tuple(x * rng.choice((4, 9, 12, 25, 49)) for x in d), t) for d, t in queries]
+    queries += [(d, t) for d, t in scaled if t % math.gcd(*d) == 0]
+    checks = misses = 0
+    for d, t in queries:
+        q = DiagonalTernaryForm(*d)
+        answers = []
+        for p in primes:
+            with monkeypatch.context() as patched:
+                patched.setattr(qform, "_SIEVE_POWERS", [x for x in qform._SIEVE_POWERS if x[1] == p])
+                m = qform._ternary_sieve(q, t)
+            if m is not None:
+                answers.append(m)
+            n = ternary_zp_exponent(*d, t, p)
+            if p**n > 64:
+                continue
+            zp = ternary_zp_represents(*d, t, p)
+            assert (m is None) == zp == qform._ternary_hit(q, t, p**n), (d, t, p, m)
+            checks, misses = checks + 1, misses + (not zp)
+        assert qform._ternary_sieve(q, t) == min(answers, default=None), (d, t)
+    assert (checks, misses) == (3849, 81)
+
+
+def test_sieve_census_against_the_fixed_ladder():
+    # 3000 seeded queries: every NO of the old ladder (3 ... 64) stays a NO
+    # at the same modulus, 49 queries the ladder left to the search (so
+    # UNDECIDED, as each has no solution) become NOs, and every NO replays
+    lost = moved = changed = 0
+    for d, t in _seeded_indefinite_queries(3, 3000):
+        q = DiagonalTernaryForm(*d)
+        old, new = ternary_ladder_reference(*d, t), qform._ternary_sieve(q, t)
+        lost += old is not None and new is None
+        moved += old is None and new is not None
+        changed += None not in (old, new) and old != new
+        if new is not None:
+            assert verify_certificate(q, t, {"kind": "SIEVE", "data": {"modulus": new}}), (d, t, new)
+    assert (lost, moved, changed) == (0, 49, 0)
+
+
+def test_sieve_moduli_off_the_ladder():
+    # no solution mod 23, a prime the fixed ladder never tried; and mod 17
+    # before the ladder's 64
+    q = DiagonalTernaryForm(23, 46, -5)
+    assert ternary_represents(q, -2) == RepresentationVerdict.no(qform.Certificate("SIEVE", {"modulus": 23}))
+    assert ternary_ladder_reference(23, 46, -5, -2) is None
+    q = DiagonalTernaryForm(34, -17, -37)
+    assert ternary_represents(q, -424).certificate.data == {"modulus": 17}
+    assert ternary_ladder_reference(34, -17, -37, -424) == 64
+    assert verify_certificate(q, -424, {"kind": "SIEVE", "data": {"modulus": 17}})
 
 
 def test_enumerate_primitive_zeros_frozen():
