@@ -59,13 +59,15 @@ _TRIAL_SQUARE = 1000 * 1000
 _MR_SIX_BASES_LIMIT = 3_474_749_660_383
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# Pollard-Brent rho steps one factorize call may take in all
+# Pollard-Brent rho steps one factorize call may take in all, by default and
+# in qform's LOCAL step, which splits the cofactor trial division leaves
 RHO_LIMIT = 1 << 19
+_LOCAL_RHO_LIMIT = 1 << 12
 _RHO_BATCH = 64
 
 
 class FactorBudgetError(ValueError):
-    """factorize ran past RHO_LIMIT rho steps, or met a cofactor above
+    """factorize ran past its limit of rho steps, or met a cofactor above
     _MR_LIMIT that passes every Miller-Rabin base, which proves nothing."""
 
 
@@ -89,18 +91,21 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
-def _rho_factor(n: int, steps: int) -> tuple[int, int]:
+def _rho_factor(n: int, steps: int, limit: int) -> tuple[int, int]:
     """A proper factor of the odd composite non-square n by Pollard-Brent rho
-    (Brent, BIT 20, 1980) and the step count so far, which may not pass
-    RHO_LIMIT. The step y -> y**2 + c is written out in each loop."""
+    (Brent, BIT 20, 1980) and the step count so far, which never passes
+    limit. The step y -> y**2 + c is written out in each loop."""
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
+            x, k = y, 0
+            # the r steps of y, then each batch, are counted before they run
             while k < r and g == 1:
+                if steps + r + min(k + _RHO_BATCH, r) > limit:
+                    raise FactorBudgetError(f"no factor of {n} within {limit} rho steps")
+                if k == 0:
+                    for _ in range(r):
+                        y = (y * y + c) % n
                 ys = y
                 for _ in range(min(_RHO_BATCH, r - k)):
                     y = (y * y + c) % n
@@ -108,8 +113,6 @@ def _rho_factor(n: int, steps: int) -> tuple[int, int]:
                 g = gcd(q, n)
                 k += _RHO_BATCH
             steps += r + min(k, r)
-            if steps > RHO_LIMIT:
-                raise FactorBudgetError(f"no factor of {n} within {RHO_LIMIT} rho steps")
             r *= 2
         if g == n:  # the batch overshot: redo it one step at a time
             g = 1
@@ -140,11 +143,11 @@ def trial_division(n: int) -> tuple[dict[int, int], int]:
     return out, n
 
 
-def factorize(n: int) -> dict[int, int]:
+def factorize(n: int, limit: int = RHO_LIMIT) -> dict[int, int]:
     """Prime factorization of |n| in increasing order; {} for n in {-1, 0, 1}.
 
     trial_division, then deterministic Miller-Rabin and Pollard-Brent rho on
-    the cofactor; FactorBudgetError past RHO_LIMIT rho steps."""
+    the cofactor; FactorBudgetError past limit rho steps in all."""
     out, n = trial_division(n)
     stack, steps = ([n] if n > 1 else []), 0
     while stack:
@@ -157,7 +160,7 @@ def factorize(n: int) -> dict[int, int]:
         if r is not None:
             stack += (r, r)
         else:
-            f, steps = _rho_factor(m, steps)
+            f, steps = _rho_factor(m, steps, limit)
             stack += (f, m // f)
     return dict(sorted(out.items()))
 

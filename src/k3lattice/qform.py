@@ -14,6 +14,7 @@ from functools import cache
 from math import gcd, isqrt
 
 from .ntheory import (
+    _LOCAL_RHO_LIMIT,
     RHO_LIMIT,
     FactorBudgetError,
     divides,
@@ -508,11 +509,20 @@ def _local_prime(q1: BinaryForm, t1: int) -> int | None:
     """The first prime _local_no holds at, or None, trying the odd primes of
     D t1 that ntheory.trial_division finds in increasing order, those that
     divide only one of D and t1 (one Legendre symbol each) before those
-    that divide both, and then 2. No rho step, so no budget runs out."""
+    that divide both, and then 2. Last come the primes of the cofactor that
+    trial division leaves, in increasing order, when factorize splits it
+    within _LOCAL_RHO_LIMIT rho steps; past that budget none are tried."""
     disc = q1.disc
-    odd = [p for p in trial_division(disc * t1)[0] if p > 2]
+    small, rest = trial_division(disc * t1)
+    odd = [p for p in small if p > 2]
     order = sorted(odd, key=lambda p: disc % p == 0 == t1 % p) + [2]
-    return next((p for p in order if _local_no(q1, t1, p)), None)
+    p = next((p for p in order if _local_no(q1, t1, p)), None)
+    if p is not None or rest == 1:
+        return p
+    try:
+        return next((p for p in factorize(rest, _LOCAL_RHO_LIMIT) if _local_no(q1, t1, p)), None)
+    except FactorBudgetError:
+        return None
 
 
 def _binary_bounded_search(q1: BinaryForm, t1: int, bound: int):
@@ -528,7 +538,8 @@ def _binary_bounded_search(q1: BinaryForm, t1: int, bound: int):
 def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
     """Decide q = t for nondegenerate binary q (t = 0 is routed to the
     discriminant test). Past the content, the definite box and the square-disc
-    walk: a LOCAL obstruction over Z_p at a prime of 2 D t1, then the reduced
+    walk: a LOCAL obstruction over Z_p at a prime of 2 D t1 (those past trial
+    division only when a budgeted rho split finds them), then the reduced
     cycle when 4 t1**2 < D, else the bounded search. LOCAL is exact, so no
     sieve runs: a ladder modulus with no solution has a prime p | 2 D t1."""
     t = exact_int(t)

@@ -238,6 +238,10 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
          "qform_represents_local2.json"),
         # a SIEVE NO mod 23, a prime of the coefficients that no fixed ladder tried
         (("qform", "represents", '{"diag": [23, 46, -5]}', "--t", "-2"), EXIT_OK, "qform_represents_sieve.json"),
+        # a LOCAL NO at 1386787, a prime of D past trial division that the
+        # budgeted rho split finds, where the cycle walk runs past its 100000 steps
+        (("qform", "represents", '{"binary": [-333292374, 949056661, 595529271]}', "--t", "13"), EXIT_OK,
+         "qform_represents_local3.json"),
     ],
 )
 def test_other_commands_match_golden_output(capsys, args, expected_code, golden):

@@ -5,6 +5,7 @@ import pytest
 
 from k3lattice import ntheory
 from k3lattice.ntheory import (
+    RHO_LIMIT,
     FactorBudgetError,
     divides,
     divisors,
@@ -125,3 +126,20 @@ def test_factorize_matches_sympy():
         fac = factorize(n)
         assert fac == expected, n
         assert list(fac) == sorted(fac), n
+
+
+def test_factorize_under_a_step_limit():
+    # seeded products of two primes past trial division: under a limit
+    # factorize agrees with sympy, and it needs exactly the rho steps that
+    # the one split takes: one step fewer raises, naming the limit
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261020)
+    for _ in range(30):
+        p = sympy.nextprime(rng.randint(10**4, 10**8))
+        q = sympy.nextprime(p + rng.randint(1, 10**8))
+        n = p * q
+        expected = sympy.factorint(n)
+        needed = ntheory._rho_factor(n, 0, RHO_LIMIT)[1]
+        assert factorize(n, needed) == expected == {p: 1, q: 1}, n
+        with pytest.raises(FactorBudgetError, match=f"within {needed - 1} rho steps"):
+            factorize(n, needed - 1)

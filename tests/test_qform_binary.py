@@ -418,32 +418,91 @@ def test_new_2_adic_nos_have_no_integer_solution():
             checked += 1
 
 
-def test_local_step_runs_no_rho_and_adds_no_wall(monkeypatch):
-    # the LOCAL step trial-divides D and t below 1000 and tries no cofactor
-    # it cannot prove prime, so rho never runs there: not at the odd primes,
-    # not at those of gcd(D, t), not at 2. ROADMAP's 0.3 ms wall stays a
-    # fraction of a millisecond (process time, best of five)
-    def no_rho(n, steps):
-        raise AssertionError("rho ran")
+def test_local_step_keeps_rho_within_its_budget(monkeypatch):
+    # the LOCAL step splits what trial division leaves of D t1 with at most
+    # _LOCAL_RHO_LIMIT rho steps in all, and past them tries none of its
+    # primes; hard, two primes near 10**15, needs ~10**7 steps to split
+    rho = ntheory._rho_factor
+    limits = []
 
-    monkeypatch.setattr(ntheory, "_rho_factor", no_rho)
+    class CountingModulus(int):
+        # int % n lands here. Every counted rho step reduces y mod n; a round
+        # of r steps of y is followed by at most r steps of the comparison
+        # walk, which also reduce the product, so 2 steps take <= 3 reductions
+        reductions = 0
+
+        def __rmod__(self, other):
+            CountingModulus.reductions += 1
+            return int(other) % int(self)
+
+    def spy(n, steps, limit):
+        limits.append(limit)
+        return rho(CountingModulus(n), steps, limit)
+
+    monkeypatch.setattr(ntheory, "_rho_factor", spy)
     hard = 1000000000000037 * 1000000000000091
     assert qform._local_prime(BinaryForm(1, 1, -hard), hard) is None
+    assert limits and set(limits) == {ntheory._LOCAL_RHO_LIMIT}
+    assert 0 < 2 * CountingModulus.reductions <= 3 * ntheory._LOCAL_RHO_LIMIT
     # hard = 7 mod 8, and x**2 - hard y**2 = x**2 + y**2 mod 8 is never 7;
     # x**2 - 3 hard y**2 = 3 needs 3 | x, then 3 x'**2 - hard y**2 = 1 with
-    # hard = 1 mod 3 needs y**2 = -1 mod 3
+    # hard = 1 mod 3 needs y**2 = -1 mod 3; both come before the cofactor
+    limits.clear()
     for q, t, p in ((BinaryForm(1, 0, -hard), hard, 2), (BinaryForm(1, 0, -3 * hard), 3, 3)):
         assert qform._local_prime(q, t) == p
         assert binary_represents(q, t) == RepresentationVerdict.no(qform.Certificate("LOCAL", {"content": 1, "prime": p}))
         assert verify_certificate(q, t, {"kind": "LOCAL", "data": {"content": 1, "prime": p}})
+    assert limits == []
+    # ROADMAP's 0.3 ms wall: the cofactor of D t, 150 bits, runs out of
+    # budget and the cycle walk answers, in a few milliseconds (process
+    # time, best of five)
+    monkeypatch.setattr(ntheory, "_rho_factor", rho)
     q, t = BinaryForm(1, 1, -10**30), 10**14 + 31
     times = []
     for _ in range(5):
         start = time.process_time()
         v = binary_represents(q, t)
         times.append(time.process_time() - start)
-    assert v.kind == "NO" and verify_certificate(q, t, v.certificate)
+    assert v.certificate.kind == "CYCLE" and verify_certificate(q, t, v.certificate)
     assert min(times) < 0.005, times
+
+
+def test_local_census_on_large_coefficients(monkeypatch):
+    # 600 seeded indefinite forms with coefficients in decades 5 to 12, where
+    # trial division below 1000 seldom factors D t completely. Its primes
+    # come first, so wherever one of them obstructs the same prime comes
+    # back. A prime only the rho split finds is a prime of D, as |t| <= 500
+    # has none past 1000, so it obstructs exactly when (t a' / p) = -1
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261020)
+    cases = []
+    while len(cases) < 600:
+        k = 5 + len(cases) % 8
+        a, b, c = (rng.choice((-1, 1)) * rng.randint(10 ** (k - 1), 10**k) for _ in range(3))
+        disc = b * b - 4 * a * c
+        if disc <= 0 or ntheory.is_square(disc) or gcd(a, b, c) != 1:
+            continue
+        t = -2 if rng.random() < 0.5 else rng.choice((-1, 1)) * rng.randint(1, 500)
+        cases.append((BinaryForm(a, b, c), t))
+
+    def unsplit(n, limit):
+        raise ntheory.FactorBudgetError("the cofactor is not split")
+
+    with monkeypatch.context() as m:
+        m.setattr(qform, "factorize", unsplit)
+        before = [qform._local_prime(q, t) for q, t in cases]
+    new = 0
+    for (q, t), p0 in zip(cases, before):
+        p = qform._local_prime(q, t)
+        if p0 is not None:
+            assert p == p0, (q, t)
+        elif p is not None:
+            new += 1
+            assert p > 1000 and sympy.isprime(p) and q.disc % p == 0, (q, t)
+            assert jacobi(t * (q.a if q.a % p else q.c), p) == -1, (q, t)
+    # 480 NOs at a prime that trial division finds, 31 only past it
+    assert sum(p is not None for p in before) == 480
+    assert new == 31
 
 
 @pytest.mark.parametrize("obj", [{"binary": [1.9, 0, -7]}, {"diag": [1, True, -1]}, {"unary": ["3"]}])
@@ -485,11 +544,15 @@ def test_cycle_past_the_factor_budget_is_undecided():
     # 4 t**2 < disc puts t on the reduced cycle's short branch, whose walk is
     # quick; listing the square divisors of the same t then runs out of rho
     # steps. Trial division finds no odd prime of disc = 4 * 10**62 + 1 or of
-    # t, and 2 obstructs nothing (b and t are odd), so the LOCAL step has no
-    # candidate
+    # t, and 2 obstructs nothing (b and t are odd); the LOCAL step's rho
+    # budget does not split the cofactor disc * t either, so no prime of it
+    # is tried
     t = 1000000000000037 * 1000000000000091
     q = BinaryForm(1, 1, -10**62)
     assert 4 * t * t < q.disc
+    assert ntheory.trial_division(q.disc * t)[0] == {}
+    with pytest.raises(ntheory.FactorBudgetError):
+        ntheory.factorize(q.disc * t, ntheory._LOCAL_RHO_LIMIT)
     assert qform._local_prime(q, t) is None
     assert binary_represents(q, t) == RepresentationVerdict.undecided({"factor_budget": RHO_LIMIT})
 
