@@ -151,9 +151,10 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
             zero = qform.binary_represents_zero(q)
             if zero.kind != "NO":
                 continue
+            # NO by construction: content 2A >= 4 for A >= 2, values 0 or 2 mod 8 (LOCAL at 2) for A = 1
             minus2 = qform.binary_represents(q, -2)
             if minus2.kind != "NO":
-                continue
+                raise RuntimeError("internal error: the -2 decider did not answer NO on a claim-3 plane")
             # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32; both vectors vanish
             # off the U^3 coordinates 0..5, and zero rows do not change the Gram
             gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})

@@ -88,9 +88,9 @@ def _basis_vector(n: int, i: int) -> tuple[int, ...]:
 
 
 def _witness_scan(lattice: GramLattice, t: int):
-    """Cheap YES-only scan for shapes without a certified decider: basis
-    vectors, pairwise sums/differences, then the box |v_i| <= 2 at rank <= 4
-    in product order. The box splits each vector as (head, y, x):
+    """Cheap YES-only scan for the rank >= 3 shapes lattice_form has no form
+    for: basis vectors, pairwise sums/differences, then the box |v_i| <= 2
+    at rank 3 or 4 in product order. The box splits each vector as (head, y, x):
     q = q(head, 0, 0) + ly * y + lx * x + q(0, y, x), where the 25 tail
     terms q(0, y, x) are computed once per lattice and q(head, 0, 0), ly and
     lx once per head, so each (y, x) costs two products."""
@@ -106,10 +106,7 @@ def _witness_scan(lattice: GramLattice, t: int):
                     v = [0] * n
                     v[i], v[j] = 1, s
                     return tuple(v)
-    if n == 1:
-        # the basis check covered x = +-1, so the box adds only x = +-2
-        return (2,) if 4 * g[0][0] == t else None
-    if 2 <= n <= 4:
+    if 3 <= n <= 4:
         h = n - 2
         gyy, gyx, gxx = g[h][h], g[h][h + 1], g[h + 1][h + 1]
         tail = [

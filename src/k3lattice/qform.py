@@ -4,7 +4,7 @@ Verdicts are YES with an exact witness, NO with a certificate that
 verify_certificate can replay without any unbounded search, or UNDECIDED
 with the bounds that were exhausted. NO is never "search gave up".
 Binary t != 0 tries LOCAL before the cycle and the search; ternary t != 0
-tries a sieve at the prime powers up to 64 of the primes of 2 d1 d2 d3 first.
+first sieves at the prime powers <= _SIEVE_CAP of the primes of 2 d1 d2 d3.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from math import gcd, isqrt
 
 from .ntheory import (
     _LOCAL_RHO_LIMIT,
+    _SMALL_PRIMES,
     RHO_LIMIT,
     FactorBudgetError,
     divides,
@@ -332,7 +333,7 @@ def _mat2_mul(p, q):
     )
 
 
-def _cycle_of(form, disc: int, stop: int | None):
+def _cycle_of(form, disc: int, stop: int):
     """Reduced cycle of the proper class of form, or None when reducing form
     and closing its cycle take more than _CYCLE_LIMIT steps in all. The walk
     ends early, and cycle with it, at the first cycle form whose leading
@@ -540,8 +541,8 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
     discriminant test). Past the content, the definite box and the square-disc
     walk: a LOCAL obstruction over Z_p at a prime of 2 D t1 (those past trial
     division only when a budgeted rho split finds them), then the reduced
-    cycle when 4 t1**2 < D, else the bounded search. LOCAL is exact, so no
-    sieve runs: a ladder modulus with no solution has a prime p | 2 D t1."""
+    cycle when 4 t1**2 < D, else the bounded search. LOCAL is exact over
+    Z_p, so no binary NO is a SIEVE."""
     t = exact_int(t)
     if t == 0:
         return binary_represents_zero(q)
@@ -609,6 +610,8 @@ def _legendre_reduce(q: DiagonalTernaryForm):
 
     Each coefficient is factored once and the steps move its primes: returns
     (reduced coefficients, steps, primes[i] dividing reduced coefficient i).
+    One pass over the pairs merges every shared prime: a merged prime moves to
+    a coefficient that content division left without it, so no pair gains one.
     """
     g = gcd(*q.coefficients())
     d = [x // g for x in q.coefficients()]
@@ -619,21 +622,14 @@ def _legendre_reduce(q: DiagonalTernaryForm):
         if f > 1:
             steps.append({"op": "square", "axis": i, "factor": f})
         primes.append(odd)
-    while True:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            if gcd(d[i], d[j]) > 1:
-                p = min(primes[i] & primes[j])
-                k = 3 - i - j
-                d[i] //= p
-                d[j] //= p
-                d[k] *= p
-                primes[i].discard(p)
-                primes[j].discard(p)
-                primes[k].add(p)
-                steps.append({"op": "merge", "axes": [i, j], "prime": p})
-                break
-        else:
-            break
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        k, shared = 3 - i - j, primes[i] & primes[j]
+        for p in sorted(shared):
+            d[i], d[j], d[k] = d[i] // p, d[j] // p, d[k] * p
+            steps.append({"op": "merge", "axes": [i, j], "prime": p})
+        primes[i] -= shared
+        primes[j] -= shared
+        primes[k] |= shared
     return tuple(d), steps, primes
 
 
@@ -740,10 +736,9 @@ def _ternary_residues(q: DiagonalTernaryForm, m: int):
     return {(u + v) % m for u in s12 for v in s3}
 
 
-_SIEVE_CAP = 64  # the ternary sieve's largest modulus, the top of the fixed ladder it replaced
-_SIEVE_PRIMES = tuple(p for p in range(2, _SIEVE_CAP + 1) if all(p % r for r in range(2, p)))
+_SIEVE_CAP = 64  # the largest SIEVE modulus: one bound for the ternary sieve and its replay
 # (m, p) for each prime power 2 < m = p**j <= _SIEVE_CAP, in increasing order
-_SIEVE_POWERS = sorted((p**j, p) for p in _SIEVE_PRIMES for j in range(1, _SIEVE_CAP.bit_length()) if 2 < p**j <= _SIEVE_CAP)
+_SIEVE_POWERS = sorted((p**j, p) for p in _SMALL_PRIMES for j in range(1, _SIEVE_CAP.bit_length()) if 2 < p**j <= _SIEVE_CAP)
 # the squares mod m, once per m: x**2 = (m - x)**2 mod m, so x <= m // 2 gives every one
 _squares_mod = cache(lambda m: frozenset(x * x % m for x in range(m // 2 + 1)))
 
@@ -846,8 +841,6 @@ def represents(q, t: int, limits: SearchLimits | None = None) -> RepresentationV
 
 # ---------------------------------------------------------------- verifier
 
-_VERIFY_SIEVE_LIMIT = 512
-
 
 def _verify_divisibility(q, t, data) -> bool:
     d = data["divisor"]
@@ -857,21 +850,12 @@ def _verify_divisibility(q, t, data) -> bool:
 
 
 def _verify_sieve(q, t, data) -> bool:
-    # no decider emits SIEVE for t = 0: NONSQUARE_DISC, LEGENDRE or DEFINITE
-    # settle every such question
+    # only the ternary decider emits SIEVE, for t != 0 and m <= _SIEVE_CAP
+    # (NONSQUARE_DISC, LEGENDRE or DEFINITE settle every t = 0 question)
     m = data["modulus"]
-    if t == 0 or type(m) is not int or not 2 <= m <= _VERIFY_SIEVE_LIMIT:
+    if not isinstance(q, DiagonalTernaryForm) or t == 0 or type(m) is not int or not 2 <= m <= _SIEVE_CAP:
         return False
-    if isinstance(q, BinaryForm):
-        tm = t % m
-        return all(
-            (q.a * x * x + q.b * x * y + q.c * y * y) % m != tm
-            for x in range(m)
-            for y in range(m)
-        )
-    if isinstance(q, DiagonalTernaryForm):
-        return t % m not in _ternary_residues(q, m)
-    return False
+    return t % m not in _ternary_residues(q, m)
 
 
 def _verify_nonsquare_disc(q, t, data) -> bool:

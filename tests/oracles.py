@@ -494,7 +494,7 @@ def ternary_zp_represents(d1: int, d2: int, d3: int, t: int, p: int) -> bool:
 def witness_scan_reference(gram, t: int):
     """First vector of square t found by the k3 witness scan's plain walk:
     basis vectors, then e_i +- e_j, then every nonzero vector of the box
-    |v_i| <= 2 (rank <= 4) in product order, squared by the index loop and
+    |v_i| <= 2 (rank 3 or 4) in product order, squared by the index loop and
     returned with its first nonzero entry positive. None when nothing hits."""
     n = len(gram)
     for i in range(n):
@@ -507,7 +507,7 @@ def witness_scan_reference(gram, t: int):
                     v = [0] * n
                     v[i], v[j] = 1, s
                     return tuple(v)
-    if n <= 4:
+    if 3 <= n <= 4:
         for v in product(range(-2, 3), repeat=n):
             if not any(v):
                 continue

@@ -175,6 +175,20 @@ def test_claim3_json():
     assert len(out["l"]) == 22 and len(out["generator"]) == 22
 
 
+def test_claim3_plane_the_minus2_decider_leaves_open_raises(monkeypatch):
+    # on a plane whose zero answer is NO the -2 answer is NO by construction
+    # (DIVISIBILITY by 2A for A >= 2, LOCAL at 2 for A = 1), so any other
+    # answer is a decider regression: it raises instead of moving on to a
+    # later plane
+    def undecided(q, t, limits=None):
+        return RepresentationVerdict.undecided({"patched": 1})
+
+    monkeypatch.setattr(qform, "binary_represents", undecided)
+    for inputs in (Claim3Input(1, 0, 0), Claim3Input(2, 3, 1)):
+        with pytest.raises(RuntimeError, match="internal error: the -2 decider"):
+            claim3_search(inputs)
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         family(1, n=3)  # divisible by 3

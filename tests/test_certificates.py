@@ -69,22 +69,32 @@ def test_divisibility_tampering():
 
 
 def test_sieve_tampering():
-    # the binary decider emits no SIEVE: LOCAL is exact at every prime of a
-    # sieve modulus, so here it settles 3 | gcd(D, t) = 3 first. A binary
-    # SIEVE certificate saved before still replays
+    # only the ternary decider emits SIEVE, at moduli up to _SIEVE_CAP, and
+    # the replay accepts no other. x**2 - 6 y**2 misses -3 mod 8, but LOCAL
+    # settles 3 | gcd(D, t) = 3, so a binary SIEVE is refused; so is a unary one
     q = BinaryForm(1, 0, -6)
     assert binary_represents(q, -3).certificate.to_json() == {"kind": "LOCAL", "data": {"content": 1, "prime": 3}}
-    good = {"kind": "SIEVE", "data": {"modulus": 8}}
-    assert verify_certificate(q, -3, good)
+    assert not verify_certificate(q, -3, {"kind": "SIEVE", "data": {"modulus": 8}})
+    assert not verify_certificate(UnaryForm(2), 3, {"kind": "SIEVE", "data": {"modulus": 4}})
+    q3 = DiagonalTernaryForm(1, 1, -8)
+    good = ternary_represents(q3, 3).certificate.to_json()
+    assert good == {"kind": "SIEVE", "data": {"modulus": 4}} and verify_certificate(q3, 3, good)
     bad = copy.deepcopy(good)
-    bad["data"]["modulus"] = 7  # -3 = q(2, 0) mod 7
-    assert not verify_certificate(q, -3, bad)
+    bad["data"]["modulus"] = 7  # 3 = q3(1, 1, 1) mod 7
+    assert not verify_certificate(q3, 3, bad)
     bad["data"]["modulus"] = 1
-    assert not verify_certificate(q, -3, bad)
-    bad["data"]["modulus"] = 100000  # over the replay limit
-    assert not verify_certificate(q, -3, bad)
+    assert not verify_certificate(q3, 3, bad)
+    # 3 is no value mod 68 = 4 * 17 either, but 68 is past the sieve's cap
+    assert 3 % 68 not in qform._ternary_residues(q3, 68) and 68 > qform._SIEVE_CAP
+    bad["data"]["modulus"] = 68
+    assert not verify_certificate(q3, 3, bad)
+    # a true obstruction at a prime past the cap is refused too: -2 is no
+    # value of (73, 146, -5) mod 73
+    q73 = DiagonalTernaryForm(73, 146, -5)
+    assert -2 % 73 not in qform._ternary_residues(q73, 73)
+    assert not verify_certificate(q73, -2, {"kind": "SIEVE", "data": {"modulus": 73}})
     # the certified obstruction does not transfer to another target
-    assert not verify_certificate(q, 1, good)  # 1 = q(1, 0)
+    assert not verify_certificate(q3, 1, good)  # 1 = q3(1, 0, 0)
 
 
 def test_sieve_primitive_zero_certificates():
@@ -108,6 +118,56 @@ def test_no_zero_verdict_carries_a_sieve_certificate():
                 assert verify_certificate(q, 0, v.certificate), (q, v)
                 for m in (2, 3, 4, 8, 9, 16):
                     assert not verify_certificate(q, 0, {"kind": "SIEVE", "data": {"modulus": m}})
+
+
+# every (certificate kind, form shape) the deciders emit on the census below
+_EMITTED = {
+    ("DIVISIBILITY", "UnaryForm"),
+    ("DEFINITE", "UnaryForm"),
+    ("DEFINITE_EXHAUST", "UnaryForm"),
+    ("DIVISIBILITY", "BinaryForm"),
+    ("DEFINITE", "BinaryForm"),
+    ("DEFINITE_EXHAUST", "BinaryForm"),
+    ("NONSQUARE_DISC", "BinaryForm"),
+    ("SQUARE_DISC_EXHAUST", "BinaryForm"),
+    ("CYCLE", "BinaryForm"),
+    ("LOCAL", "BinaryForm"),
+    ("DIVISIBILITY", "DiagonalTernaryForm"),
+    ("DEFINITE", "DiagonalTernaryForm"),
+    ("DEFINITE_EXHAUST", "DiagonalTernaryForm"),
+    ("SIEVE", "DiagonalTernaryForm"),
+    ("LEGENDRE", "DiagonalTernaryForm"),
+}
+
+
+def test_emitted_certificates_match_the_replays():
+    # 3,000 seeded queries, every shape at t = 0, -2 and a random t: the
+    # deciders emit exactly the table above, so a replay branch outside it is
+    # reached by no decider, every emitted NO replays, and every SIEVE modulus
+    # is within _SIEVE_CAP. A SIEVE on a unary or binary form is refused
+    rng = random.Random(4)
+    nonzero = [c for c in range(-30, 31) if c]
+    emitted = set()
+    for i in range(1000):
+        if i % 3 == 0:
+            q = UnaryForm(rng.choice(nonzero))
+        elif i % 3 == 1:
+            q = BinaryForm(*(rng.randint(-30, 30) for _ in range(3)))
+            while q.disc == 0:
+                q = BinaryForm(*(rng.randint(-30, 30) for _ in range(3)))
+        else:
+            q = DiagonalTernaryForm(*(rng.choice(nonzero) for _ in range(3)))
+        for t in (0, -2, rng.randint(-500, 500)):
+            v = represents(q, t, qform.SearchLimits(200))
+            if v.kind == "NO":
+                emitted.add((v.certificate.kind, type(q).__name__))
+                assert verify_certificate(q, t, v.certificate), (q, t, v)
+                if v.certificate.kind == "SIEVE":
+                    assert v.certificate.data["modulus"] <= qform._SIEVE_CAP, (q, t, v)
+            if not isinstance(q, DiagonalTernaryForm):
+                for m in range(2, 17):
+                    assert not verify_certificate(q, t, {"kind": "SIEVE", "data": {"modulus": m}}), (q, t, m)
+    assert emitted == _EMITTED, emitted ^ _EMITTED
 
 
 def test_legendre_tampering():
@@ -261,18 +321,19 @@ def test_cycle_replay_checks_every_entry_past_the_first():
 
 
 def test_replays_refuse_a_certificate_of_the_wrong_shape():
-    # SIEVE has no unary replay, although 2x^2 misses 3 mod 4
+    # SIEVE has no unary or binary replay, although 2x^2 misses 3 mod 4 and
+    # x^2 - 2y^2 misses 3 mod 8
     assert not verify_certificate(UnaryForm(2), 3, Certificate("SIEVE", {"modulus": 4}))
+    assert not verify_certificate(BinaryForm(1, 0, -2), 3, Certificate("SIEVE", {"modulus": 8}))
     # the zero form represents 0
     assert not verify_certificate(BinaryForm(0, 0, 0), 0, Certificate("NONSQUARE_DISC", {"disc": 0}))
     # LEGENDRE needs three nonzero coefficients
     legendre = Certificate("LEGENDRE", {"reduced": [1, 0, -3], "condition": 0})
     assert not verify_certificate(DiagonalTernaryForm(1, 0, -3), 0, legendre)
     # certificate data must be a dict, and JSON data an object, not a list of pairs
-    q = BinaryForm(1, 0, -2)
-    assert verify_certificate(q, 3, Certificate("SIEVE", {"modulus": 8}))
-    assert not verify_certificate(q, 3, Certificate("SIEVE", [("modulus", 8)]))
     q3 = DiagonalTernaryForm(1, 1, 1)
+    assert verify_certificate(q3, 7, Certificate("SIEVE", {"modulus": 8}))
+    assert not verify_certificate(q3, 7, Certificate("SIEVE", [("modulus", 8)]))
     assert verify_certificate(q3, 7, {"kind": "SIEVE", "data": {"modulus": 8}})
     assert not verify_certificate(q3, 7, {"kind": "SIEVE", "data": [["modulus", 8]]})
 

@@ -1,6 +1,7 @@
 """Command-line interface: output shape, exit codes, flag handling."""
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -258,6 +259,19 @@ def test_undecided_bounds_match_golden_output(capsys):
     code, out, _ = run(capsys, *args)
     assert code == EXIT_UNDECIDED
     assert out == (Path(__file__).parent / "data" / "qform_represents_undecided.json").read_text()
+
+
+def test_every_golden_is_compared_here_and_in_ci():
+    # each file under tests/data is read by a test in this module and named in
+    # the workflow's CLI step, and every tests/data path the workflow names
+    # exists, so a new golden cannot be added in one place only
+    tests = Path(__file__).parent
+    goldens = {p.name for p in (tests / "data").iterdir()}
+    workflow = (tests.parent / ".github" / "workflows" / "tests.yml").read_text()
+    cli_step = workflow.split("- name: CLI commands")[1].split("- name:")[0]
+    assert {g for g in goldens if f'"{g}"' not in Path(__file__).read_text()} == set()
+    assert goldens - set(re.findall(r"tests/data/([\w.-]+)", cli_step)) == set()
+    assert set(re.findall(r"tests/data/([\w.-]+)", workflow)) - goldens == set()
 
 
 def test_table_format_flattens_nested_json(capsys):

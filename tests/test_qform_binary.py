@@ -161,7 +161,8 @@ def test_early_stop_answers_before_the_cycle_closes():
     # the cycle of this form is longer than _CYCLE_LIMIT, but -2 leads one
     # of its first forms; the witness has tens of thousands of digits
     q = BinaryForm(53745, -67465, -20478)
-    assert qform._cycle_of((q.a, q.b, q.c), q.disc, None) is None
+    # no form of nonsquare discriminant has leading coefficient 0, so stop = 0 walks the whole cycle
+    assert qform._cycle_of((q.a, q.b, q.c), q.disc, 0) is None
     v = binary_represents(q, -2)
     assert v.kind == "YES" and _value(q, v.witness) == -2
 

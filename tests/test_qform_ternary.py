@@ -185,8 +185,8 @@ def test_ternary_hit_against_brute_force():
                 hit = qform._ternary_hit(q, t, m)
                 assert hit == ternary_residue_hit_reference(*d, t, m), (d, t, m)
                 hits, misses = hits + hit, misses + (not hit)
-            # the sieve's largest moduli and the verifier's largest modulus
-            for m in (32, 49, 64, 512):
+            # the sieve's largest moduli; _SIEVE_CAP is also the largest the replay accepts
+            for m in (32, 49, qform._SIEVE_CAP):
                 assert qform._ternary_hit(q, t, m) == (t % m in qform._ternary_residues(q, m)), (d, t, m)
     assert hits >= 100 and misses >= 100, (hits, misses)
 
