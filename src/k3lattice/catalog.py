@@ -240,10 +240,10 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
     if family_id == 1:
         if n is None:
             n = 1
-        if n % 3 == 0:
-            raise ValueError("family 1 needs n not divisible by 3")
         if n < 1:
             raise ValueError("family 1 needs a positive n for a hyperbolic lattice")
+        if n % 3 == 0:
+            raise ValueError("family 1 needs n not divisible by 3")
         return FamilySpec(
             family_id=1,
             label=f"family-1(n={n})",
@@ -330,22 +330,13 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
                 "finite automorphism group",
                 "citation": "Nikulin [Ni3]",
             },
-            assertions=(
-                {
-                    "statement": "the rank-19 special member contains exactly 24 smooth rational curves",
-                    "status": PAPER_ASSERTED,
-                    "citation": "Nikulin [Ni3]; Kondo [Ko1]",
-                },
-                {
-                    "statement": "the rank-19 special member admits finitely many (> 0) elliptic pencils",
-                    "status": PAPER_ASSERTED,
-                    "citation": "Nikulin [Ni3]; Kondo [Ko1]",
-                },
-                {
-                    "statement": "the automorphism group of the rank-19 special member is S3 x mu2",
-                    "status": PAPER_ASSERTED,
-                    "citation": "Nikulin [Ni3]; Kondo [Ko1]",
-                },
+            assertions=tuple(
+                {"statement": statement, "status": PAPER_ASSERTED, "citation": "Nikulin [Ni3]; Kondo [Ko1]"}
+                for statement in (
+                    "the rank-19 special member contains exactly 24 smooth rational curves",
+                    "the rank-19 special member admits finitely many (> 0) elliptic pencils",
+                    "the automorphism group of the rank-19 special member is S3 x mu2",
+                )
             ),
         )
     raise ValueError("family_id must be 1..5")

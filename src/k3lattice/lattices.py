@@ -76,33 +76,22 @@ def _e8_neg_gram() -> list[list[int]]:
     return g
 
 
+# every accepted name, aliases included, and the builder of its lattice
 _STANDARD = {
     "U": lambda: GramLattice(2, [[0, 1], [1, 0]]),
     "A1_neg": lambda: GramLattice(1, [[-2]]),
     "E8_neg": lambda: GramLattice(8, _e8_neg_gram()),
+    "K3": lambda: direct_sum(*(_STANDARD[name]() for name in ("U", "U", "U", "E8_neg", "E8_neg"))),
 }
-
-_NAME_ALIASES = {
-    "U": "U",
-    "A1_neg": "A1_neg",
-    "A1(-1)": "A1_neg",
-    "E8_neg": "E8_neg",
-    "E8(-1)": "E8_neg",
-    "K3": "K3",
-}
+_STANDARD["A1(-1)"], _STANDARD["E8(-1)"] = _STANDARD["A1_neg"], _STANDARD["E8_neg"]
 
 
 @cache
 def standard_lattice(name: str) -> GramLattice:
     """U, A1(-1), E8(-1), or the rank-22 K3 lattice U^3 + E8(-1)^2; built once."""
-    key = _NAME_ALIASES.get(name)
-    if key is None:
+    if name not in _STANDARD:
         raise ValueError(f"unknown lattice name {name!r}")
-    if key == "K3":
-        u = _STANDARD["U"]()
-        e8 = _STANDARD["E8_neg"]()
-        return direct_sum(u, u, u, e8, e8)
-    return _STANDARD[key]()
+    return _STANDARD[name]()
 
 
 def direct_sum(*lattices: GramLattice) -> GramLattice:

@@ -20,10 +20,7 @@ __all__ = [
 
 def is_square(n: int) -> bool:
     """True iff n is a perfect square (negative numbers never are)."""
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
+    return sqrt_exact(n) is not None
 
 
 def sqrt_exact(n: int) -> int | None:

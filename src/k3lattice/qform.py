@@ -79,15 +79,18 @@ _EXHAUST_CELL_LIMIT = 4_000_000
 _CYCLE_LIMIT = 100_000
 
 
+def _check_coefficients(form):
+    for x in form.coefficients():
+        exact_int(x)
+
+
 @dataclass(frozen=True)
 class UnaryForm:
     """q(x) = d * x**2."""
 
     d: int
 
-    def __post_init__(self):
-        for x in self.coefficients():
-            exact_int(x)
+    __post_init__ = _check_coefficients
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.d,)
@@ -112,9 +115,7 @@ class BinaryForm:
     b: int
     c: int
 
-    def __post_init__(self):
-        for x in self.coefficients():
-            exact_int(x)
+    __post_init__ = _check_coefficients
 
     @property
     def disc(self) -> int:
@@ -143,9 +144,7 @@ class DiagonalTernaryForm:
     d2: int
     d3: int
 
-    def __post_init__(self):
-        for x in self.coefficients():
-            exact_int(x)
+    __post_init__ = _check_coefficients
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.d1, self.d2, self.d3)
@@ -326,41 +325,39 @@ def _rho_step(form, disc: int, s: int):
     return nxt, m
 
 
-def _mat2_mul(p, q):
-    return (
-        (p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]),
-        (p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]),
-    )
-
-
 def _cycle_of(form, disc: int, stop: int):
     """Reduced cycle of the proper class of form, or None when reducing form
     and closing its cycle take more than _CYCLE_LIMIT steps in all. The walk
     ends early, and cycle with it, at the first cycle form whose leading
     coefficient is stop.
 
-    Returns (transform, cycle, moves): the unimodular transform carries form
-    onto cycle[0], and _rho_step carries cycle[i] onto the next entry by the
-    move moves[i].
+    Returns (moves, start, cycle): _rho_step's move m at every step of the
+    walk, so _transform(moves[:start + i]) carries form onto cycle[i].
     """
     s = isqrt(disc)
-    t = ((1, 0), (0, 1))
     f = form
     cycle, moves = [], []
     for _ in range(_CYCLE_LIMIT):
         if cycle and f == cycle[0]:
-            return t, cycle, moves
+            return moves, start, cycle
         # every successor of a reduced form is reduced
         if cycle or _is_reduced(*f, s):
+            if not cycle:
+                start = len(moves)
             cycle.append(f)
             if f[0] == stop:
-                return t, cycle, moves
-            f, m = _rho_step(f, disc, s)
-            moves.append(m)
-        else:
-            f, m = _rho_step(f, disc, s)
-            t = _mat2_mul(t, ((0, -1), (1, m)))
+                return moves, start, cycle
+        f, m = _rho_step(f, disc, s)
+        moves.append(m)
     return None
+
+
+def _transform(moves):
+    """The product of [[0, -1], [1, m]] over the moves, as rows (unimodular)."""
+    x, x1, y, y1 = 1, 0, 0, 1
+    for m in moves:
+        x, x1, y, y1 = x1, m * x1 - x, y1, m * y1 - y
+    return (x, x1), (y, y1)
 
 
 def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
@@ -375,7 +372,7 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
     walk = _cycle_of((q1.a, q1.b, q1.c), disc, stop=t1)
     if walk is None:
         return RepresentationVerdict.undecided({"cycle_limit": _CYCLE_LIMIT})
-    transform, cycle, moves = walk
+    moves, start, cycle = walk
     leading = {}
     for i, f in enumerate(cycle):
         leading.setdefault(f[0], i)
@@ -388,17 +385,15 @@ def _cycle_decide(q1: BinaryForm, t1: int, g: int) -> RepresentationVerdict:
     for f in fs:
         u = t1 // (f * f)
         if u in leading:
-            # the first column of transform times [[0, -1], [1, m]] per move
-            ((x, x1), (y, y1)) = transform
-            for m in moves[: leading[u]]:
-                x, x1, y, y1 = x1, m * x1 - x, y1, m * y1 - y
+            # the cycle form led by u takes the value u at (1, 0)
+            (x, _), (y, _) = _transform(moves[: start + leading[u]])
             return _checked_yes(q1, t1, (f * x, f * y))
     cert = Certificate(
         CYCLE,
         {
             "content": g,
             "disc": disc,
-            "transform": [list(row) for row in transform],
+            "transform": [list(row) for row in _transform(moves[:start])],
             "cycle": [list(x) for x in cycle],
         },
     )
@@ -850,10 +845,10 @@ def _verify_divisibility(q, t, data) -> bool:
 
 
 def _verify_sieve(q, t, data) -> bool:
-    # only the ternary decider emits SIEVE, for t != 0 and m <= _SIEVE_CAP
+    # only the ternary decider emits SIEVE, for t != 0 and m of _SIEVE_POWERS
     # (NONSQUARE_DISC, LEGENDRE or DEFINITE settle every t = 0 question)
     m = data["modulus"]
-    if not isinstance(q, DiagonalTernaryForm) or t == 0 or type(m) is not int or not 2 <= m <= _SIEVE_CAP:
+    if not isinstance(q, DiagonalTernaryForm) or t == 0 or type(m) is not int or m not in dict(_SIEVE_POWERS):
         return False
     return t % m not in _ternary_residues(q, m)
 
@@ -957,7 +952,6 @@ def _verify_cycle(q, t, data) -> bool:
     if reduced is None:
         return False
     q1, t1 = reduced
-    a1, b1, c1 = q1.coefficients()
     disc = q1.disc
     if disc <= 0 or is_square(disc) or 4 * t1 * t1 >= disc:
         return False
@@ -970,12 +964,9 @@ def _verify_cycle(q, t, data) -> bool:
     (t00, t01), (t10, t11) = ([exact_int(x) for x in row] for row in tr)
     if abs(t00 * t11 - t01 * t10) != 1:
         return False
-    # the transform must carry the form onto the cycle entry
-    f0 = cycle[0]
-    m2 = ((2 * a1, b1), (b1, 2 * c1))
-    tt = ((t00, t10), (t01, t11))  # transpose
-    prod = _mat2_mul(_mat2_mul(tt, m2), ((t00, t01), (t10, t11)))
-    if prod != ((2 * f0[0], f0[1]), (f0[1], 2 * f0[2])):
+    # the columns c0, c1 carry q1 onto cycle[0] = (q1(c0), q1(c0 + c1) - q1(c0) - q1(c1), q1(c1))
+    a, c = q1.evaluate((t00, t10)), q1.evaluate((t01, t11))
+    if cycle[0] != (a, q1.evaluate((t00 + t01, t10 + t11)) - a - c, c):
         return False
     s = isqrt(disc)
     for fa, fb, fc in cycle:

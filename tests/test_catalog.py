@@ -192,8 +192,9 @@ def test_claim3_plane_the_minus2_decider_leaves_open_raises(monkeypatch):
 def test_family_validation():
     with pytest.raises(ValueError):
         family(1, n=3)  # divisible by 3
-    with pytest.raises(ValueError):
-        family(1, n=0)
+    for n in (0, -3):  # -3 is divisible by 3 as well; positivity is checked first
+        with pytest.raises(ValueError, match="needs a positive n"):
+            family(1, n=n)
     with pytest.raises(ValueError, match="family 1 needs a positive n for a hyperbolic lattice"):
         family(1, n=-1)
     with pytest.raises(ValueError):

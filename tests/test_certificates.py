@@ -2,12 +2,16 @@
 and malformed input never raises."""
 
 import copy
+import functools
+import hashlib
+import json
 import random
 from itertools import permutations
 from math import isqrt
 
 import pytest
 
+import k3lattice as kl
 from k3lattice import qform
 from k3lattice.qform import (
     BinaryForm,
@@ -20,6 +24,7 @@ from k3lattice.qform import (
     ternary_represents,
     ternary_represents_zero,
     unary_represents,
+    verdict_to_json,
     verify_certificate,
 )
 
@@ -69,8 +74,8 @@ def test_divisibility_tampering():
 
 
 def test_sieve_tampering():
-    # only the ternary decider emits SIEVE, at moduli up to _SIEVE_CAP, and
-    # the replay accepts no other. x**2 - 6 y**2 misses -3 mod 8, but LOCAL
+    # only the ternary decider emits SIEVE, at the prime powers 2 < p**j <=
+    # _SIEVE_CAP of _SIEVE_POWERS, and the replay accepts no other. x**2 - 6 y**2 misses -3 mod 8, but LOCAL
     # settles 3 | gcd(D, t) = 3, so a binary SIEVE is refused; so is a unary one
     q = BinaryForm(1, 0, -6)
     assert binary_represents(q, -3).certificate.to_json() == {"kind": "LOCAL", "data": {"content": 1, "prime": 3}}
@@ -88,6 +93,16 @@ def test_sieve_tampering():
     assert 3 % 68 not in qform._ternary_residues(q3, 68) and 68 > qform._SIEVE_CAP
     bad["data"]["modulus"] = 68
     assert not verify_certificate(q3, 3, bad)
+    # 3 is no value mod 12 = 4 * 3 either, but 12 is no prime power
+    assert 3 % 12 not in qform._ternary_residues(q3, 12)
+    bad["data"]["modulus"] = 12
+    assert not verify_certificate(q3, 3, bad)
+    # 1 is no value of (2, 4, 6) mod 2, but the decider settles it by
+    # DIVISIBILITY, and 2 is below every sieve modulus
+    q246 = DiagonalTernaryForm(2, 4, 6)
+    assert ternary_represents(q246, 1).certificate.kind == "DIVISIBILITY"
+    assert 1 % 2 not in qform._ternary_residues(q246, 2)
+    assert not verify_certificate(q246, 1, {"kind": "SIEVE", "data": {"modulus": 2}})
     # a true obstruction at a prime past the cap is refused too: -2 is no
     # value of (73, 146, -5) mod 73
     q73 = DiagonalTernaryForm(73, 146, -5)
@@ -140,14 +155,12 @@ _EMITTED = {
 }
 
 
-def test_emitted_certificates_match_the_replays():
-    # 3,000 seeded queries, every shape at t = 0, -2 and a random t: the
-    # deciders emit exactly the table above, so a replay branch outside it is
-    # reached by no decider, every emitted NO replays, and every SIEVE modulus
-    # is within _SIEVE_CAP. A SIEVE on a unary or binary form is refused
+@functools.cache
+def _census():
+    """3,000 seeded (q, t, verdict): every shape at t = 0, -2 and a random t."""
     rng = random.Random(4)
     nonzero = [c for c in range(-30, 31) if c]
-    emitted = set()
+    out = []
     for i in range(1000):
         if i % 3 == 0:
             q = UnaryForm(rng.choice(nonzero))
@@ -158,16 +171,52 @@ def test_emitted_certificates_match_the_replays():
         else:
             q = DiagonalTernaryForm(*(rng.choice(nonzero) for _ in range(3)))
         for t in (0, -2, rng.randint(-500, 500)):
-            v = represents(q, t, qform.SearchLimits(200))
-            if v.kind == "NO":
-                emitted.add((v.certificate.kind, type(q).__name__))
-                assert verify_certificate(q, t, v.certificate), (q, t, v)
-                if v.certificate.kind == "SIEVE":
-                    assert v.certificate.data["modulus"] <= qform._SIEVE_CAP, (q, t, v)
-            if not isinstance(q, DiagonalTernaryForm):
-                for m in range(2, 17):
-                    assert not verify_certificate(q, t, {"kind": "SIEVE", "data": {"modulus": m}}), (q, t, m)
+            out.append((q, t, represents(q, t, qform.SearchLimits(200))))
+    return out
+
+
+def test_emitted_certificates_match_the_replays():
+    # on the census the deciders emit exactly the table above, so a replay
+    # branch outside it is reached by no decider, every emitted NO replays,
+    # and every SIEVE modulus is one of _SIEVE_POWERS. A SIEVE on a unary or
+    # binary form is refused
+    emitted = set()
+    for q, t, v in _census():
+        if v.kind == "NO":
+            emitted.add((v.certificate.kind, type(q).__name__))
+            assert verify_certificate(q, t, v.certificate), (q, t, v)
+            if v.certificate.kind == "SIEVE":
+                assert v.certificate.data["modulus"] in dict(qform._SIEVE_POWERS), (q, t, v)
+        if not isinstance(q, DiagonalTernaryForm):
+            for m in range(2, 17):
+                assert not verify_certificate(q, t, {"kind": "SIEVE", "data": {"modulus": m}}), (q, t, m)
     assert emitted == _EMITTED, emitted ^ _EMITTED
+
+
+def _sha256_of_lines(objs) -> str:
+    return hashlib.sha256("\n".join(json.dumps(o, sort_keys=True) for o in objs).encode()).hexdigest()
+
+
+def test_output_bytes_are_pinned():
+    # the JSON of the census verdicts (cycle-walk YES and CYCLE NO among
+    # them) and of 300 seeded classify reports on even hyperbolic Grams of
+    # rank 2 to 4, hashed as the CLI sorts their keys. A change that moves
+    # an output byte updates these hashes and says which bytes moved
+    verdicts = [verdict_to_json(v) for _, _, v in _census()]
+    assert _sha256_of_lines(verdicts) == "4f5b67dd090275ec1d3c0a63ce8ed6395d79b64eacd9030f6ba45465b3b33e0d"
+    rng = random.Random(30)
+    reports = []
+    while len(reports) < 300:
+        n = rng.randint(2, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * rng.randint(-5, 5)
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.randint(-5, 5)
+        lattice = kl.GramLattice(n, gram)
+        if kl.signature(lattice) == (1, n - 1, 0):
+            reports.append(kl.report_to_json(kl.classify(kl.PicardData(lattice))))
+    assert _sha256_of_lines(reports) == "74a01da70918710791b9f896934b32f8b4191e924cef4bceb94d92deb4c62253"
 
 
 def test_legendre_tampering():
@@ -280,6 +329,23 @@ def test_cycle_tampering():
 
     # 2 = q(1, 0) is represented; the honest cycle data must not certify it
     assert not verify_certificate(q, 2, good)
+
+    # theorem 3's plane at t = -2: its honest transform is not symmetric, so
+    # the replay must read its columns, not its rows
+    q = BinaryForm(-4, 72, -242)
+    good = binary_represents(q, -2).certificate.to_json()
+    assert good["data"]["transform"] == [[-1, -5], [0, -1]] and verify_certificate(q, -2, good)
+    bad = copy.deepcopy(good)
+    bad["data"]["transform"] = [[-1, 0], [-5, -1]]  # the transpose
+    assert not verify_certificate(q, -2, bad)
+    # a unimodular M with M^T G M the Gram of cycle[1], not of cycle[0], for
+    # G twice the Gram of q / 2 = (-2, 36, -121)
+    m, g = [[-5, -4], [-1, -1]], [[-4, 36], [36, -242]]
+    congruent = [[sum(m[k][i] * g[k][l] * m[l][j] for k in range(2) for l in range(2)) for j in range(2)] for i in range(2)]
+    assert congruent == [[18, 2], [2, -18]] and good["data"]["cycle"][1] == [9, 2, -9]
+    assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+    bad["data"]["transform"] = m
+    assert not verify_certificate(q, -2, bad)
 
 
 def test_cycle_replay_refuses_non_integer_entries():
