@@ -53,16 +53,20 @@ UNKNOWN = "UNKNOWN"
 
 @dataclass(frozen=True)
 class PicardData:
-    """A hyperbolic lattice playing the role of a K3 Picard lattice."""
+    """A hyperbolic lattice playing the role of a K3 Picard lattice: its complement in II_{3,19},
+    of signature (2, 20 - rho), needs rank 22 - rho >= l(A_L) (Nikulin); rho + l = 22 is unchecked."""
 
     lattice: GramLattice
 
     def __post_init__(self):
-        sig = lattices.signature(self.lattice)
-        if sig != Signature(1, self.lattice.rank - 1, 0):
+        sig, rho = lattices.signature(self.lattice), self.lattice.rank
+        if sig != Signature(1, rho - 1, 0):
             raise ValueError(
                 f"Picard lattice must be hyperbolic of signature (1, rank-1, 0); got {tuple(sig)}"
             )
+        length = len(lattices.discriminant_group(self.lattice).invariant_factors) if rho > 10 else 0
+        if rho > 20 or rho + length > 22:
+            raise ValueError(f"no K3 Picard lattice: rank {rho}, discriminant length {length} (a K3 needs rank <= 20, rank + length <= 22)")
 
     @property
     def rank(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from .ntheory import (
     _LOCAL_RHO_LIMIT,
@@ -658,20 +658,36 @@ def _backmap_zero(w, steps):
 
 
 def _exact_roots(d1: int, d2: int, d3: int, t: int, xs, ys):
-    """Every (x, y, z) with z >= 0 and d1 x**2 + d2 y**2 + d3 z**2 = t, for x
-    in xs and y in ys(x), in scan order: complete the square in z and keep
-    the cells where an exact root exists."""
+    """Every (x, y, z) with z >= 0 and d1 x**2 + d2 y**2 + d3 z**2 = t, for x in
+    the range xs and y in the row ys(x) = range(n), never narrowing as x grows;
+    x then y ascending. Only y with (d2/g) y**2 = (t - d1 x**2)/g mod m = |d3|/g,
+    g = gcd(d2, d3), can hit: if 1 < m <= the widest row, once m cells have been
+    scanned one by one, a table of those classes sends each row to its ranges."""
+    g = gcd(d2, d3)
+    m = abs(d3) // g
+    price = m if 1 < m <= (len(ys(xs[-1])) if xs else 0) else inf  # the widest row is the last
+    scanned, head = 0, None
     for x in xs:
         rest = t - d1 * x * x
-        for y in ys(x):
+        if head is None and scanned >= price:
+            # head[r]: least y < m in class r, nxt[y]: the next one, or -1
+            head, nxt, e = [-1] * m, [-1] * m, d2 // g
+            for y in reversed(range(m)):
+                r = e * y * y % m
+                head[r], nxt[y] = y, head[r]
+        if head is None:
+            scanned += len(row := ys(x))
+        elif rest % g or (y0 := head[rest // g % m]) < 0:
+            continue
+        else:
+            n, row = len(ys(x)), []
+            while 0 <= y0 < n:
+                row += range(y0, n, m)
+                y0 = nxt[y0]
+            row.sort()
+        for y in row:
             num = rest - d2 * y * y
-            if num % d3:
-                continue
-            z2 = num // d3
-            if z2 < 0:
-                continue
-            z = isqrt(z2)
-            if z * z == z2:
+            if num % d3 == 0 and (z2 := num // d3) >= 0 and (z := isqrt(z2)) * z == z2:
                 yield x, y, z
 
 
@@ -757,8 +773,8 @@ def _ternary_sieve(q: DiagonalTernaryForm, t: int) -> int | None:
 
 
 def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:
-    """Decide q = t for diagonal ternary q (t = 0 is routed to the isotropy
-    decider). Indefinite forms use the sieve, then a separable search."""
+    """Decide q = t for diagonal ternary q (t = 0 goes to the isotropy decider):
+    a box exhaust, or the sieve and a search, both by _exact_roots' class scan."""
     t = exact_int(t)
     _require_nonzero_diag(q)
     if t == 0:

@@ -423,6 +423,18 @@ def ternary_witness(d1: int, d2: int, d3: int, t: int, box: int):
     return None
 
 
+def exact_roots_reference(d1: int, d2: int, d3: int, t: int, xs, ys):
+    """Every (x, y, z) with z >= 0 and d1 x^2 + d2 y^2 + d3 z^2 = t, for x in
+    xs and y in ys(x), x then y ascending: every cell of every row is tried."""
+    out = []
+    for x in xs:
+        for y in ys(x):
+            r = t - d1 * x * x - d2 * y * y
+            if r % d3 == 0 and r // d3 >= 0 and isqrt(r // d3) ** 2 == r // d3:
+                out.append((x, y, isqrt(r // d3)))
+    return out
+
+
 def ternary_residue_hit_reference(d1: int, d2: int, d3: int, t: int, m: int) -> bool:
     """Whether d1 x^2 + d2 y^2 + d3 z^2 = t (mod m) has a solution, by trying
     every (x, y, z) in (Z/m)^3."""

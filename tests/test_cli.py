@@ -130,6 +130,13 @@ def test_k3_classify(capsys):
         assert code == EXIT_OK
 
 
+def test_k3_classify_refuses_a_lattice_of_no_k3(capsys):
+    gram = [[2 if i == j == 0 else -2 if i == j else 0 for j in range(12)] for i in range(12)]
+    code, out, err = run(capsys, "k3", "classify", json.dumps({"lattice": {"gram": gram}}))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: no K3 Picard lattice: rank 12, discriminant length 12 (a K3 needs rank <= 20, rank + length <= 22)\n"
+
+
 def test_claim3_found_and_not_found(capsys):
     code, out, _ = run(capsys, "claim3", "--A", "1", "--B", "0", "--C", "0")
     assert code == EXIT_OK

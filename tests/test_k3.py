@@ -20,7 +20,7 @@ from k3lattice.k3 import (
     report_to_json,
     revalidate_report,
 )
-from k3lattice.lattices import GramLattice, lattice_to_json, signature, standard_lattice
+from k3lattice.lattices import GramLattice, direct_sum, lattice_to_json, signature, standard_lattice
 from k3lattice.qform import (
     BinaryForm,
     Certificate,
@@ -47,6 +47,20 @@ def test_picard_data_validation():
     with pytest.raises(ValueError):
         PicardData(_diag(-2, -2))  # negative definite
     assert PicardData(U).rank == 2
+
+
+def test_picard_data_refuses_lattices_of_no_k3():
+    # rank 21 (U + E8(-1)^2 + <-2>^3) and <2> + <-2>^11, whose discriminant
+    # group (Z/2)^12 has length 12 > 22 - 12: neither embeds primitively in
+    # the K3 lattice, so neither is the Picard lattice of a K3 surface
+    u_e8 = direct_sum(U, standard_lattice("E8(-1)"), standard_lattice("E8(-1)"))
+    with pytest.raises(ValueError, match="rank 21, discriminant length 3 "):
+        PicardData(direct_sum(u_e8, _diag(-2, -2, -2)))
+    with pytest.raises(ValueError, match="rank 12, discriminant length 12 "):
+        PicardData(_diag(2, *[-2] * 11))
+    # accepted: rank 19 with l = 1, and <2> + <-2>^10, the unchecked case rho + l = 22
+    assert PicardData(direct_sum(u_e8, _diag(-2))).rank == 19
+    assert PicardData(_diag(2, *[-2] * 10)).rank == 11
 
 
 def test_lattice_form_shapes():

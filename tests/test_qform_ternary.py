@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from math import isqrt
 
 import pytest
 
@@ -20,6 +21,7 @@ from k3lattice.qform import (
 )
 
 from oracles import (
+    exact_roots_reference,
     legendre_certificate_reference,
     primitive_zeros_reference,
     ternary_ladder_reference,
@@ -396,8 +398,87 @@ def test_holzer_box_past_the_cell_limit_is_undecided():
     q = DiagonalTernaryForm(1000003, -1000033, -10007)
     start = time.process_time()
     v = ternary_represents_zero(q)
-    assert time.process_time() - start < 5.0
+    assert time.process_time() - start < 0.5
     assert v == RepresentationVerdict.undecided(
         {"bounds": [100036, 100035], "cell_limit": qform._EXHAUST_CELL_LIMIT}
     )
     assert qform._EXHAUST_CELL_LIMIT == 4_000_000
+
+
+def test_separable_search_past_the_sieve_cap_is_cheap():
+    # no solution mod 73, a prime past the sieve's cap, so the search runs to
+    # its bound; as -73 x**2 - 146 y**2 + 5 z**2 = 2 needs 73 | 2 - 5 z**2,
+    # which holds for no z, the scan skips every row
+    q = DiagonalTernaryForm(73, 146, -5)
+    start = time.process_time()
+    v = ternary_represents(q, -2)
+    assert time.process_time() - start < 0.5
+    assert v == RepresentationVerdict.undecided({"search_bound": 10000})
+    assert not ternary_residue_hit_reference(73, 146, -5, -2, 73)
+
+
+def test_exact_roots_match_the_plain_cell_walk():
+    # the residue-class scan yields the plain walk's cells in its order on
+    # 2,400 seeded inputs: d3 = +-1, small and mid |d3| of either sign,
+    # gcd(d2, d3) > 1, d2 = 0 mod |d3| (one class), |d3| past the widest row;
+    # t = 0 and t != 0; no rows; rows constant or widening with x as the
+    # separable search's do
+    rng = random.Random(31)
+    served = 0
+    for k in range(2400):
+        d1, d2 = (rng.choice((-1, 1)) * rng.randint(1, 40) for _ in range(2))
+        sign = rng.choice((-1, 1))
+        shape = k % 6
+        if shape == 0:
+            d3 = sign
+        elif shape == 1:
+            d3 = sign * rng.randint(2, 12)
+        elif shape == 2:
+            g = rng.randint(2, 6)
+            d2, d3 = g * d2, sign * g * rng.randint(1, 10)
+        elif shape == 3:
+            d3 = sign * rng.randint(2, 12)
+            d2 = d3 * rng.randint(-4, 4) or d3
+        elif shape == 4:
+            d3 = sign * rng.randint(200, 5000)
+        else:
+            d3 = sign * rng.randint(13, 60)
+        t = 0 if rng.random() < 0.3 else rng.randint(-2000, 2000)
+        lo = rng.randint(0, 5)
+        xs = range(lo, lo + rng.randint(0, 25))
+        if rng.random() < 0.5:
+            row = range(rng.randint(0, 60))
+            ys = lambda x, row=row: row
+        else:
+            p, c, n = rng.randint(1, 40), rng.randint(-300, 300), rng.randint(1, 40)
+            ys = lambda x, p=p, c=c, n=n: range(isqrt(r // n) + 1) if (r := p * x * x - c) >= 0 else ()
+        assert list(qform._exact_roots(d1, d2, d3, t, xs, ys)) == exact_roots_reference(d1, d2, d3, t, xs, ys), (
+            d1, d2, d3, t, xs,
+        )
+        # the class table serves a row once m cells came before it and m is at
+        # most the widest row, m = |d3| / gcd(d2, d3)
+        m, widths = abs(d3) // math.gcd(d2, d3), [len(ys(x)) for x in xs]
+        served += len(widths) > 1 and 1 < m <= widths[-1] and sum(widths[:-1]) >= m
+    # over a quarter of the inputs scan some row by the table
+    assert 600 < served < 1800, served
+
+
+def test_replays_keep_their_own_scans(monkeypatch):
+    # the DEFINITE_EXHAUST and SIEVE replays share no scan with the decider:
+    # with its exact-root scan broken, every such NO of the census replays,
+    # the SIEVEs of the indefinite queries and the DEFINITE_EXHAUSTs of the
+    # definite forms |d| at |t|
+    certs = []
+    for d, t in _seeded_indefinite_queries(3, 3000):
+        for q, target in ((DiagonalTernaryForm(*d), t), (DiagonalTernaryForm(*map(abs, d)), abs(t))):
+            v = ternary_represents(q, target, SearchLimits(100))
+            if v.kind == "NO" and v.certificate.kind in ("DEFINITE_EXHAUST", "SIEVE"):
+                certs.append((q, target, v.certificate))
+
+    def broken(*args):
+        raise AssertionError("replay ran the decider's scan")
+
+    monkeypatch.setattr(qform, "_exact_roots", broken)
+    assert all(verify_certificate(q, t, cert) for q, t, cert in certs)
+    kinds = [cert.kind for _, _, cert in certs]
+    assert (kinds.count("SIEVE"), kinds.count("DEFINITE_EXHAUST")) == (1284, 2645)
