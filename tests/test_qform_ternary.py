@@ -408,7 +408,8 @@ def test_holzer_box_past_the_cell_limit_is_undecided():
 def test_separable_search_past_the_sieve_cap_is_cheap():
     # no solution mod 73, a prime past the sieve's cap, so the search runs to
     # its bound; as -73 x**2 - 146 y**2 + 5 z**2 = 2 needs 73 | 2 - 5 z**2,
-    # which holds for no z, the scan skips every row
+    # which holds for no z, the scan skips every row once its class table
+    # is built
     q = DiagonalTernaryForm(73, 146, -5)
     start = time.process_time()
     v = ternary_represents(q, -2)
