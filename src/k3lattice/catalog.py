@@ -225,121 +225,81 @@ def _orthogonal_root_indices(count: int) -> tuple[int, ...]:
     raise RuntimeError(f"no {count} pairwise-orthogonal simple roots")
 
 
-def _root_sum(block: int, locals_: tuple[int, ...]) -> tuple[int, ...]:
-    return _k3_vector({block + i: 1 for i in locals_})
-
-
 def family(family_id: int, n: int | None = None) -> FamilySpec:
     """The five certified constructions inside the fixed K3 basis. Family 1
     takes the parameter n (positive, not divisible by 3); the others ignore n.
-    Both must be integers (ValueError otherwise).
+    Both must be integers (ValueError otherwise). Each branch sets only what is
+    its own: the generators as {K3 index: coefficient}, the target Gram, the
+    expected (has_minus2, has_isotropic, aut) triple and any cited overlay.
     """
     exact_int(family_id)
     if n is not None:
         exact_int(n)
+    if family_id != 1:
+        n = None
+    elif n is None:
+        n = 1
+    elif n < 1:
+        raise ValueError("family 1 needs a positive n for a hyperbolic lattice")
+    elif n % 3 == 0:
+        raise ValueError("family 1 needs n not divisible by 3")
+    overlay, assertions = None, ()
     if family_id == 1:
-        if n is None:
-            n = 1
-        if n < 1:
-            raise ValueError("family 1 needs a positive n for a hyperbolic lattice")
-        if n % 3 == 0:
-            raise ValueError("family 1 needs n not divisible by 3")
-        return FamilySpec(
-            family_id=1,
-            label=f"family-1(n={n})",
-            n=n,
-            generators=(
-                _k3_vector({0: 1, 1: 3 * n}),
-                _k3_vector({_E8_BLOCKS[0]: 1}),
-                _k3_vector({_E8_BLOCKS[1]: 1}),
-            ),
-            target_gram=((6 * n, 0, 0), (0, -2, 0), (0, 0, -2)),
-            # n = 1: Vinberg's walk closes on a compact hexagon, so Aut is finite
-            expected={"has_minus2": "YES", "has_isotropic": "NO", "aut": FINITE if n == 1 else INFINITE},
-            aut_overlay=None
-            if n == 1
-            else {
+        gens = ({0: 1, 1: 3 * n}, {_E8_BLOCKS[0]: 1}, {_E8_BLOCKS[1]: 1})
+        gram = ((6 * n, 0, 0), (0, -2, 0), (0, 0, -2))
+        # n = 1: Vinberg's walk closes on a compact hexagon, so Aut is finite
+        expected = ("YES", "NO", FINITE if n == 1 else INFINITE)
+        if n != 1:
+            overlay = {
                 "reason": "asserted for sufficiently large n via the finiteness of rank-3 "
                 "Picard lattices with finite automorphism group",
                 "citation": "Nikulin [Ni4]",
-            },
-        )
-    if family_id == 2:
+            }
+    elif family_id in (2, 4):
+        # the polarization e1 + h e2 (h = 2 or 6) and one orthogonal root pair summed in each E8(-1) block
+        h, isotropic = (2, "YES") if family_id == 2 else (6, "NO")
         pair = _orthogonal_root_indices(2)
-        return FamilySpec(
-            family_id=2,
-            label="family-2",
-            n=None,
-            generators=(
-                _k3_vector({0: 1, 1: 2}),
-                _root_sum(_E8_BLOCKS[0], pair),
-                _root_sum(_E8_BLOCKS[1], pair),
-            ),
-            target_gram=((4, 0, 0), (0, -4, 0), (0, 0, -4)),
-            expected={"has_minus2": "NO", "has_isotropic": "YES", "aut": INFINITE},
-            aut_overlay=None,
+        gens = ({0: 1, 1: h}, *({block + i: 1 for i in pair} for block in _E8_BLOCKS))
+        gram = ((2 * h, 0, 0), (0, -4, 0), (0, 0, -4))
+        expected = ("NO", isotropic, INFINITE)
+    elif family_id == 3:
+        gens = ({0: 1}, {1: 1}, {_E8_BLOCKS[0] + i: 1 for i in _orthogonal_root_indices(4)})
+        gram = ((0, 1, 0), (1, 0, 0), (0, 0, -8))
+        expected = ("YES", "YES", INFINITE)
+        overlay = {
+            "reason": "asserted via the Mordell-Weil section of height 8: translation "
+            "by it is an automorphism of infinite order",
+            "citation": "Shioda [Sh]",
+        }
+    elif family_id == 5:
+        gens = ({0: 1}, {1: 1}, {2: 1, 3: -1})
+        gram = ((0, 1, 0), (1, 0, 0), (0, 0, -2))
+        expected = ("YES", "YES", FINITE)
+        overlay = {
+            "reason": "asserted: deformations with this rank-3 Picard lattice keep a "
+            "finite automorphism group",
+            "citation": "Nikulin [Ni3]",
+        }
+        assertions = tuple(
+            {"statement": statement, "status": PAPER_ASSERTED, "citation": "Nikulin [Ni3]; Kondo [Ko1]"}
+            for statement in (
+                "the rank-19 special member contains exactly 24 smooth rational curves",
+                "the rank-19 special member admits finitely many (> 0) elliptic pencils",
+                "the automorphism group of the rank-19 special member is S3 x mu2",
+            )
         )
-    if family_id == 3:
-        quad = _orthogonal_root_indices(4)
-        return FamilySpec(
-            family_id=3,
-            label="family-3",
-            n=None,
-            generators=(
-                _k3_vector({0: 1}),
-                _k3_vector({1: 1}),
-                _root_sum(_E8_BLOCKS[0], quad),
-            ),
-            target_gram=((0, 1, 0), (1, 0, 0), (0, 0, -8)),
-            expected={"has_minus2": "YES", "has_isotropic": "YES", "aut": INFINITE},
-            aut_overlay={
-                "reason": "asserted via the Mordell-Weil section of height 8: translation "
-                "by it is an automorphism of infinite order",
-                "citation": "Shioda [Sh]",
-            },
-        )
-    if family_id == 4:
-        pair = _orthogonal_root_indices(2)
-        return FamilySpec(
-            family_id=4,
-            label="family-4",
-            n=None,
-            generators=(
-                _k3_vector({0: 1, 1: 6}),
-                _root_sum(_E8_BLOCKS[0], pair),
-                _root_sum(_E8_BLOCKS[1], pair),
-            ),
-            target_gram=((12, 0, 0), (0, -4, 0), (0, 0, -4)),
-            expected={"has_minus2": "NO", "has_isotropic": "NO", "aut": INFINITE},
-            aut_overlay=None,
-        )
-    if family_id == 5:
-        return FamilySpec(
-            family_id=5,
-            label="family-5",
-            n=None,
-            generators=(
-                _k3_vector({0: 1}),
-                _k3_vector({1: 1}),
-                _k3_vector({2: 1, 3: -1}),
-            ),
-            target_gram=((0, 1, 0), (1, 0, 0), (0, 0, -2)),
-            expected={"has_minus2": "YES", "has_isotropic": "YES", "aut": FINITE},
-            aut_overlay={
-                "reason": "asserted: deformations with this rank-3 Picard lattice keep a "
-                "finite automorphism group",
-                "citation": "Nikulin [Ni3]",
-            },
-            assertions=tuple(
-                {"statement": statement, "status": PAPER_ASSERTED, "citation": "Nikulin [Ni3]; Kondo [Ko1]"}
-                for statement in (
-                    "the rank-19 special member contains exactly 24 smooth rational curves",
-                    "the rank-19 special member admits finitely many (> 0) elliptic pencils",
-                    "the automorphism group of the rank-19 special member is S3 x mu2",
-                )
-            ),
-        )
-    raise ValueError("family_id must be 1..5")
+    else:
+        raise ValueError("family_id must be 1..5")
+    return FamilySpec(
+        family_id=family_id,
+        label=f"family-{family_id}" if n is None else f"family-1(n={n})",
+        n=n,
+        generators=tuple(map(_k3_vector, gens)),
+        target_gram=gram,
+        expected=dict(zip(("has_minus2", "has_isotropic", "aut"), expected)),
+        aut_overlay=overlay,
+        assertions=assertions,
+    )
 
 
 def certify_family(spec: FamilySpec) -> K3Report:

@@ -87,10 +87,6 @@ def lattice_form(lattice: GramLattice):
     return None
 
 
-def _basis_vector(n: int, i: int) -> tuple[int, ...]:
-    return tuple(int(k == i) for k in range(n))
-
-
 def _witness_scan(lattice: GramLattice, t: int):
     """Cheap YES-only scan for the rank >= 3 shapes lattice_form has no form
     for: basis vectors, pairwise sums/differences, then the box |v_i| <= 2
@@ -102,7 +98,7 @@ def _witness_scan(lattice: GramLattice, t: int):
     n = lattice.rank
     for i in range(n):
         if g[i][i] == t:
-            return _basis_vector(n, i)
+            return tuple(int(k == i) for k in range(n))
     for i in range(n):
         for j in range(i + 1, n):
             for s in (1, -1):

@@ -870,11 +870,8 @@ def _verify_sieve(q, t, data) -> bool:
 
 
 def _verify_nonsquare_disc(q, t, data) -> bool:
-    if not isinstance(q, BinaryForm) or t != 0:
-        return False
-    if q.a == 0 and q.b == 0 and q.c == 0:
-        return False
-    return not is_square(q.disc)
+    # the zero form has disc 0, a square, so it is refused as well
+    return isinstance(q, BinaryForm) and t == 0 and not is_square(q.disc)
 
 
 def _verify_definite(q, t, data) -> bool:

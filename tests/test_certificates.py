@@ -200,8 +200,9 @@ def _sha256_of_lines(objs) -> str:
 def test_output_bytes_are_pinned():
     # the JSON of the census verdicts (cycle-walk YES and CYCLE NO among
     # them) and of 300 seeded classify reports on even hyperbolic Grams of
-    # rank 2 to 4, hashed as the CLI sorts their keys. A change that moves
-    # an output byte updates these hashes and says which bytes moved
+    # rank 2 to 4, hashed as the CLI sorts their keys, and the repr of the
+    # catalog's family specs. A change that moves an output byte updates
+    # these hashes and says which bytes moved
     verdicts = [verdict_to_json(v) for _, _, v in _census()]
     assert _sha256_of_lines(verdicts) == "4f5b67dd090275ec1d3c0a63ce8ed6395d79b64eacd9030f6ba45465b3b33e0d"
     rng = random.Random(30)
@@ -217,6 +218,11 @@ def test_output_bytes_are_pinned():
         if kl.signature(lattice) == (1, n - 1, 0):
             reports.append(kl.report_to_json(kl.classify(kl.PicardData(lattice))))
     assert _sha256_of_lines(reports) == "74a01da70918710791b9f896934b32f8b4191e924cef4bceb94d92deb4c62253"
+    # family 1 at n off the multiples of 3, the others with n omitted and with n = 7 (ignored)
+    specs = [kl.family(1, n) for n in (1, 2, 4, 5, 7, 8, 10, 11)]
+    specs += [kl.family(f) for f in range(2, 6)] + [kl.family(f, 7) for f in range(2, 6)]
+    spec_bytes = "\n".join(repr(s) for s in specs).encode()
+    assert hashlib.sha256(spec_bytes).hexdigest() == "a5b4cbe45a08cedf758580a3cd9e21602b103e8c1d2eeaf559b4ff41060d8c8c"
 
 
 def test_legendre_tampering():
