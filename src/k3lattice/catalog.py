@@ -3,14 +3,17 @@ search inside the full K3 lattice (claim3_search), five certified family
 lattices with their expected verdict tables, and a rank-2 double-NO
 sublattice of U + A1(-1) (theorem3_example).
 
-Computed verdicts are PROVEN (witness or replayable certificate).
-Literature facts are echoed as PAPER_ASSERTED entries with citations to the
-external sources (Nikulin, Kondo, Shioda) and are never recomputed.
+Computed verdicts are PROVEN (witness or replayable certificate) and come
+from k3.classify. Each family's literature facts live in its family() branch
+and are echoed in its paper-verify row as PAPER_ASSERTED entries with
+citations to the external sources (Nikulin, Kondo, Shioda), never
+recomputed; a cited aut verdict fills only an aut entry the rank rules leave
+UNKNOWN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 from operator import mul
@@ -20,9 +23,8 @@ from .embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitiv
 from .k3 import (
     INFINITE,
     FINITE,
-    PAPER_ASSERTED,
     PROVEN,
-    AutReport,
+    UNKNOWN,
     K3Report,
     PicardData,
     classify,
@@ -42,6 +44,7 @@ from .qform import (
 )
 
 __all__ = [
+    "PAPER_ASSERTED",
     "Claim3Input",
     "Claim3Result",
     "FamilySpec",
@@ -56,6 +59,8 @@ __all__ = [
     "claim3_result_to_json",
     "theorem3_to_json",
 ]
+
+PAPER_ASSERTED = "PAPER_ASSERTED"
 
 # Index layout of the fixed K3-lattice basis: three hyperbolic planes
 # (indices 0..5), then two copies of the negated E8 root lattice.
@@ -212,7 +217,9 @@ class FamilySpec:
     # reason and citation of the PAPER_ASSERTED aut entry (its verdict is
     # expected["aut"]) when the rank rules say UNKNOWN
     aut_overlay: dict | None
-    assertions: tuple = ()
+    assertions: tuple
+    extras: dict  # facts the family's row reports beside its verdicts
+    checks: dict  # named facts its row needs true to pass
 
 
 def _orthogonal_root_indices(count: int) -> tuple[int, ...]:
@@ -230,7 +237,8 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
     takes the parameter n (positive, not divisible by 3); the others ignore n.
     Both must be integers (ValueError otherwise). Each branch sets only what is
     its own: the generators as {K3 index: coefficient}, the target Gram, the
-    expected (has_minus2, has_isotropic, aut) triple and any cited overlay.
+    expected (has_minus2, has_isotropic, aut) triple, any cited overlay and
+    assertions, and the extras and checks of its row.
     """
     exact_int(family_id)
     if n is not None:
@@ -243,12 +251,14 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
         raise ValueError("family 1 needs a positive n for a hyperbolic lattice")
     elif n % 3 == 0:
         raise ValueError("family 1 needs n not divisible by 3")
-    overlay, assertions = None, ()
+    overlay, assertions, extras, checks = None, (), {}, {}
     if family_id == 1:
         gens = ({0: 1, 1: 3 * n}, {_E8_BLOCKS[0]: 1}, {_E8_BLOCKS[1]: 1})
         gram = ((6 * n, 0, 0), (0, -2, 0), (0, 0, -2))
         # n = 1: Vinberg's walk closes on a compact hexagon, so Aut is finite
         expected = ("YES", "NO", FINITE if n == 1 else INFINITE)
+        extras = {"disc_group_order": discriminant_group(GramLattice(3, gram)).order}
+        checks = {"disc_group_order_is_24n": extras["disc_group_order"] == 24 * n}
         if n != 1:
             overlay = {
                 "reason": "asserted for sufficiently large n via the finiteness of rank-3 "
@@ -262,6 +272,10 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
         gens = ({0: 1, 1: h}, *({block + i: 1 for i in pair} for block in _E8_BLOCKS))
         gram = ((2 * h, 0, 0), (0, -4, 0), (0, 0, -4))
         expected = ("NO", isotropic, INFINITE)
+        if isotropic == "YES":  # family 2: count the small primitive zeros of <4> + <-4> + <-4>
+            zeros = len(qform.enumerate_primitive_zeros(qform.DiagonalTernaryForm(4, -4, -4), 30))
+            extras = {"primitive_zeros_height_30": zeros}
+            checks = {"at_least_10_primitive_zeros_height_30": zeros >= 10}
     elif family_id == 3:
         gens = ({0: 1}, {1: 1}, {_E8_BLOCKS[0] + i: 1 for i in _orthogonal_root_indices(4)})
         gram = ((0, 1, 0), (1, 0, 0), (0, 0, -8))
@@ -270,6 +284,21 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
             "reason": "asserted via the Mordell-Weil section of height 8: translation "
             "by it is an automorphism of infinite order",
             "citation": "Shioda [Sh]",
+        }
+        c0_dot_c1 = elliptic.section_intersection_from_height(8)
+        pencil = elliptic.pencil_class_from_sections(-2, -2, c0_dot_c1)
+        extras = {
+            "mordell_weil_rank": elliptic.mordell_weil_rank(elliptic.FibrationData(rho=3)),
+            "section_height": 8,
+            "c0_dot_c1": c0_dot_c1,
+            "pencil_square": pencil.square,
+            "pencil_is_pencil": pencil.is_pencil,
+            "max_singular_fibers": elliptic.max_singular_fibers_bound(),
+        }
+        checks = {
+            "mordell_weil_rank_1": extras["mordell_weil_rank"] == 1,
+            "c0_dot_c1_is_2": c0_dot_c1 == 2,
+            "pencil_square_0": pencil.square == 0,
         }
     elif family_id == 5:
         gens = ({0: 1}, {1: 1}, {2: 1, 3: -1})
@@ -288,6 +317,7 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
                 "the automorphism group of the rank-19 special member is S3 x mu2",
             )
         )
+        checks = {"det_is_2": lattices.det(GramLattice(3, gram)) == 2}
     else:
         raise ValueError("family_id must be 1..5")
     return FamilySpec(
@@ -299,16 +329,21 @@ def family(family_id: int, n: int | None = None) -> FamilySpec:
         expected=dict(zip(("has_minus2", "has_isotropic", "aut"), expected)),
         aut_overlay=overlay,
         assertions=assertions,
+        extras=extras,
+        checks=checks,
     )
 
 
 def certify_family(spec: FamilySpec) -> K3Report:
     """Realize the family inside the K3 lattice, check the Gram contract and
     primitivity, run the predicates at the default search limits, and compare
-    against the expected table.
-    Any PROVEN disagreement raises CatalogMismatch naming the family. Where
-    the rank rules leave aut UNKNOWN, the spec's cited overlay (its verdict is
-    expected["aut"]) is attached as the report's aut_overlay."""
+    against the expected table; return the proven report.
+    Any PROVEN disagreement raises CatalogMismatch naming the family, and so
+    does an overlay that is uncited or whose verdict, expected["aut"], is
+    neither FINITE nor INFINITE."""
+    overlay = spec.aut_overlay
+    if overlay is not None and not (overlay.get("citation") and spec.expected["aut"] in (FINITE, INFINITE)):
+        raise CatalogMismatch(f"{spec.label}: an aut overlay must be a cited FINITE or INFINITE verdict")
     sub = EmbeddedSublattice(standard_lattice("K3"), spec.generators)
     lattice = induced_gram(sub)
     if lattice.gram != spec.target_gram:
@@ -317,7 +352,7 @@ def certify_family(spec: FamilySpec) -> K3Report:
         )
     if not is_primitive(sub):
         raise CatalogMismatch(f"{spec.label}: generators do not span a primitive sublattice")
-    report = classify(PicardData(lattice), label=spec.label)
+    report = classify(PicardData(lattice))
     for key, want in (("has_minus2", spec.expected["has_minus2"]), ("has_isotropic", spec.expected["has_isotropic"])):
         got = getattr(report, key).kind
         if got != want:
@@ -327,36 +362,22 @@ def certify_family(spec: FamilySpec) -> K3Report:
         raise CatalogMismatch(
             f"{spec.label}: proven aut verdict {aut.verdict} contradicts expected {spec.expected['aut']}"
         )
-    overlay = None
-    if aut.status is None and spec.aut_overlay is not None:
-        overlay = AutReport(spec.expected["aut"], **spec.aut_overlay)
-    return replace(report, aut_overlay=overlay, extras=_family_extras(spec), assertions=spec.assertions)
+    return report
 
 
-def _family_extras(spec: FamilySpec) -> dict:
-    extras: dict = {}
-    if spec.family_id == 1:
-        extras["disc_group_order"] = lattices.discriminant_group(
-            GramLattice(3, spec.target_gram)
-        ).order
-    if spec.family_id == 2:
-        q = qform.DiagonalTernaryForm(4, -4, -4)
-        extras["primitive_zeros_height_30"] = len(qform.enumerate_primitive_zeros(q, 30))
-    if spec.family_id == 3:
-        fib = elliptic.FibrationData(rho=3)
-        c0_dot_c1 = elliptic.section_intersection_from_height(8)
-        pencil = elliptic.pencil_class_from_sections(-2, -2, c0_dot_c1)
-        extras.update(
-            {
-                "mordell_weil_rank": elliptic.mordell_weil_rank(fib),
-                "section_height": 8,
-                "c0_dot_c1": c0_dot_c1,
-                "pencil_square": pencil.square,
-                "pencil_is_pencil": pencil.is_pencil,
-                "max_singular_fibers": elliptic.max_singular_fibers_bound(),
-            }
-        )
-    return extras
+def _family_report_to_json(spec: FamilySpec, report: K3Report) -> dict:
+    """The report's JSON with what the catalog cites beside it: the label,
+    extras and assertions, and where the rank rules leave aut UNKNOWN, the
+    overlay's verdict with its reason and citation."""
+    out = report_to_json(report)
+    out["label"] = spec.label
+    if spec.extras:
+        out["extras"] = dict(spec.extras)
+    if spec.assertions:
+        out["assertions"] = [dict(a) for a in spec.assertions]
+    if report.aut.verdict == UNKNOWN and spec.aut_overlay is not None:
+        out["aut"].update(spec.aut_overlay, verdict=spec.expected["aut"], status=PAPER_ASSERTED)
+    return out
 
 
 # ---------------------------------------------------------------- theorem-3 example
@@ -474,26 +495,13 @@ def paper_verification() -> dict:
         spec = family(fid, 5)  # family 1 is exercised at n = 5; the others ignore n
         report = certify_family(spec)  # raises unless the induced Gram is the target
         row_ok = revalidate_report(PicardData(GramLattice(3, spec.target_gram)), report)
-        checks = {}
-        if fid == 1:
-            checks["disc_group_order_is_24n"] = report.extras["disc_group_order"] == 24 * spec.n
-        if fid == 2:
-            checks["at_least_10_primitive_zeros_height_30"] = (
-                report.extras["primitive_zeros_height_30"] >= 10
-            )
-        if fid == 3:
-            checks["mordell_weil_rank_1"] = report.extras["mordell_weil_rank"] == 1
-            checks["c0_dot_c1_is_2"] = report.extras["c0_dot_c1"] == 2
-            checks["pencil_square_0"] = report.extras["pencil_square"] == 0
-        if fid == 5:
-            checks["det_is_2"] = report.det == 2
         rows.append(
             {
                 "row": spec.label,
                 "kind": "family",
-                "report": report_to_json(report),
-                "checks": checks,
-                "pass": row_ok and all(checks.values()),
+                "report": _family_report_to_json(spec, report),
+                "checks": dict(spec.checks),
+                "pass": row_ok and all(spec.checks.values()),
             }
         )
 

@@ -1,14 +1,15 @@
 """Hyperbolic-lattice predicates behind the K3 statements: existence of
 square(-2) and isotropic classes, and the rank-based automorphism verdict.
 
-Verdict provenance is explicit everywhere: PROVEN entries carry witnesses or
-replayable certificates; nothing in this module asserts literature facts
-(the catalog layers those on top, tagged PAPER_ASSERTED with citations).
+Every verdict here is proven or says it is not: YES carries a witness, NO a
+replayable certificate, and the aut verdict follows from those two by the
+rank rules or is UNKNOWN. Nothing in this module asserts a literature fact:
+the catalog cites those beside the reports that classify returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
@@ -30,7 +31,6 @@ __all__ = [
     "AutReport",
     "K3Report",
     "PROVEN",
-    "PAPER_ASSERTED",
     "FINITE",
     "INFINITE",
     "UNKNOWN",
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 PROVEN = "PROVEN"
-PAPER_ASSERTED = "PAPER_ASSERTED"
 
 FINITE = "FINITE"
 INFINITE = "INFINITE"
@@ -53,7 +52,7 @@ UNKNOWN = "UNKNOWN"
 
 @dataclass(frozen=True)
 class PicardData:
-    """A hyperbolic lattice playing the role of a K3 Picard lattice: its complement in II_{3,19},
+    """An even hyperbolic lattice playing the role of a K3 Picard lattice: its complement in II_{3,19},
     of signature (2, 20 - rho), needs rank 22 - rho >= l(A_L) (Nikulin); rho + l = 22 is unchecked."""
 
     lattice: GramLattice
@@ -64,6 +63,8 @@ class PicardData:
             raise ValueError(
                 f"Picard lattice must be hyperbolic of signature (1, rank-1, 0); got {tuple(sig)}"
             )
+        if odd := [row[i] for i, row in enumerate(self.lattice.gram) if row[i] % 2]:
+            raise ValueError(f"no K3 Picard lattice: odd diagonal entries {odd} (a K3 Picard lattice is even)")
         length = len(lattices.discriminant_group(self.lattice).invariant_factors) if rho > 10 else 0
         if rho > 20 or rho + length > 22:
             raise ValueError(f"no K3 Picard lattice: rank {rho}, discriminant length {length} (a K3 needs rank <= 20, rank + length <= 22)")
@@ -75,14 +76,14 @@ class PicardData:
 
 def lattice_form(lattice: GramLattice):
     """The quadratic form of the lattice when a certified decider exists:
-    rank 1, any rank 2, or diagonal rank 3. None otherwise."""
+    rank 1, any rank 2, or diagonal rank 3 with no zero entry. None otherwise."""
     g = lattice.gram
     n = lattice.rank
     if n == 1:
         return UnaryForm(g[0][0])
     if n == 2:
         return BinaryForm(g[0][0], 2 * g[0][1], g[1][1])
-    if n == 3 and all(g[i][j] == 0 for i in range(3) for j in range(3) if i != j):
+    if n == 3 and all(bool(g[i][j]) == (i == j) for i in range(3) for j in range(3)):
         return DiagonalTernaryForm(g[0][0], g[1][1], g[2][2])
     return None
 
@@ -151,23 +152,16 @@ def has_isotropic_class(data: PicardData) -> RepresentationVerdict:
 
 @dataclass(frozen=True)
 class AutReport:
-    """Finiteness verdict for the automorphism group, with provenance.
-
-    A K3Report derives it by the rank rules below from its own has_minus2 and
-    has_isotropic; only a catalog overlay, cited and where those rules say
-    UNKNOWN, is stored. The status is read off the entry: None for UNKNOWN,
-    PAPER_ASSERTED when a citation backs it, PROVEN otherwise.
-    """
+    """Finiteness verdict for the automorphism group, which a K3Report derives
+    by the rank rules below from its own has_minus2 and has_isotropic. The
+    status is read off the verdict: None for UNKNOWN, PROVEN otherwise."""
 
     verdict: str  # FINITE | INFINITE | UNKNOWN
     reason: str
-    citation: str | None = None
 
     @property
     def status(self) -> str | None:
-        if self.verdict == UNKNOWN:
-            return None
-        return PROVEN if self.citation is None else PAPER_ASSERTED
+        return None if self.verdict == UNKNOWN else PROVEN
 
 
 def _aut_from_verdicts(rank: int, m2: RepresentationVerdict, iso: RepresentationVerdict) -> AutReport:
@@ -199,31 +193,13 @@ def _aut_from_verdicts(rank: int, m2: RepresentationVerdict, iso: Representation
 
 @dataclass(frozen=True)
 class K3Report:
-    """The verdicts on one Picard lattice, which the report holds; rank, det,
-    signature and the aut entry are read from them, never stored beside them.
-    The one stored aut fact is aut_overlay, a cited FINITE or INFINITE verdict
-    that the catalog asserts where the rank rules say UNKNOWN; any other
-    overlay is refused here, so no report can disagree with its sub-verdicts."""
+    """The two verdicts on one Picard lattice; rank, det, signature and the
+    aut entry are read from the lattice and the verdicts, never stored beside
+    them, so no report can disagree with its sub-verdicts."""
 
     lattice: GramLattice
     has_minus2: RepresentationVerdict
     has_isotropic: RepresentationVerdict
-    label: str | None = None
-    extras: dict = field(default_factory=dict)
-    assertions: tuple = ()
-    aut_overlay: AutReport | None = None
-
-    def __post_init__(self):
-        overlay = self.aut_overlay
-        if overlay is not None and not (
-            overlay.verdict in (FINITE, INFINITE)
-            and overlay.citation
-            and _aut_from_verdicts(self.rank, self.has_minus2, self.has_isotropic).verdict == UNKNOWN
-        ):
-            raise ValueError(
-                "an aut overlay must be a cited FINITE or INFINITE verdict on a report "
-                "whose rank rules say UNKNOWN"
-            )
 
     @property
     def rank(self) -> int:
@@ -239,13 +215,11 @@ class K3Report:
 
     @property
     def aut(self) -> AutReport:
-        if self.aut_overlay is not None:
-            return self.aut_overlay
         return _aut_from_verdicts(self.rank, self.has_minus2, self.has_isotropic)
 
 
-def classify(data: PicardData, limits: SearchLimits | None = None, label: str | None = None) -> K3Report:
-    return K3Report(data.lattice, has_minus2_class(data, limits), has_isotropic_class(data), label)
+def classify(data: PicardData, limits: SearchLimits | None = None) -> K3Report:
+    return K3Report(data.lattice, has_minus2_class(data, limits), has_isotropic_class(data))
 
 
 def _verdict_ok(lattice: GramLattice, t: int, v: RepresentationVerdict) -> bool:
@@ -268,8 +242,7 @@ def revalidate_report(data: PicardData, report: K3Report) -> bool:
     """Re-check a report against its input: the report's lattice is the
     input's, witnesses evaluate correctly and certificates replay. The aut
     entry needs no check of its own: it is derived from the two sub-verdicts
-    just checked, and a cited overlay was refused when the report was built
-    unless those verdicts leave aut UNKNOWN."""
+    just checked."""
     return (
         report.lattice == data.lattice
         and _verdict_ok(data.lattice, -2, report.has_minus2)
@@ -283,15 +256,13 @@ def _aut_to_json(report: K3Report) -> dict:
     out: dict = {"verdict": aut.verdict, "reason": aut.reason}
     if aut.status is not None:
         out["status"] = aut.status
-    if aut.citation is not None:
-        out["citation"] = aut.citation
     out["minus2"] = verdict_to_json(report.has_minus2)
     out["isotropic"] = verdict_to_json(report.has_isotropic)
     return out
 
 
 def report_to_json(report: K3Report) -> dict:
-    out: dict = {
+    return {
         "rank": report.rank,
         "det": report.det,
         "signature": list(report.signature),
@@ -299,13 +270,6 @@ def report_to_json(report: K3Report) -> dict:
         "has_isotropic": verdict_to_json(report.has_isotropic),
         "aut": _aut_to_json(report),
     }
-    if report.label is not None:
-        out["label"] = report.label
-    if report.extras:
-        out["extras"] = dict(report.extras)
-    if report.assertions:
-        out["assertions"] = [dict(a) for a in report.assertions]
-    return out
 
 
 def picard_from_json(obj) -> PicardData:

@@ -138,13 +138,16 @@ class BinaryForm:
 
 @dataclass(frozen=True)
 class DiagonalTernaryForm:
-    """q(x, y, z) = d1 x**2 + d2 y**2 + d3 z**2."""
+    """q(x, y, z) = d1 x**2 + d2 y**2 + d3 z**2, every coefficient nonzero."""
 
     d1: int
     d2: int
     d3: int
 
-    __post_init__ = _check_coefficients
+    def __post_init__(self):
+        _check_coefficients(self)
+        if 0 in self.coefficients():
+            raise ValueError("diagonal coefficients must be nonzero")
 
     def coefficients(self) -> tuple[int, ...]:
         return (self.d1, self.d2, self.d3)
@@ -590,11 +593,6 @@ def binary_represents(q: BinaryForm, t: int, limits: SearchLimits | None = None)
 # ---------------------------------------------------------------- ternary
 
 
-def _require_nonzero_diag(q: DiagonalTernaryForm):
-    if q.d1 == 0 or q.d2 == 0 or q.d3 == 0:
-        raise ValueError("diagonal coefficients must be nonzero")
-
-
 def _legendre_reduce(q: DiagonalTernaryForm):
     """Normalize to squarefree pairwise-coprime coefficients.
 
@@ -713,7 +711,6 @@ def ternary_represents_zero(q: DiagonalTernaryForm) -> RepresentationVerdict:
     by Euler's criterion at each prime, and on the solvable side one scan of
     the Holzer box for the witness. Complete, except for UNDECIDED when
     factoring runs past ntheory.RHO_LIMIT or the box past its cell limit."""
-    _require_nonzero_diag(q)
     sign = q.definite_sign
     if sign is not None:
         return RepresentationVerdict.no(Certificate(DEFINITE, {"sign": sign}))
@@ -776,7 +773,6 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
     """Decide q = t for diagonal ternary q (t = 0 goes to the isotropy decider):
     a box exhaust, or the sieve and a search, both by _exact_roots' class scan."""
     t = exact_int(t)
-    _require_nonzero_diag(q)
     if t == 0:
         return ternary_represents_zero(q)
     limits = limits or SearchLimits()
@@ -822,7 +818,6 @@ def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | No
 def enumerate_primitive_zeros(q: DiagonalTernaryForm, height: int) -> list[tuple[int, int, int]]:
     """All primitive zeros with max-abs coordinate <= height, one per sign
     pair, sorted lexicographically."""
-    _require_nonzero_diag(q)
     if exact_int(height) < 0:
         raise ValueError("height must be nonnegative")
     found: set[tuple[int, int, int]] = set()
@@ -936,8 +931,6 @@ def _verify_square_disc(q, t, data) -> bool:
 
 def _verify_legendre(q, t, data) -> bool:
     if not isinstance(q, DiagonalTernaryForm) or t != 0:
-        return False
-    if 0 in q.coefficients():
         return False
     reduced, _, primes = _legendre_reduce(q)
     # a non-integer entry raises, and verify_certificate answers False

@@ -9,6 +9,8 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from conftest import record_acceptance
 from k3lattice.catalog import Claim3Input, certify_family, claim3_search, family
 from k3lattice.cli import main
@@ -107,8 +109,9 @@ def test_criterion_1_paper_verify_table(capsys):
 def test_criterion_2_family1_disc_order():
     with criterion(2, "family-1 discriminant order is 24n for n in {1,2,4,5,7}") as detail:
         for n in (1, 2, 4, 5, 7):
-            report = certify_family(family(1, n))
-            order = report.extras["disc_group_order"]
+            spec = family(1, n)
+            certify_family(spec)  # raises unless the induced Gram is the target
+            order = spec.extras["disc_group_order"]
             assert order == 24 * n, (n, order)
             gram = [[6 * n, 0, 0], [0, -2, 0], [0, 0, -2]]
             assert abs(det_subset_dp(gram)) == order  # independent determinant
@@ -143,8 +146,8 @@ def test_criterion_3_claim3_grid():
 def test_criterion_4_rank2_aut_cross_validation():
     with criterion(4, "rank-2 aut verdict agrees with the box-2000 oracle on 200 forms") as detail:
         rng = random.Random(41)
-        finite = infinite = 0
-        for _ in range(200):
+        finite = infinite = odd = 0
+        while finite + infinite < 200:
             while True:
                 a = rng.randint(-12, 12)
                 b = rng.randint(-12, 12)
@@ -152,6 +155,11 @@ def test_criterion_4_rank2_aut_cross_validation():
                 if a * c - b * b < 0:  # hyperbolic signature (1,1)
                     break
             lattice = GramLattice(2, [[a, b], [b, c]])
+            if a % 2 or c % 2:  # odd: the Picard lattice of no K3, refused
+                with pytest.raises(ValueError, match="odd diagonal entries"):
+                    PicardData(lattice)
+                odd += 1
+                continue
             report = classify(PicardData(lattice))
             q = lattice_form(lattice)
             w0 = binary_box_witness(q.a, q.b, q.c, 0, 2000)
@@ -168,7 +176,7 @@ def test_criterion_4_rank2_aut_cross_validation():
                 assert verify_certificate(q, 0, report.has_isotropic.certificate), (a, b, c)
                 infinite += 1
         assert finite + infinite == 200
-        detail["note"] = f"{finite} finite, {infinite} infinite, 0 disagreements"
+        detail["note"] = f"{finite} finite, {infinite} infinite, 0 disagreements, {odd} odd forms refused"
 
 
 def test_criterion_5_legendre_vs_exhaustive():

@@ -35,13 +35,13 @@ EXPORTED_BEFORE = [
     "binary_represents_zero", "ternary_represents", "ternary_represents_zero",
     "enumerate_primitive_zeros", "verify_certificate", "form_from_json", "form_to_json",
     "verdict_to_json",
-    "PicardData", "AutReport", "K3Report", "PROVEN", "PAPER_ASSERTED", "lattice_form",
+    "PicardData", "AutReport", "K3Report", "PROVEN", "lattice_form",
     "has_minus2_class", "has_isotropic_class", "classify", "revalidate_report",
     "picard_from_json", "report_to_json",
     "FibrationData", "PencilClass", "mordell_weil_rank",
     "section_intersection_from_height", "pencil_class_from_sections", "max_singular_fibers_bound",
     "fibration_from_json", "fibration_to_json",
-    "Claim3Input", "Claim3Result", "FamilySpec", "Theorem3Example", "SearchExhausted",
+    "PAPER_ASSERTED", "Claim3Input", "Claim3Result", "FamilySpec", "Theorem3Example", "SearchExhausted",
     "CatalogMismatch", "claim3_search", "claim3_result_to_json", "family", "certify_family",
     "theorem3_example", "theorem3_to_json", "paper_verification",
 ]

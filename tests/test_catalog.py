@@ -22,10 +22,17 @@ from k3lattice.catalog import (
     theorem3_to_json,
 )
 from k3lattice.embeddings import EmbeddedSublattice, induced_gram, is_primitive, primitive_closure
-from k3lattice.k3 import AutReport, PicardData, classify, lattice_form, revalidate_report
+from k3lattice.k3 import AutReport, PicardData, lattice_form, revalidate_report
 from k3lattice.lattices import GramLattice, direct_sum, standard_lattice
 from k3lattice.ntheory import is_square
-from k3lattice.qform import BinaryForm, Certificate, RepresentationVerdict, SearchLimits, verify_certificate
+from k3lattice.qform import (
+    BinaryForm,
+    Certificate,
+    RepresentationVerdict,
+    SearchLimits,
+    verdict_to_json,
+    verify_certificate,
+)
 
 from oracles import (
     claim3_reference_walk,
@@ -219,56 +226,70 @@ def test_catalog_inputs_follow_the_exact_int_rule():
             call()
 
 
+def _row(spec):
+    """The family's paper-verify "report" object: the proven report and what the catalog cites."""
+    return catalog._family_report_to_json(spec, certify_family(spec))
+
+
 def test_family_1_certification():
-    report = certify_family(family(1, 5))
-    assert report.label == "family-1(n=5)"
+    spec = family(1, 5)
+    report, row = certify_family(spec), _row(spec)
+    assert spec.label == row["label"] == "family-1(n=5)"
     assert report.has_minus2.kind == "YES"
     assert report.has_isotropic.kind == "NO"
     assert report.has_isotropic.certificate.kind == "LEGENDRE"
-    assert report.aut.verdict == "INFINITE"
-    assert report.aut.status == "PAPER_ASSERTED"
-    assert report.aut.citation == "Nikulin [Ni4]"
-    assert report.extras == {"disc_group_order": 120}
+    # the proven report leaves aut UNKNOWN; the row cites the INFINITE verdict
+    assert (report.aut.verdict, report.aut.status) == ("UNKNOWN", None)
+    aut = row["aut"]
+    assert (aut["verdict"], aut["status"], aut["citation"]) == ("INFINITE", "PAPER_ASSERTED", "Nikulin [Ni4]")
+    assert spec.extras == row["extras"] == {"disc_group_order": 120}
+    assert spec.checks == {"disc_group_order_is_24n": True}
     # the discriminant group order tracks the parameter: |det| = 24 n
     for n in (1, 2, 4, 7):
-        rep = certify_family(family(1, n))
-        assert rep.extras["disc_group_order"] == 24 * n
-
+        assert family(1, n).extras["disc_group_order"] == 24 * n
+        assert family(1, n).checks == {"disc_group_order_is_24n": True}
 
 
 def test_family_1_at_n_1_asserts_no_aut_verdict():
     # <6> + <-2> + <-2> has finite Aut (Vinberg's walk from (1, 0, 0) closes
     # on a compact right-angled hexagon), so the Nikulin overlay, which holds
-    # only for large n, must not fire here; only the engine may decide it.
+    # only for large n, must not fire here: the rules leave aut UNKNOWN, and
+    # nothing is cited in its place
     spec = family(1, 1)
     assert spec.aut_overlay is None and spec.expected["aut"] == "FINITE"
     for spec in (family(1), family(1, 1)):
-        aut = certify_family(spec).aut
-        assert aut.verdict != "INFINITE" and aut.status != "PAPER_ASSERTED" and aut.citation is None
+        assert certify_family(spec).aut.verdict == "UNKNOWN"
+        aut = _row(spec)["aut"]
+        assert aut["verdict"] == "UNKNOWN" and "status" not in aut and "citation" not in aut
     for n in (2, 4, 5):
-        aut = certify_family(family(1, n)).aut
-        assert (aut.verdict, aut.status, aut.citation) == ("INFINITE", "PAPER_ASSERTED", "Nikulin [Ni4]")
+        spec = family(1, n)
+        assert certify_family(spec).aut.verdict == "UNKNOWN"
+        aut = _row(spec)["aut"]
+        assert (aut["verdict"], aut["status"], aut["citation"]) == ("INFINITE", "PAPER_ASSERTED", "Nikulin [Ni4]")
 
 
 def test_family_2_certification():
-    report = certify_family(family(2))
+    spec = family(2)
+    report = certify_family(spec)
     assert report.has_minus2.kind == "NO"
     assert report.has_minus2.certificate.data["divisor"] == 4
     assert report.has_isotropic.kind == "YES"
     assert report.aut.verdict == "INFINITE" and report.aut.status == "PROVEN"
-    assert report.aut.citation is None
-    assert report.extras == {"primitive_zeros_height_30": 44}
+    assert "citation" not in _row(spec)["aut"]
+    assert spec.extras == {"primitive_zeros_height_30": 44}
+    assert spec.checks == {"at_least_10_primitive_zeros_height_30": True}
 
 
 def test_family_3_certification():
-    report = certify_family(family(3))
+    spec = family(3)
+    report = certify_family(spec)
     assert report.det == 8  # det U = -1 times det <-8>
     assert report.has_minus2.kind == "YES"
     assert report.has_isotropic.kind == "YES"
-    assert report.aut.verdict == "INFINITE"
-    assert report.aut.status == "PAPER_ASSERTED"
-    assert report.aut.citation == "Shioda [Sh]"
-    assert report.extras == {
+    assert report.aut.verdict == "UNKNOWN"
+    aut = _row(spec)["aut"]
+    assert (aut["verdict"], aut["status"], aut["citation"]) == ("INFINITE", "PAPER_ASSERTED", "Shioda [Sh]")
+    assert spec.extras == {
         "mordell_weil_rank": 1,
         "section_height": 8,
         "c0_dot_c1": 2,
@@ -276,42 +297,54 @@ def test_family_3_certification():
         "pencil_is_pencil": True,
         "max_singular_fibers": 24,
     }
+    assert spec.checks == {"mordell_weil_rank_1": True, "c0_dot_c1_is_2": True, "pencil_square_0": True}
 
 
 def test_family_4_certification():
-    report = certify_family(family(4))
+    spec = family(4)
+    report = certify_family(spec)
     assert report.has_minus2.kind == "NO"
     assert report.has_isotropic.kind == "NO"
     assert report.aut.verdict == "INFINITE" and report.aut.status == "PROVEN"
+    assert spec.extras == spec.checks == {} and spec.assertions == ()
+    assert not {"extras", "assertions"} & set(_row(spec))
 
 
 def test_family_5_certification():
-    report = certify_family(family(5))
+    spec = family(5)
+    report = certify_family(spec)
     assert report.det == 2
+    assert spec.checks == {"det_is_2": True}
     assert report.has_minus2.kind == "YES"
     assert report.has_isotropic.kind == "YES"
-    assert report.aut.verdict == "FINITE"
-    assert report.aut.status == "PAPER_ASSERTED"
-    assert report.aut.citation == "Nikulin [Ni3]"
-    assert len(report.assertions) == 3
-    for item in report.assertions:
+    assert report.aut.verdict == "UNKNOWN"
+    aut = _row(spec)["aut"]
+    assert (aut["verdict"], aut["status"], aut["citation"]) == ("FINITE", "PAPER_ASSERTED", "Nikulin [Ni3]")
+    assert len(spec.assertions) == 3
+    assert _row(spec)["assertions"] == list(spec.assertions)
+    for item in spec.assertions:
         assert item["status"] == "PAPER_ASSERTED"
         assert item["citation"] == "Nikulin [Ni3]; Kondo [Ko1]"
-    statements = " ".join(item["statement"] for item in report.assertions)
+    statements = " ".join(item["statement"] for item in spec.assertions)
     assert "24 smooth rational curves" in statements
     assert "S3 x mu2" in statements
 
 
 def test_aut_overlays_carry_provenance_only():
     # an overlay names its reason and citation; the asserted verdict is the
-    # expected table's
+    # expected table's, and the row repeats the report's own sub-verdicts
     for fid, n in [(1, 5), (3, None), (5, None)]:
         spec = family(fid, n)
         assert set(spec.aut_overlay) == {"reason", "citation"}
         report = certify_family(spec)
-        aut = report.aut
-        assert (aut.verdict, aut.status) == (spec.expected["aut"], "PAPER_ASSERTED")
-        assert (aut.reason, aut.citation) == (spec.aut_overlay["reason"], spec.aut_overlay["citation"])
+        assert report.aut.verdict == "UNKNOWN"
+        aut = _row(spec)["aut"]
+        assert (aut["verdict"], aut["status"]) == (spec.expected["aut"], "PAPER_ASSERTED")
+        assert (aut["reason"], aut["citation"]) == (spec.aut_overlay["reason"], spec.aut_overlay["citation"])
+        assert (aut["minus2"], aut["isotropic"]) == (
+            verdict_to_json(report.has_minus2),
+            verdict_to_json(report.has_isotropic),
+        )
 
 
 def test_certified_families_revalidate():
@@ -320,42 +353,41 @@ def test_certified_families_revalidate():
         report = certify_family(spec)
         sub = EmbeddedSublattice(K3, spec.generators)
         assert revalidate_report(PicardData(induced_gram(sub)), report), spec.label
-
-
-def test_forged_aut_entries_are_refused_when_the_report_is_built():
-    # the certified families revalidate; a stored aut entry is only a cited
-    # FINITE or INFINITE overlay where the rank rules say UNKNOWN, and any
-    # other entry is refused before a report exists
-    reports = {}
-    for fid, n in [(1, 5), (2, None), (3, None), (4, None), (5, None)]:
-        spec = family(fid, n)
-        reports[fid] = report = certify_family(spec)
         assert revalidate_report(PicardData(GramLattice(3, spec.target_gram)), report), spec.label
-    asserted = reports[3]
-    assert asserted.aut is asserted.aut_overlay and asserted.aut.status == "PAPER_ASSERTED"
+
+
+def test_forged_aut_overlays_are_refused_by_certify_family():
+    # an overlay is only a cited FINITE or INFINITE verdict, and certify_family,
+    # where overlays are read, refuses any other before a report exists
+    spec = family(3)
     for forged in (
-        AutReport("FINITE", "trust me"),  # a verdict with no citation
-        dataclasses.replace(asserted.aut, citation=None),
-        dataclasses.replace(asserted.aut, citation=""),
-        dataclasses.replace(asserted.aut, verdict="UNKNOWN"),  # an assertion of nothing
+        dataclasses.replace(spec, aut_overlay={"reason": "trust me"}),  # a verdict with no citation
+        dataclasses.replace(spec, aut_overlay={**spec.aut_overlay, "citation": None}),
+        dataclasses.replace(spec, aut_overlay={**spec.aut_overlay, "citation": ""}),
+        dataclasses.replace(spec, expected={**spec.expected, "aut": "UNKNOWN"}),  # an assertion of nothing
     ):
-        with pytest.raises(ValueError, match="aut overlay"):
-            dataclasses.replace(asserted, aut_overlay=forged)
-    # a citation cannot replace what the rank rules prove
-    report = classify(PicardData(GramLattice(2, ((2, 0), (0, -16)))))
-    assert (report.aut.verdict, report.aut.status) == ("INFINITE", "PROVEN")
-    with pytest.raises(ValueError, match="aut overlay"):
-        dataclasses.replace(report, aut_overlay=AutReport("FINITE", "asserted", "anyone"))
-    with pytest.raises(TypeError):
-        dataclasses.replace(report, aut=AutReport("FINITE", "asserted", "anyone"))
-    # U's rules prove FINITE, so no overlay may stand there either
-    report = classify(PicardData(standard_lattice("U")))
-    with pytest.raises(ValueError, match="aut overlay"):
-        dataclasses.replace(report, aut_overlay=AutReport("INFINITE", "asserted", "anyone"))
-    # nor may an overlay survive a sub-verdict that lets the rules decide
+        with pytest.raises(CatalogMismatch, match="family-3: an aut overlay must be a cited FINITE or INFINITE"):
+            certify_family(forged)
+    # a citation cannot replace what the rank rules prove: family 4's double NO proves INFINITE
+    cited = {"reason": "asserted", "citation": "anyone"}
+    spec = family(4)
+    contradicted = dataclasses.replace(spec, aut_overlay=cited, expected={**spec.expected, "aut": "FINITE"})
+    with pytest.raises(CatalogMismatch, match="proven aut verdict INFINITE contradicts expected FINITE"):
+        certify_family(contradicted)
+    # where the rules decide aut, an overlay is never read: the row keeps the proof and cites nothing
+    aut = _row(dataclasses.replace(spec, aut_overlay=cited))["aut"]
+    assert (aut["verdict"], aut["status"]) == ("INFINITE", "PROVEN") and "citation" not in aut
+    # a report stores no aut entry at all, cited or not
+    report = certify_family(family(3))
+    for name in ("aut_overlay", "aut"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, **{name: AutReport("INFINITE", "asserted")})
+    # and a sub-verdict forged to let the rules decide takes the citation out of the row
     fake_no = RepresentationVerdict.no(Certificate("DIVISIBILITY", {"divisor": 3}))
-    with pytest.raises(ValueError, match="aut overlay"):
-        dataclasses.replace(asserted, has_minus2=fake_no)
+    forged = dataclasses.replace(report, has_minus2=fake_no)
+    aut = catalog._family_report_to_json(family(3), forged)["aut"]
+    assert (aut["verdict"], aut["status"]) == ("INFINITE", "PROVEN") and "citation" not in aut
+    assert not revalidate_report(PicardData(forged.lattice), forged)
 
 
 def test_corrupted_family_spec_raises():

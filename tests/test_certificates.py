@@ -218,11 +218,12 @@ def test_output_bytes_are_pinned():
         if kl.signature(lattice) == (1, n - 1, 0):
             reports.append(kl.report_to_json(kl.classify(kl.PicardData(lattice))))
     assert _sha256_of_lines(reports) == "74a01da70918710791b9f896934b32f8b4191e924cef4bceb94d92deb4c62253"
-    # family 1 at n off the multiples of 3, the others with n omitted and with n = 7 (ignored)
+    # family 1 at n off the multiples of 3, the others with n omitted and with n = 7 (ignored);
+    # each repr ends with the family's extras and checks
     specs = [kl.family(1, n) for n in (1, 2, 4, 5, 7, 8, 10, 11)]
     specs += [kl.family(f) for f in range(2, 6)] + [kl.family(f, 7) for f in range(2, 6)]
     spec_bytes = "\n".join(repr(s) for s in specs).encode()
-    assert hashlib.sha256(spec_bytes).hexdigest() == "a5b4cbe45a08cedf758580a3cd9e21602b103e8c1d2eeaf559b4ff41060d8c8c"
+    assert hashlib.sha256(spec_bytes).hexdigest() == "3c2f89b9e89579a7b945a3801afa6a0755a55142082187ea7785d04c939201d5"
 
 
 def test_legendre_tampering():
@@ -399,9 +400,9 @@ def test_replays_refuse_a_certificate_of_the_wrong_shape():
     assert not verify_certificate(BinaryForm(1, 0, -2), 3, Certificate("SIEVE", {"modulus": 8}))
     # the zero form represents 0
     assert not verify_certificate(BinaryForm(0, 0, 0), 0, Certificate("NONSQUARE_DISC", {"disc": 0}))
-    # LEGENDRE needs three nonzero coefficients
-    legendre = Certificate("LEGENDRE", {"reduced": [1, 0, -3], "condition": 0})
-    assert not verify_certificate(DiagonalTernaryForm(1, 0, -3), 0, legendre)
+    # LEGENDRE needs three nonzero coefficients, and no diagonal ternary form has fewer
+    with pytest.raises(ValueError, match="diagonal coefficients must be nonzero"):
+        DiagonalTernaryForm(1, 0, -3)
     # certificate data must be a dict, and JSON data an object, not a list of pairs
     q3 = DiagonalTernaryForm(1, 1, 1)
     assert verify_certificate(q3, 7, Certificate("SIEVE", {"modulus": 8}))

@@ -135,6 +135,15 @@ def test_k3_classify_refuses_a_lattice_of_no_k3(capsys):
     code, out, err = run(capsys, "k3", "classify", json.dumps({"lattice": {"gram": gram}}))
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: no K3 Picard lattice: rank 12, discriminant length 12 (a K3 needs rank <= 20, rank + length <= 22)\n"
+    # an odd lattice, <1> + <-1>, is the Picard lattice of no K3 either
+    code, out, err = run(capsys, "k3", "classify", '{"lattice": {"gram": [[1, 0], [0, -1]]}}')
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: no K3 Picard lattice: odd diagonal entries [1, -1] (a K3 Picard lattice is even)\n"
+
+
+def test_qform_represents_refuses_a_zero_diagonal_coefficient(capsys):
+    code, out, err = run(capsys, "qform", "represents", '{"diag": [0, 1, 1]}', "--t", "0")
+    assert (code, out, err) == (EXIT_ERROR, "", "error: diagonal coefficients must be nonzero\n")
 
 
 def test_claim3_found_and_not_found(capsys):

@@ -102,8 +102,9 @@ def test_definite_sign():
     assert DiagonalTernaryForm(1, 2, 3).definite_sign == 1
     assert DiagonalTernaryForm(-1, -2, -3).definite_sign == -1
     assert DiagonalTernaryForm(1, -2, 3).definite_sign is None
-    assert DiagonalTernaryForm(1, 0, 3).definite_sign is None
-    assert DiagonalTernaryForm(-1, -1, 0).definite_sign is None
+    for zero in ((1, 0, 3), (-1, -1, 0)):  # no diagonal ternary form has a zero coefficient
+        with pytest.raises(ValueError, match="diagonal coefficients must be nonzero"):
+            DiagonalTernaryForm(*zero)
 
 
 def test_definite_sign_agrees_with_values():

@@ -94,10 +94,10 @@ def test_frozen_value_decisions():
 
 
 def test_zero_diagonal_rejected():
-    with pytest.raises(ValueError):
-        ternary_represents_zero(DiagonalTernaryForm(0, 1, 1))
-    with pytest.raises(ValueError):
-        ternary_represents(DiagonalTernaryForm(1, 0, -1), 3)
+    # the constructor refuses the form, so no decider ever sees it
+    for zero in ((0, 1, 1), (1, 0, -1), (0, 0, 0)):
+        with pytest.raises(ValueError, match="diagonal coefficients must be nonzero"):
+            DiagonalTernaryForm(*zero)
 
 
 def test_undecided_reports_bounds():
