@@ -122,49 +122,56 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     ascending) and return the first hyperbolic, primitive, certified
     double-NO plane spanned by l and n*a + h inside the K3 lattice.
 
-    The two branches fix the scaling: n = A*N, m = A*M when A >= 2 (making
-    the form divisible by 2A), and n = 4N, m = 4M when A = 1 (pinning the
-    form to 2x^2 + 8NBxy + 8(4N^2*C - M)y^2, which is 0 or 2 mod 8).
+    The scaling is n = kN, m = kM with k = A when A >= 2 (making the form
+    divisible by 2A), and k = 4 when A = 1 (pinning the form to
+    2x^2 + 8NBxy + 8(4N^2*C - M)y^2, which is 0 or 2 mod 8). With
+    d = B^2 - 4AC and w = k*N^2*d + 4A*M the form's discriminant is 4k*w, so
+    the plane is hyperbolic exactly when w > 0 and has no zero exactly when
+    k*w is not a square: integer tests, and the form, the deciders and the
+    vectors come only at the first pair that passes. Along a diagonal
+    N + M = s, w only decreases when d < 0, so the diagonal ends at its first
+    failure; when d >= 0, w >= 4AM > 0 never fails. For d < 0 the walk starts
+    at s0 = 2 + floor(k|d| / 4A), the first diagonal whose pair N = 1 is
+    hyperbolic, and a diagonal whose first pair fails ends it: from
+    s = bound + 1 on that pair is (s - bound, bound), and each later one has
+    a larger N. So no pair is visited when none can be hyperbolic.
 
-    The plane is hyperbolic exactly when disc/4 = n^2(B^2 - 4AC) + 4Am > 0,
-    tested on integers before any vector or form is built. Along a diagonal
-    N + M = s, n grows and m shrinks, so for B^2 - 4AC < 0 that quantity
-    only decreases and the diagonal ends at its first failure; for
-    B^2 - 4AC >= 0 it is at least 4Am > 0 and never fails. The first double-NO
-    plane is returned, and it is primitive: l has 1, 0 and the generator 0, 1
-    at coordinates 0 and 4, so that 2 x 2 minor is 1 and both invariant
-    factors are 1 (Newman, Integral Matrices, 1972). The minor is checked, and
-    the Gram, paired through the U^3 rows of the K3 Gram, is cross-checked
+    The plane returned is primitive: l has 1, 0 and the generator 0, 1 at
+    coordinates 0 and 4, so that 2 x 2 minor is 1 and both invariant factors
+    are 1 (Newman, Integral Matrices, 1972). The minor is checked, and the
+    Gram, paired through the U^3 rows of the K3 Gram, is cross-checked
     against the closed form.
     """
     if exact_int(bound) < 1:
         raise ValueError("bound must be positive")
-    u3_gram = [row[:6] for row in standard_lattice("K3").gram[:6]]
     a_, b_, c_ = inputs.A, inputs.B, inputs.C
-    d_ = b_ * b_ - 4 * a_ * c_
-    vec_l = _k3_vector({0: 1, 1: a_})
-    for s in range(2, 2 * bound + 1):
-        for big_n in range(max(1, s - bound), min(bound, s - 1) + 1):
-            big_m = s - big_n
-            if a_ >= 2:
-                n, m = a_ * big_n, a_ * big_m
-            else:
-                n, m = 4 * big_n, 4 * big_m
-            if n * n * d_ + 4 * a_ * m <= 0:
+    k = a_ if a_ >= 2 else 4
+    kd, a4 = k * (b_ * b_ - 4 * a_ * c_), 4 * a_
+    for s in range(2 + -kd // a4 if kd < 0 else 2, 2 * bound + 1):
+        lo = max(1, s - bound)
+        for big_n in range(lo, min(bound, s - 1) + 1):
+            w = kd * big_n * big_n + a4 * (s - big_n)
+            if w <= 0:
                 break  # not hyperbolic, nor is the rest of this diagonal
+            if is_square(k * w):
+                continue
+            big_m = s - big_n
+            n, m = k * big_n, k * big_m
             q = BinaryForm(2 * a_, 2 * n * b_, 2 * (n * n * c_ - m))
             zero = qform.binary_represents_zero(q)
             if zero.kind != "NO":
-                continue
+                raise RuntimeError("internal error: the zero decider did not answer NO on a nonsquare discriminant")
             # NO by construction: content 2A >= 4 for A >= 2, values 0 or 2 mod 8 (LOCAL at 2) for A = 1
             minus2 = qform.binary_represents(q, -2)
             if minus2.kind != "NO":
                 raise RuntimeError("internal error: the -2 decider did not answer NO on a claim-3 plane")
             # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32; both vectors vanish
             # off the U^3 coordinates 0..5, and zero rows do not change the Gram
+            vec_l = _k3_vector({0: 1, 1: a_})
             gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})
             if vec_l[0] * gen[4] - vec_l[4] * gen[0] != 1:
                 raise RuntimeError("internal error: the plane's minor on coordinates 0 and 4 is not 1")
+            u3_gram = [row[:6] for row in standard_lattice("K3").gram[:6]]
             cols = (vec_l[:6], gen[:6])
             g_cols = [[sum(map(mul, row, c)) for row in u3_gram] for c in cols]
             got = tuple(tuple(sum(map(mul, x, gy)) for gy in g_cols) for x in cols)
@@ -184,6 +191,8 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
                 minus2_verdict=minus2,
                 invariant_factors=(1, 1),
             )
+        if w <= 0 and big_n == lo:
+            break  # the first pair fails, and so does every later diagonal's
     raise SearchExhausted(f"no certified plane found with N, M <= {bound}", bound)
 
 

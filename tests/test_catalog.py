@@ -137,6 +137,61 @@ def test_claim3_matches_reference_walk_by_discriminant_sign():
                 _assert_matches_reference_walk(a, b, c, bound)
 
 
+def test_claim3_matches_reference_walk_with_negative_b_and_c():
+    for a, b, c in [(1, -1, -1), (2, -3, 1), (3, -1, -4), (5, -7, 2), (1, -2, 3), (7, -5, -3), (12, -11, 11)]:
+        for bound in (1, 2, 7, 50):
+            _assert_matches_reference_walk(a, b, c, bound)
+
+
+def test_claim3_walk_starts_at_s0_and_stops_at_a_failing_first_pair(monkeypatch):
+    # s0 = 2 + floor(k|d| / 4A) is the first diagonal whose pair N = 1 is
+    # hyperbolic; from s = bound + 1 on, a diagonal whose first pair
+    # (s - bound, bound) is not hyperbolic ends the walk. Every case exhausts
+    # its bound, after as many integer square tests as hyperbolic pairs walked
+    squares = []
+    monkeypatch.setattr(catalog, "is_square", lambda x: squares.append(x) or is_square(x))
+    cases = [
+        # (A, B, C), bound, s0, square tests
+        ((1, 0, 2), 7, 10, 0),  # s0 past bound + 1: its first pair (3, 7) fails
+        ((1, -2, 3), 7, 10, 0),
+        ((1, 0, 13), 50, 54, 0),
+        ((1, 0, 5), 7, 22, 0),  # s0 past 2 * bound: no diagonal is walked
+        ((1, 0, 1), 1, 6, 0),
+        ((3, -1, 1), 1, 4, 0),
+        ((1, 0, 26), 50, 106, 0),
+        ((12, -11, 11), 50, 103, 0),
+        # s0 = bound + 1: the pair (1, bound) has a square discriminant, and
+        # the next diagonal's first pair (2, bound) fails
+        ((2, -10, 13), 2, 3, 1),
+        ((2, 0, 3), 7, 8, 1),
+        ((4, 3, 13), 50, 51, 1),
+    ]
+    for (a, b, c), bound, s0, tests in cases:
+        k = a if a >= 2 else 4
+        assert 2 + k * (4 * a * c - b * b) // (4 * a) == s0 > bound, (a, b, c)
+        _assert_matches_reference_walk(a, b, c, bound)
+        squares.clear()
+        with pytest.raises(SearchExhausted):
+            claim3_search(Claim3Input(a, b, c), bound)
+        assert len(squares) == tests, (a, b, c, bound)
+
+
+def test_claim3_far_bound_does_no_work(monkeypatch):
+    # d = -4C puts s0 = 2 + 4C past 2 * bound for C = 10**12, where a walk over
+    # every diagonal would take about half an hour, and between bound + 1 and
+    # 2 * bound for C = 375 * 10**6, where the first diagonal's first pair
+    # fails and ends the walk before 5 * 10**8 more diagonals
+    calls = []
+    monkeypatch.setattr(catalog, "is_square", lambda x: calls.append("is_square"))
+    for name in ("binary_represents_zero", "binary_represents"):
+        monkeypatch.setattr(qform, name, lambda *args, name=name: calls.append(name))
+    for c in (10**12, 375 * 10**6):
+        with pytest.raises(SearchExhausted) as exc:
+            claim3_search(Claim3Input(1, 0, c), 10**9)
+        assert exc.value.bound == 10**9
+    assert calls == []
+
+
 def _claim3_grid(bound):
     """claim3_search over the benchmark grid A 1..12, B, C 0..11: the results
     of the inputs that do not exhaust the bound."""
@@ -193,6 +248,35 @@ def test_claim3_plane_the_minus2_decider_leaves_open_raises(monkeypatch):
     monkeypatch.setattr(qform, "binary_represents", undecided)
     for inputs in (Claim3Input(1, 0, 0), Claim3Input(2, 3, 1)):
         with pytest.raises(RuntimeError, match="internal error: the -2 decider"):
+            claim3_search(inputs)
+
+
+def test_claim3_grid_runs_each_decider_once_per_found_plane(monkeypatch):
+    # the zero question of every other pair is settled by an integer square
+    # test, and an exhausted input reaches no decider
+    calls = []
+    for name in ("binary_represents_zero", "binary_represents"):
+        decider = getattr(qform, name)
+        monkeypatch.setattr(qform, name, lambda *args, name=name, decider=decider: calls.append(name) or decider(*args))
+    found = 0
+    for a, b, c in product(range(1, 13), range(12), range(12)):
+        calls.clear()
+        try:
+            claim3_search(Claim3Input(a, b, c), 50)
+        except SearchExhausted:
+            assert calls == [], (a, b, c)
+        else:
+            found += 1
+            assert calls == ["binary_represents_zero", "binary_represents"], (a, b, c)
+    assert found == 1338
+
+
+def test_claim3_plane_the_zero_decider_leaves_open_raises(monkeypatch):
+    # the search only stops at a pair whose discriminant is not a square, so
+    # the zero answer there is NO; any other answer is a decider regression
+    monkeypatch.setattr(qform, "binary_represents_zero", lambda q: RepresentationVerdict.undecided({"patched": 1}))
+    for inputs in (Claim3Input(1, 0, 0), Claim3Input(2, 3, 1)):
+        with pytest.raises(RuntimeError, match="internal error: the zero decider"):
             claim3_search(inputs)
 
 
