@@ -243,9 +243,6 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
         (("k3", "classify", '{"lattice": {"gram": [[0,1,0],[1,0,0],[0,0,-8]]}}'), EXIT_OK, "k3_classify_u_m8.json"),
         (("claim3", "--A", "1", "--B", "0", "--C", "0", "--format", "table"), EXIT_OK, "claim3_a1_table.txt"),
         (("claim3", "--A", "1", "--B", "0", "--C", "0", "--claim3-bound", "1"), EXIT_UNDECIDED, "claim3_a1_not_found.json"),
-        # s0 = 2 + 4 * 10**12 lies past 2 * bound, so the walk visits no pair
-        (("claim3", "--A", "1", "--B", "0", "--C", "1000000000000", "--claim3-bound", "1000000000"), EXIT_UNDECIDED,
-         "claim3_far_not_found.json"),
         (("mw", "rank", '{"rho": 20, "reducible_fiber_component_counts": [9, 9, 3]}'), EXIT_OK, "mw_rank.json"),
         # rank-2 PROVEN INFINITE: the aut entry repeats two NO certificates
         (("k3", "classify", '{"lattice": {"gram": [[2, 0], [0, -16]]}}'), EXIT_OK, "k3_classify_2_m16.json"),
@@ -262,6 +259,9 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
         # budgeted rho split finds, where the cycle walk runs past its 100000 steps
         (("qform", "represents", '{"binary": [-333292374, 949056661, 595529271]}', "--t", "13"), EXIT_OK,
          "qform_represents_local3.json"),
+        # s0 = 2 + 4 * 10**12 lies past 2 * bound, so the walk visits no pair
+        (("claim3", "--A", "1", "--B", "0", "--C", "1000000000000", "--claim3-bound", "1000000000"), EXIT_UNDECIDED,
+         "claim3_far_not_found.json"),
     ],
 )
 def test_other_commands_match_golden_output(capsys, args, expected_code, golden):
