@@ -123,11 +123,12 @@ def test_claim3_matches_reference_walk_on_sampled_grid():
 
 
 def test_claim3_matches_reference_walk_by_discriminant_sign():
-    # B^2 - 4AC < 0 ends diagonals early; = 0 and > 0 never do
+    # B^2 - 4AC < 0 ends diagonals early; = 0 and > 0 never do; negative B
+    # and C as well
     cases = {
-        -1: [(1, 0, 1), (3, 1, 5), (5, 3, 7), (12, 11, 11)],
-        0: [(1, 2, 1), (2, 4, 2), (3, 6, 3), (4, 4, 1)],
-        1: [(1, 3, 1), (1, 5, 0), (2, 1, 0), (7, 11, 2)],
+        -1: [(1, 0, 1), (3, 1, 5), (5, 3, 7), (12, 11, 11), (1, -2, 3), (12, -11, 11)],
+        0: [(1, 2, 1), (2, 4, 2), (3, 6, 3), (4, 4, 1), (1, -2, 1), (3, -6, 3)],
+        1: [(1, 3, 1), (1, 5, 0), (2, 1, 0), (7, 11, 2), (1, -1, -1), (2, -3, 1), (3, -1, -4), (5, -7, 2), (7, -5, -3)],
     }
     for sign, triples in cases.items():
         for a, b, c in triples:
@@ -135,12 +136,6 @@ def test_claim3_matches_reference_walk_by_discriminant_sign():
             assert (d > 0) - (d < 0) == sign
             for bound in (1, 2, 7, 50):
                 _assert_matches_reference_walk(a, b, c, bound)
-
-
-def test_claim3_matches_reference_walk_with_negative_b_and_c():
-    for a, b, c in [(1, -1, -1), (2, -3, 1), (3, -1, -4), (5, -7, 2), (1, -2, 3), (7, -5, -3), (12, -11, 11)]:
-        for bound in (1, 2, 7, 50):
-            _assert_matches_reference_walk(a, b, c, bound)
 
 
 def test_claim3_walk_starts_at_s0_and_stops_at_a_failing_first_pair(monkeypatch):
