@@ -14,6 +14,7 @@ UNKNOWN.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import gcd
 from operator import mul
@@ -117,6 +118,13 @@ def _k3_vector(entries: dict[int, int]) -> tuple[int, ...]:
     return tuple(v)
 
 
+@cache
+def _u3_entries() -> tuple[tuple[int, int, int], ...]:
+    """The nonzero entries (i, j, g_ij) of the U^3 block (indices 0..5) of the K3 Gram."""
+    gram = standard_lattice("K3").gram
+    return tuple((i, j, gram[i][j]) for i in range(6) for j in range(6) if gram[i][j])
+
+
 def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     """Walk (N, M) pairs in the diagonal order (N+M ascending, then N
     ascending) and return the first hyperbolic, primitive, certified
@@ -139,8 +147,8 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
     The plane returned is primitive: l has 1, 0 and the generator 0, 1 at
     coordinates 0 and 4, so that 2 x 2 minor is 1 and both invariant factors
     are 1 (Newman, Integral Matrices, 1972). The minor is checked, and the
-    Gram, paired through the U^3 rows of the K3 Gram, is cross-checked
-    against the closed form.
+    Gram, paired through the nonzero entries of the K3 Gram's U^3 block (both
+    vectors vanish off it), is cross-checked against the closed form.
     """
     if exact_int(bound) < 1:
         raise ValueError("bound must be positive")
@@ -166,15 +174,13 @@ def claim3_search(inputs: Claim3Input, bound: int = 50) -> Claim3Result:
             if minus2.kind != "NO":
                 raise RuntimeError("internal error: the -2 decider did not answer NO on a claim-3 plane")
             # generator = n*a + h with a = B*e12 + e21 + C*e22, h = e31 - m*e32; both vectors vanish
-            # off the U^3 coordinates 0..5, and zero rows do not change the Gram
-            vec_l = _k3_vector({0: 1, 1: a_})
-            gen = _k3_vector({1: n * b_, 2: n, 3: n * c_, 4: 1, 5: -m})
+            # off the U^3 coordinates 0..5, so the Gram needs only the U^3 block's nonzero entries
+            vec_l = (1, a_) + (0,) * 20
+            gen = (0, n * b_, n, n * c_, 1, -m) + (0,) * 16
             if vec_l[0] * gen[4] - vec_l[4] * gen[0] != 1:
                 raise RuntimeError("internal error: the plane's minor on coordinates 0 and 4 is not 1")
-            u3_gram = [row[:6] for row in standard_lattice("K3").gram[:6]]
-            cols = (vec_l[:6], gen[:6])
-            g_cols = [[sum(map(mul, row, c)) for row in u3_gram] for c in cols]
-            got = tuple(tuple(sum(map(mul, x, gy)) for gy in g_cols) for x in cols)
+            cols, entries = (vec_l, gen), _u3_entries()
+            got = tuple(tuple([sum([g * x[i] * y[j] for i, j, g in entries]) for y in cols]) for x in cols)
             expected = ((2 * a_, n * b_), (n * b_, 2 * (n * n * c_ - m)))
             if got != expected:
                 raise RuntimeError("internal error: induced Gram differs from the closed form")

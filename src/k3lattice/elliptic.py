@@ -34,6 +34,8 @@ class FibrationData:
         comps = tuple(map(exact_int, reducible_fiber_component_counts))
         if rho < 2:
             raise ValueError("a fibration needs Picard rank at least 2")
+        if rho > 20:
+            raise ValueError(f"a complex K3 has Picard rank at most 20, got rho = {rho}")
         if any(m < 2 for m in comps):
             raise ValueError("a reducible fiber has at least 2 components")
         excess = sum(m - 1 for m in comps)

@@ -5,6 +5,7 @@ import dataclasses
 import random
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -204,13 +205,32 @@ def _claim3_grid(bound):
 def test_claim3_invariant_factors_match_the_smith_form():
     # every plane the grid accepts at bound 50 is primitive: the Smith form
     # of its 6 x 2 U^3 block has invariant factors (1, 1), which the result
-    # records
+    # records, and its Gram is the dense K3 pairing of its two 22-vectors
+    k3 = standard_lattice("K3")
     results = _claim3_grid(50)
     assert len(results) == 1338
     for res in results:
         block = [[p, q] for p, q in zip(res.vector_l[:6], res.vector_generator[:6])]
         factors = tuple(matrices.smith_normal_form(block).invariant_factors())
         assert factors == res.invariant_factors == (1, 1), res.inputs
+        cols = (res.vector_l, res.vector_generator)
+        assert res.gram == tuple(tuple(k3.pairing(x, y) for y in cols) for x in cols), res.inputs
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (2, 3), (4, 5), (0, 0)])
+def test_claim3_gram_cross_check_reads_the_k3_gram(monkeypatch, entry):
+    # the cross-check pairs through the U^3 entries read from the K3 Gram, so
+    # one changed entry there makes the search refuse the plane it finds
+    gram = [list(row) for row in standard_lattice("K3").gram]
+    gram[entry[0]][entry[1]] = 2
+    changed = SimpleNamespace(gram=tuple(map(tuple, gram)))
+    monkeypatch.setattr(catalog, "standard_lattice", lambda name: changed if name == "K3" else standard_lattice(name))
+    catalog._u3_entries.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="induced Gram differs from the closed form"):
+            claim3_search(Claim3Input(2, 1, 3))
+    finally:
+        catalog._u3_entries.cache_clear()
 
 
 def test_claim3_grid_takes_no_smith_form_or_matrix_product(monkeypatch):

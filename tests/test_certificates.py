@@ -6,7 +6,7 @@ import functools
 import hashlib
 import json
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import isqrt
 
 import pytest
@@ -201,7 +201,7 @@ def test_output_bytes_are_pinned():
     # the JSON of the census verdicts (cycle-walk YES and CYCLE NO among
     # them) and of 300 seeded classify reports on even hyperbolic Grams of
     # rank 2 to 4, hashed as the CLI sorts their keys, and the repr of the
-    # catalog's family specs. A change that moves an output byte updates
+    # catalog's family specs, and the claim3 grid. A change that moves an output byte updates
     # these hashes and says which bytes moved
     verdicts = [verdict_to_json(v) for _, _, v in _census()]
     assert _sha256_of_lines(verdicts) == "4f5b67dd090275ec1d3c0a63ce8ed6395d79b64eacd9030f6ba45465b3b33e0d"
@@ -224,6 +224,15 @@ def test_output_bytes_are_pinned():
     specs += [kl.family(f) for f in range(2, 6)] + [kl.family(f, 7) for f in range(2, 6)]
     spec_bytes = "\n".join(repr(s) for s in specs).encode()
     assert hashlib.sha256(spec_bytes).hexdigest() == "3c2f89b9e89579a7b945a3801afa6a0755a55142082187ea7785d04c939201d5"
+    # claim3_search over the benchmark grid A 1..12, B, C 0..11 at bound 50:
+    # the result JSON, or the SearchExhausted message and bound
+    grid = []
+    for a, b, c in product(range(1, 13), range(12), range(12)):
+        try:
+            grid.append(kl.claim3_result_to_json(kl.claim3_search(kl.Claim3Input(a, b, c), 50)))
+        except kl.SearchExhausted as e:
+            grid.append({"exhausted": str(e), "bound": e.bound})
+    assert _sha256_of_lines(grid) == "61493dac7b3f2418ebcf67ce07dc7a14e5608894e1a0feba9751d1706178a786"
 
 
 def test_legendre_tampering():

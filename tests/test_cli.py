@@ -262,6 +262,9 @@ def test_lattice_commands_match_golden_output(capsys, args, golden):
         # s0 = 2 + 4 * 10**12 lies past 2 * bound, so the walk visits no pair
         (("claim3", "--A", "1", "--B", "0", "--C", "1000000000000", "--claim3-bound", "1000000000"), EXIT_UNDECIDED,
          "claim3_far_not_found.json"),
+        # A = 5, d = -31: found at N = 1, M = 9, and the generator is nonzero at
+        # U^3 coordinates 1 to 5, every one a generator can reach
+        (("claim3", "--A", "5", "--B", "-3", "--C", "2"), EXIT_OK, "claim3_a5_bm3_c2.json"),
     ],
 )
 def test_other_commands_match_golden_output(capsys, args, expected_code, golden):
@@ -448,6 +451,13 @@ def test_has_section_accepts_only_json_booleans(capsys, value, shown):
     code, out, err = run(capsys, "mw", "rank", '{"rho": 20, "has_section": %s}' % value)
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: expected true or false, got {shown}\n"
+
+
+def test_a_picard_rank_past_20_is_refused(capsys):
+    # a complex K3 has rho <= 20, so its Mordell-Weil rank is at most 18
+    code, out, err = run(capsys, "mw", "rank", '{"rho": 21}')
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: a complex K3 has Picard rank at most 20, got rho = 21\n"
 
 
 # the flags each subcommand accepts besides --format, which all of them take

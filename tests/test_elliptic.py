@@ -16,6 +16,8 @@ from k3lattice.elliptic import (
 def test_fibration_validation():
     with pytest.raises(ValueError):
         FibrationData(1)  # rank too small
+    with pytest.raises(ValueError, match="at most 20"):
+        FibrationData(21)  # a complex K3 has rho <= 20
     with pytest.raises(ValueError):
         FibrationData(5, [1])  # a reducible fiber has >= 2 components
     with pytest.raises(ValueError):
