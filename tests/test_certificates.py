@@ -200,9 +200,9 @@ def _sha256_of_lines(objs) -> str:
 def test_output_bytes_are_pinned():
     # the JSON of the census verdicts (cycle-walk YES and CYCLE NO among
     # them) and of 300 seeded classify reports on even hyperbolic Grams of
-    # rank 2 to 4, hashed as the CLI sorts their keys, and the repr of the
-    # catalog's family specs, and the claim3 grid. A change that moves an output byte updates
-    # these hashes and says which bytes moved
+    # rank 2 to 4, hashed as the CLI sorts their keys, the repr of the
+    # catalog's family specs, and the claim3 grid. A change that moves an
+    # output byte updates these hashes and says which bytes moved
     verdicts = [verdict_to_json(v) for _, _, v in _census()]
     assert _sha256_of_lines(verdicts) == "4f5b67dd090275ec1d3c0a63ce8ed6395d79b64eacd9030f6ba45465b3b33e0d"
     rng = random.Random(30)
