@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
 
 from . import lattices, qform
 from .embeddings import lattice_or_sublattice_from_json
@@ -91,10 +90,12 @@ def lattice_form(lattice: GramLattice):
 def _witness_scan(lattice: GramLattice, t: int):
     """Cheap YES-only scan for the rank >= 3 shapes lattice_form has no form
     for: basis vectors, pairwise sums/differences, then the box |v_i| <= 2
-    at rank 3 or 4 in product order. The box splits each vector as (head, y, x):
-    q = q(head, 0, 0) + ly * y + lx * x + q(0, y, x), where the 25 tail
-    terms q(0, y, x) are computed once per lattice and q(head, 0, 0), ly and
-    lx once per head, so each (y, x) costs two products."""
+    at rank 3 or 4 in product order. The box walks rank 3 as rank 4 with the
+    first coordinate held at 0 and splits each vector as (u, w, y, x):
+    q = q(u, w, 0, 0) + ly * y + lx * x + q(0, 0, y, x), where the 25 tail
+    terms q(0, 0, y, x) are computed once per lattice and q(u, w, 0, 0), ly
+    and lx once per head (u, w) as closed-form products, so each (y, x)
+    costs two products."""
     g = lattice.gram
     n = lattice.rank
     for i in range(n):
@@ -108,21 +109,18 @@ def _witness_scan(lattice: GramLattice, t: int):
                     v[i], v[j] = 1, s
                     return tuple(v)
     if 3 <= n <= 4:
-        h = n - 2
-        gyy, gyx, gxx = g[h][h], g[h][h + 1], g[h + 1][h + 1]
+        rows = g if n == 4 else [[0] * 4] + [[0, *row] for row in g]
+        (guu, guw, guy, gux), (_, gww, gwy, gwx), (*_, gyy, gyx), (*_, gxx) = rows
         tail = [
             (y, x, y * (gyy * y + 2 * gyx * x) + gxx * x * x)
             for y, x in product(range(-2, 3), repeat=2)
         ]
-        head_rows = [row[:h] for row in g[:h]]
-        col_y = [2 * row[h] for row in g[:h]]
-        col_x = [2 * row[h + 1] for row in g[:h]]
-        for head in product(range(-2, 3), repeat=h):
-            r = t - sum(map(mul, head, (sum(map(mul, row, head)) for row in head_rows)))
-            ly, lx = sum(map(mul, col_y, head)), sum(map(mul, col_x, head))
+        for u, w in product(range(-2, 3) if n == 4 else (0,), range(-2, 3)):
+            r = t - u * (guu * u + 2 * guw * w) - gww * w * w
+            ly, lx = 2 * (guy * u + gwy * w), 2 * (gux * u + gwx * w)
             for y, x, c in tail:
-                if ly * y + lx * x + c == r and (x or y or any(head)):
-                    return qform._canonical_sign(head + (y, x))
+                if ly * y + lx * x + c == r and (x or y or u or w):
+                    return qform._canonical_sign((u, w, y, x)[4 - n:])
     return None
 
 

@@ -4,7 +4,7 @@ Verdicts are YES with an exact witness, NO with a certificate that
 verify_certificate can replay without any unbounded search, or UNDECIDED
 with the bounds that were exhausted. NO is never "search gave up".
 Binary t != 0 tries LOCAL before the cycle and the search; ternary t != 0
-first sieves at the prime powers <= _SIEVE_CAP of the primes of 2 d1 d2 d3.
+first sieves at the prime powers <= _SIEVE_CAP that can obstruct q = t.
 """
 
 from __future__ import annotations
@@ -747,26 +747,43 @@ def _ternary_residues(q: DiagonalTernaryForm, m: int):
 _SIEVE_CAP = 64  # the largest SIEVE modulus: one bound for the ternary sieve and its replay
 # (m, p) for each prime power 2 < m = p**j <= _SIEVE_CAP, in increasing order
 _SIEVE_POWERS = sorted((p**j, p) for p in _SMALL_PRIMES for j in range(1, _SIEVE_CAP.bit_length()) if 2 < p**j <= _SIEVE_CAP)
-# the squares mod m, once per m: x**2 = (m - x)**2 mod m, so x <= m // 2 gives every one
-_squares_mod = cache(lambda m: frozenset(x * x % m for x in range(m // 2 + 1)))
+_SIEVE_PRIMES = sorted({p for _, p in _SIEVE_POWERS})
+
+
+@cache
+def _scaled_squares(d: int, m: int) -> frozenset:
+    # d x**2 mod m for d = a coefficient mod m, so at most sum(m of _SIEVE_POWERS) keys; x <= m // 2 gives every one
+    return frozenset(d * x * x % m for x in range(m // 2 + 1))
 
 
 def _ternary_hit(q: DiagonalTernaryForm, t: int, m: int) -> bool:
     # t % m in _ternary_residues(q, m), stopping at the first hit; the SIEVE replay builds the whole set
-    s1, s2, s3 = ({d * s % m for s in _squares_mod(m)} for d in q.coefficients())
+    s1, s2, s3 = (_scaled_squares(d % m, m) for d in q.coefficients())
     return any((t - u - v) % m in s3 for u in s1 for v in s2)
 
 
+def _sieve_top(q: DiagonalTernaryForm, t: int, p: int) -> int:
+    # the largest power of p that can hold the sieve's least miss, 0 for none
+    if p > 2 and t % p and sum(x % p == 0 for x in q.coefficients()) < 2:
+        return 0
+    return p ** (_split(t, p)[0] + max(_split(x, p)[0] for x in q.coefficients()) + (3 if p == 2 else 1))
+
+
 def _ternary_sieve(q: DiagonalTernaryForm, t: int) -> int | None:
-    """Least prime power m of _SIEVE_POWERS, of a prime p | 2 d1 d2 d3, at
-    which t != 0 (past DIVISIBILITY, so a value mod 2) is not a value of q,
-    or None; at any other odd p, q is unimodular and represents all of Z_p.
-    For N = v_p(t) + max v_p(d_i) + 1 (+ 2 at p = 2), a solution mod p**N has
-    a coordinate with v_p(d_i) + 2 v_p(x_i) <= v_p(t) that Hensel's lemma
-    lifts along: a miss at any power of p is a miss at p**N, and where p**N
-    <= _SIEVE_CAP the sieve decides q = t over Z_p exactly."""
+    """Least prime power m of _SIEVE_POWERS at which t != 0 (past
+    DIVISIBILITY, so a value mod 2) is not a value of q, or None. Of each
+    p | 2 d1 d2 d3 it tries the powers up to p**N, N = v_p(t) + max v_p(d_i)
+    + 1 (+ 2 at p = 2), and none where p is odd and divides one d_i but not t:
+    there the two unit coefficients form a nondegenerate binary form over
+    F_p, which represents the unit t and lifts to every p**j (Cassels, ch. 8);
+    at an odd p of none of the d_i, q is unimodular and represents Z_p. A solution
+    mod p**N has a coordinate with v_p(d_i) + 2 v_p(x_i) <= v_p(t) that
+    Hensel's lemma lifts along: a miss at any power of p is a miss at p**N,
+    which comes first, and where p**N <= _SIEVE_CAP the sieve decides q = t
+    over Z_p exactly."""
     prod = 2 * q.d1 * q.d2 * q.d3
-    return next((m for m, p in _SIEVE_POWERS if prod % p == 0 and not _ternary_hit(q, t, m)), None)
+    tops = {p: _sieve_top(q, t, p) for p in _SIEVE_PRIMES if prod % p == 0}
+    return next((m for m, p in _SIEVE_POWERS if m <= tops.get(p, 0) and not _ternary_hit(q, t, m)), None)
 
 
 def ternary_represents(q: DiagonalTernaryForm, t: int, limits: SearchLimits | None = None) -> RepresentationVerdict:

@@ -461,6 +461,21 @@ def ternary_ladder_reference(d1: int, d2: int, d3: int, t: int):
     return None
 
 
+def ternary_sieve_walk_reference(d1: int, d2: int, d3: int, t: int):
+    """The first prime power 2 < m <= 64 of a prime p | 2 d1 d2 d3, walking
+    every such m in increasing order, at which t is not a value of d1 x^2 +
+    d2 y^2 + d3 z^2 mod m, or None. The value set mod m is the sum of the
+    three sets d_i x^2 mod m over every x < m."""
+    for m in range(3, 65):
+        p = next(r for r in range(2, m + 1) if m % r == 0)
+        if m != p ** _valuation(m, p) or 2 * d1 * d2 * d3 % p:
+            continue
+        sets = [{d * x * x % m for x in range(m)} for d in (d1, d2, d3)]
+        if t % m not in {(u + v + w) % m for u in sets[0] for v in sets[1] for w in sets[2]}:
+            return m
+    return None
+
+
 def _valuation(n: int, p: int) -> int:
     k = 0
     while n % p == 0:

@@ -1,5 +1,6 @@
 """Diagonal ternary decider: isotropy, target values, zero enumeration."""
 
+import collections
 import json
 import math
 import random
@@ -26,6 +27,7 @@ from oracles import (
     primitive_zeros_reference,
     ternary_ladder_reference,
     ternary_residue_hit_reference,
+    ternary_sieve_walk_reference,
     ternary_witness,
     ternary_zero_witness,
     ternary_zp_exponent,
@@ -198,8 +200,10 @@ def test_sieve_certificates_replay_without_the_deciders_kernel(monkeypatch):
     # so a decider whose membership test always misses emits false SIEVE
     # certificates, and the verifier's own value-set replay rejects them all.
     # The false modulus is the least prime power the sieve tries: 3 when 3
-    # divides d1 d2 d3, else 4
-    cases = [((1, 1, -1), 5, 4), ((2, 3, -7), -2, 3), ((1, -2, 3), 2, 3), ((5, -3, -1), -2, 3), ((5, 7, -1), 3, 4)]
+    # divides two of d1, d2, d3 (or one and t), else 4, as the sieve skips
+    # an odd p that divides one coefficient and not t
+    cases = [((1, 1, -1), 5, 4), ((2, 3, -7), -2, 4), ((1, -2, 3), 2, 4), ((5, -3, -1), -2, 4), ((5, 7, -1), 3, 4)]
+    cases += [((3, 6, -1), 2, 3)]
     for d, t, _ in cases:
         assert ternary_represents(DiagonalTernaryForm(*d), t).kind == "YES"
     monkeypatch.setattr(qform, "_ternary_hit", lambda q, t, m: False)
@@ -256,6 +260,48 @@ def test_sieve_is_exact_over_z_p_at_its_powers(monkeypatch):
             checks, misses = checks + 1, misses + (not zp)
         assert qform._ternary_sieve(q, t) == min(answers, default=None), (d, t)
     assert (checks, misses) == (3849, 81)
+
+
+def test_pruned_sieve_answers_the_plain_walk():
+    # the sieve skips each odd p that divides one coefficient and not t, and
+    # the powers of p past p**N; neither holds the least miss, so it returns
+    # the modulus of the walk over every prime power <= 64 of every p | 2 d1
+    # d2 d3. Queries as drawn, with coefficients times 4, 9, 12, 25 or 49,
+    # and with t times a power of an odd prime that divides a coefficient
+    primes = [p for p in range(3, 65) if all(p % r for r in range(2, p))]
+    rng = random.Random(36)
+    queries = _seeded_indefinite_queries(36, 300)
+    scaled = [(tuple(x * rng.choice((4, 9, 12, 25, 49)) for x in d), t) for d, t in queries]
+    queries += [(d, t) for d, t in scaled if t % math.gcd(*d) == 0]
+    for d, t in queries[:400]:
+        if shared := [p for p in primes if any(x % p == 0 for x in d)]:
+            queries.append((d, t * rng.choice(shared) ** rng.randint(1, 3)))
+    found, skipping = collections.Counter(), 0
+    for d, t in queries:
+        m = qform._ternary_sieve(DiagonalTernaryForm(*d), t)
+        assert m == ternary_sieve_walk_reference(*d, t), (d, t, m)
+        found[m] += 1
+        skipping += any(t % p and sum(x % p == 0 for x in d) == 1 for p in primes)
+    assert (len(queries), skipping) == (901, 819)
+    assert found == {None: 437, 4: 155, 3: 108, 8: 47, 16: 43, 5: 28, 7: 22, 9: 20, 25: 16, 49: 10, 32: 7, 27: 4, 17: 2, 13: 1, 37: 1}
+
+
+def test_sieve_residue_cache_is_bounded_by_its_moduli():
+    # the value sets d x**2 mod m are cached by (d mod m, m): after sieving
+    # coefficients of every size up to 10**12 at every modulus, the cache
+    # holds at most one set per residue of each modulus
+    bound = sum(m for m, _ in qform._SIEVE_POWERS)
+    assert bound == 733
+    qform._scaled_squares.cache_clear()
+    rng = random.Random(12)
+    for k in range(1, 13):
+        for _ in range(100):
+            q = DiagonalTernaryForm(*(rng.choice((-1, 1)) * rng.randint(10 ** (k - 1), 10**k) for _ in range(3)))
+            t = rng.choice((-2, rng.randint(1, 500)))
+            qform._ternary_sieve(q, t)
+            for m, _ in qform._SIEVE_POWERS:
+                qform._ternary_hit(q, t, m)
+    assert qform._scaled_squares.cache_info().currsize == bound
 
 
 def test_sieve_census_against_the_fixed_ladder():
