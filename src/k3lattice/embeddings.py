@@ -154,10 +154,13 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
 
 
 def sublattice_from_json(obj) -> EmbeddedSublattice:
-    """Accepts {"ambient": <lattice>, "basis": [[...], ...]} with basis columns
-    in ambient coordinates."""
+    """Accepts exactly {"ambient": <lattice>, "basis": [[...], ...]} with basis
+    columns in ambient coordinates; any other key is refused."""
     if not isinstance(obj, dict) or "ambient" not in obj or "basis" not in obj:
         raise ValueError('sublattice JSON needs "ambient" and "basis"')
+    extra = [key for key in obj if key not in ("ambient", "basis")]
+    if extra:
+        raise ValueError(f'sublattice JSON takes only "ambient" and "basis"; got {extra}')
     ambient = lattice_from_json(obj["ambient"])
     return EmbeddedSublattice(ambient, obj["basis"])
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
@@ -128,10 +129,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
@@ -182,21 +180,27 @@ def aut_index_bound(invariant_factors) -> int:
 
 
 def lattice_from_json(obj) -> GramLattice:
-    """Accepts {"rank", "gram"}, {"name": ...}, or {"sum": [...]}."""
+    """Accepts exactly one of {"gram": [[...], ...]} with an optional "rank",
+    {"name": <standard lattice>} and {"sum": [<lattice>, ...]}. Any other key
+    is refused, so a field nothing reads is never silently dropped."""
     if not isinstance(obj, dict):
         raise ValueError("lattice JSON must be an object")
-    if "name" in obj:
+    kind = next((key for key in ("name", "sum", "gram") if key in obj), None)
+    if kind is None:
+        raise ValueError('lattice JSON needs one of "gram", "name", "sum"')
+    fields = ("gram", "rank") if kind == "gram" else (kind,)
+    extra = [key for key in obj if key not in fields]
+    if extra:
+        raise ValueError(f"lattice JSON with {kind!r} takes only {list(fields)}; got {extra}")
+    if kind == "name":
         return standard_lattice(obj["name"])
-    if "sum" in obj:
+    if kind == "sum":
         parts = obj["sum"]
         if not isinstance(parts, list):
             raise ValueError('"sum" must be a list of lattices')
         return direct_sum(*[lattice_from_json(p) for p in parts])
-    if "gram" in obj:
-        gram = obj["gram"]
-        rank = obj.get("rank", len(gram))
-        return GramLattice(rank, gram)
-    raise ValueError('lattice JSON needs one of "gram", "name", "sum"')
+    gram = obj["gram"]
+    return GramLattice(obj.get("rank", len(gram)), gram)
 
 
 def lattice_to_json(lattice: GramLattice) -> dict:

@@ -3,8 +3,8 @@
 Matrices are plain lists of row lists of Python ints, with fractions.Fraction
 only in rational_inverse's output, so no overflow and no rounding anywhere.
 Two eliminations do all the work: one fraction-free symmetric Bareiss pass,
-which det and inertia both read, and the Smith normal form, which gives every
-inverse the package needs (from U M V = D, M^-1 = V D^-1 U).
+which det and inertia both read, and the Smith normal form U M V = D, whose
+fixed pivot rule makes U and V reproducible; M^-1 = V D^-1 U gives every inverse.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ def copy_matrix(m) -> Matrix:
 
 
 def transpose(m) -> Matrix:
-    if not m:
-        return []
-    return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
+    return [list(col) for col in zip(*m)]
 
 
 def mat_mul(a, b) -> Matrix:
@@ -159,99 +157,81 @@ class SmithDecomposition:
         return [x for x in self.diagonal() if x != 0]
 
 
-def _pivot_min_abs(a, k, rows, cols):
-    best = None
+def _pivot_min_abs(w, k, rows, cols):
+    # the first entry of least nonzero |value| in the block [k:, k:], row-major
+    best = pos = None
     for i in range(k, rows):
+        row = w[i]
         for j in range(k, cols):
-            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
+            x = abs(row[j])
+            if x and (pos is None or x < best):
+                best, pos = x, (i, j)
+    return pos
 
 
 def smith_normal_form(m) -> SmithDecomposition:
-    """Smith normal form with tracked unimodular factors; each step pivots on
-    an entry of least absolute value in the remaining block."""
+    """Smith normal form U m V = D with tracked unimodular factors.
+
+    U and V are part of the contract (primitive_closure reads its generators
+    off V), so the operations are fixed. For each k: swap the first entry of
+    least nonzero |value| in the block [k:, k:] (row-major) to (k, k); reduce
+    the entries below it, then right of it, in order by floor division, and on
+    the first nonzero remainder swap that row (column) into place k and pick
+    again; with both clear, add to row k the first row with an entry the
+    pivot does not divide, and pick again. Last, negate a negative pivot's column.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if any(len(row) != cols for row in m):
         raise ValueError("ragged matrix")
-    a = copy_matrix(m)
-    u = identity(rows)
-    v = identity(cols)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    # w is [m | I] over [I]: a row operation on the top rows acts on m and U
+    # at once, a column operation on the first cols columns on m and V
+    w = [list(row) + e for row, e in zip(m, identity(rows))] + identity(cols)
 
     def row_add(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        w[dst] = [x + q * y for x, y in zip(w[dst], w[src])]
+
+    def col_swap(i, j):
+        for row in w:
+            row[i], row[j] = row[j], row[i]
 
     def col_add(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
+        for row in w:
             row[dst] += q * row[src]
 
+    def clear_column(k):  # the first row left with a remainder, or None
+        for i in range(k + 1, rows):
+            if w[i][k]:
+                row_add(i, k, -(w[i][k] // w[k][k]))
+                if w[i][k]:
+                    return i
+
+    def clear_row(k):  # the first column left with a remainder, or None
+        for j in range(k + 1, cols):
+            if w[k][j]:
+                col_add(j, k, -(w[k][j] // w[k][k]))
+                if w[k][j]:
+                    return j
+
     for k in range(min(rows, cols)):
-        while True:
-            pos = _pivot_min_abs(a, k, rows, cols)
-            if pos is None:
-                break
-            if pos != (k, k):
-                if pos[0] != k:
-                    row_swap(k, pos[0])
-                if pos[1] != k:
-                    col_swap(k, pos[1])
-            # Euclidean descent: a remainder that survives reduction is
-            # strictly smaller than the pivot, so promoting it guarantees
-            # termination.
-            restart = False
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    row_add(i, k, -q)
-                    if a[i][k] != 0:
-                        row_swap(k, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    col_add(j, k, -q)
-                    if a[k][j] != 0:
-                        col_swap(k, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # pivot must divide the whole remaining block or the chain breaks
-            stray = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % a[k][k] != 0:
-                        stray = i
-                        break
-                if stray is not None:
+        # a surviving remainder is smaller than the pivot it replaces: this ends
+        while (pos := _pivot_min_abs(w, k, rows, cols)) is not None:
+            w[k], w[pos[0]] = w[pos[0]], w[k]
+            if pos[1] != k:
+                col_swap(k, pos[1])
+            if (i := clear_column(k)) is not None:
+                w[k], w[i] = w[i], w[k]
+            elif (j := clear_row(k)) is not None:
+                col_swap(k, j)
+            else:
+                p = w[k][k]
+                stray = next((i for i in range(k + 1, rows) if any(x % p for x in w[i][k + 1 : cols])), None)
+                if stray is None:
                     break
-            if stray is None:
-                break
-            row_add(k, stray, 1)
-        if pos is None:
-            break
-    n = min(rows, cols)
-    for i in range(n):
-        if a[i][i] < 0:
-            col_add(i, i, -2)  # negate column i keeping V unimodular
-    return SmithDecomposition(a, u, v)
+                row_add(k, stray, 1)
+        if w[k][k] < 0:
+            col_add(k, k, -2)  # negate column k keeping V unimodular
+    return SmithDecomposition([r[:cols] for r in w[:rows]], [r[cols:] for r in w[:rows]], w[rows:])
 
 
 def _inverse_factors(m) -> tuple[Matrix, list[int], Matrix]:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from k3lattice.embeddings import (
     extend_by_identity,
     induced_gram,
     is_primitive,
+    lattice_or_sublattice_from_json,
     orthogonal_complement,
     primitive_closure,
     sublattice_from_json,
@@ -271,6 +273,22 @@ def test_sublattice_json_roundtrip():
     assert again.ambient.gram == k3.gram
     with pytest.raises(ValueError):
         sublattice_from_json({"ambient": {"name": "U"}})
+
+
+@pytest.mark.parametrize(
+    "obj, extra",
+    [
+        ({"ambient": {"name": "U"}, "basis": [[1, 0]], "gram": [[4]]}, "['gram']"),
+        ({"ambient": {"name": "U"}, "basis": [[1, 0]], "name": "U", "rank": 1}, "['name', 'rank']"),
+        ({"ambient": {"name": "U", "rank": 2}, "basis": [[1, 0]]}, "['rank']"),
+    ],
+)
+def test_sublattice_from_json_refuses_extra_keys(obj, extra):
+    with pytest.raises(ValueError, match=re.escape(f"got {extra}")):
+        sublattice_from_json(obj)
+    # the CLI's lattice-or-sublattice reader goes through the same check
+    with pytest.raises(ValueError, match=re.escape(f"got {extra}")):
+        lattice_or_sublattice_from_json(obj)
 
 
 def test_embedded_sublattice_and_isometry_refuse_non_integers():

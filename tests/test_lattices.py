@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,23 @@ def test_lattice_json_roundtrip():
         lattice_from_json([1, 2])
     with pytest.raises(ValueError, match='"sum" must be a list of lattices'):
         lattice_from_json({"sum": 3})
+
+
+@pytest.mark.parametrize(
+    "obj, extra",
+    [
+        # read as U (det -1) before, not as <2> + <-2> (det -4)
+        ({"name": "U", "gram": [[2, 0], [0, -2]]}, "['gram']"),
+        ({"gram": [[2]], "rnak": 5}, "['rnak']"),
+        ({"sum": [{"name": "U"}], "rank": 2}, "['rank']"),
+        ({"name": "U", "sum": [{"name": "U"}]}, "['sum']"),
+        ({"gram": [[2]], "basis": [[1]]}, "['basis']"),
+        ({"sum": [{"name": "U", "note": "x"}]}, "['note']"),
+    ],
+)
+def test_lattice_from_json_refuses_extra_keys(obj, extra):
+    with pytest.raises(ValueError, match=re.escape(f"got {extra}")):
+        lattice_from_json(obj)
 
 
 def test_gram_lattice_refuses_non_integers():

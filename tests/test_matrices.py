@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -212,3 +213,36 @@ def test_mat_mul_dimension_mismatch():
         matrices.mat_mul([[1, 2]], [])
     with pytest.raises(ValueError, match="dimension mismatch in matrix-vector product"):
         matrices.mat_vec([[1, 2]], [1])
+
+
+def _smith_pin_inputs():
+    # seeded sparse-ish matrices of every shape 0-7 x 1-7, the empty inputs,
+    # the K3 Gram and the 22 x 22 [B | C] that extend_by_identity inverts
+    # for B = (e0, e1) in K3
+    from k3lattice.embeddings import EmbeddedSublattice, orthogonal_complement
+
+    rng = random.Random(137)
+    inputs = [[], [[]]]
+    for rows in range(8):
+        for cols in range(1, 8):
+            for _ in range(12):
+                m = random_matrix(rng, rows, cols, -12, 12)
+                inputs.append([[x if rng.random() >= 0.3 else 0 for x in row] for row in m])
+    k3 = standard_lattice("K3")
+    inputs.append([list(r) for r in k3.gram])
+    sub = EmbeddedSublattice(k3, [[int(i == j) for i in range(22)] for j in range(2)])
+    b = sub.basis_matrix()
+    c = orthogonal_complement(sub).basis_matrix()
+    inputs.append([b[i] + c[i] for i in range(22)])
+    return inputs
+
+
+def test_smith_factors_are_pinned():
+    # primitive_closure reads its generators off V, so U, D and V (not only
+    # the diagonal) are part of the output contract
+    h = hashlib.sha256()
+    for m in _smith_pin_inputs():
+        snf = matrices.smith_normal_form(m)
+        h.update(repr((snf.d, snf.u, snf.v)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == "7e77e42382aa20ebad4c081e8ea2178ea0567eed23eaf4f8ec8355d328c3e4f7"
