@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ntheory import exact_int
+from .ntheory import exact_int, exact_keys
 
 __all__ = [
     "FibrationData",
@@ -67,14 +67,13 @@ class PencilClass:
     of an elliptic pencil (the fiber type itself is not determined here)."""
 
     square: int
-    is_pencil: bool
+    is_pencil = property(lambda self: self.square == 0)
 
 
 def pencil_class_from_sections(c1_sq: int, c2_sq: int, c1_dot_c2: int) -> PencilClass:
     if exact_int(c1_sq) != -2 or exact_int(c2_sq) != -2:
         raise ValueError("both classes must have self-intersection -2")
-    square = -4 + 2 * exact_int(c1_dot_c2)
-    return PencilClass(square=square, is_pencil=(square == 0))
+    return PencilClass(-4 + 2 * exact_int(c1_dot_c2))
 
 
 def max_singular_fibers_bound() -> int:
@@ -83,8 +82,7 @@ def max_singular_fibers_bound() -> int:
 
 
 def fibration_from_json(obj) -> FibrationData:
-    if not isinstance(obj, dict) or "rho" not in obj:
-        raise ValueError('fibration JSON needs "rho"')
+    exact_keys(obj, "fibration", ("rho",), ("reducible_fiber_component_counts", "has_section"))
     has_section = obj.get("has_section", True)
     if type(has_section) is not bool:
         raise ValueError(f"expected true or false, got {has_section!r}")

@@ -8,7 +8,7 @@ from operator import mul
 from . import matrices
 from .lattices import GramLattice, lattice_from_json, lattice_to_json
 from .matrices import smith_normal_form
-from .ntheory import exact_int
+from .ntheory import exact_int, exact_keys
 
 __all__ = [
     "EmbeddedSublattice",
@@ -156,11 +156,7 @@ def extend_by_identity(g: IsometryMap, sub: EmbeddedSublattice) -> IsometryMap:
 def sublattice_from_json(obj) -> EmbeddedSublattice:
     """Accepts exactly {"ambient": <lattice>, "basis": [[...], ...]} with basis
     columns in ambient coordinates; any other key is refused."""
-    if not isinstance(obj, dict) or "ambient" not in obj or "basis" not in obj:
-        raise ValueError('sublattice JSON needs "ambient" and "basis"')
-    extra = [key for key in obj if key not in ("ambient", "basis")]
-    if extra:
-        raise ValueError(f'sublattice JSON takes only "ambient" and "basis"; got {extra}')
+    exact_keys(obj, "sublattice", ("ambient", "basis"))
     ambient = lattice_from_json(obj["ambient"])
     return EmbeddedSublattice(ambient, obj["basis"])
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import lattices, qform
+from . import lattices, ntheory, qform
 from .embeddings import lattice_or_sublattice_from_json
 from .lattices import GramLattice, Signature
 from .qform import (
@@ -271,13 +271,7 @@ def report_to_json(report: K3Report) -> dict:
 
 
 def picard_from_json(obj) -> PicardData:
-    """Parse {"lattice": <lattice or sublattice JSON>}; sublattice input
-    contributes its induced Gram matrix. Any other key is refused, so a field
-    nothing reads is never silently dropped."""
-    if not isinstance(obj, dict) or "lattice" not in obj:
-        raise ValueError('Picard data JSON must be an object with a "lattice" field')
-    extra = [key for key in obj if key != "lattice"]
-    if extra:
-        raise ValueError(f'Picard data JSON takes only a "lattice" field; got {extra}')
-    lattice, _ = lattice_or_sublattice_from_json(obj["lattice"])
+    """Parse {"lattice": <lattice or sublattice JSON>} and refuse any other
+    key; sublattice input contributes its induced Gram matrix."""
+    lattice, _ = lattice_or_sublattice_from_json(ntheory.exact_keys(obj, "Picard data", ("lattice",))["lattice"])
     return PicardData(lattice)

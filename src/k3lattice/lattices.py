@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import matrices
 from .matrices import smith_normal_form
-from .ntheory import exact_int, factorize
+from .ntheory import exact_int, exact_keys, factorize
 
 __all__ = [
     "GramLattice",
@@ -181,17 +181,13 @@ def aut_index_bound(invariant_factors) -> int:
 
 def lattice_from_json(obj) -> GramLattice:
     """Accepts exactly one of {"gram": [[...], ...]} with an optional "rank",
-    {"name": <standard lattice>} and {"sum": [<lattice>, ...]}. Any other key
-    is refused, so a field nothing reads is never silently dropped."""
+    {"name": <standard lattice>} and {"sum": [<lattice>, ...]}, and no other key."""
     if not isinstance(obj, dict):
         raise ValueError("lattice JSON must be an object")
     kind = next((key for key in ("name", "sum", "gram") if key in obj), None)
     if kind is None:
         raise ValueError('lattice JSON needs one of "gram", "name", "sum"')
-    fields = ("gram", "rank") if kind == "gram" else (kind,)
-    extra = [key for key in obj if key not in fields]
-    if extra:
-        raise ValueError(f"lattice JSON with {kind!r} takes only {list(fields)}; got {extra}")
+    exact_keys(obj, "lattice", (kind,), ("rank",) if kind == "gram" else ())
     if kind == "name":
         return standard_lattice(obj["name"])
     if kind == "sum":

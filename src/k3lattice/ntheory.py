@@ -1,4 +1,5 @@
-"""Small exact number-theory helpers shared by the form deciders."""
+"""Small exact number-theory helpers shared by the form deciders, and the
+package's two input rules, exact_int for numbers and exact_keys for objects."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ __all__ = [
     "divisors",
     "squarefree_split",
     "exact_int",
+    "exact_keys",
 ]
 
 
@@ -190,3 +192,17 @@ def exact_int(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     return x
+
+
+def exact_keys(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """obj itself when it is a dict with every key of required and none outside
+    required and optional; else ValueError naming the missing or extra keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    missing = [key for key in required if key not in obj]
+    extra = [key for key in obj if key not in required + optional]
+    if missing or extra:
+        *head, last = (f'"{key}"' for key in missing or required + optional)
+        keys = f"{', '.join(head)} and {last}" if head else last
+        raise ValueError(f"{what} JSON needs {keys}" if missing else f"{what} JSON takes only {keys}; got {extra}")
+    return obj

@@ -21,6 +21,7 @@ from .ntheory import (
     divides,
     divisors,
     exact_int,
+    exact_keys,
     factorize,
     is_square,
     sqrt_exact,
@@ -190,12 +191,10 @@ class Certificate:
 
     @staticmethod
     def from_json(obj) -> "Certificate":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("certificate JSON needs a kind")
-        data = obj.get("data", {})
-        if not isinstance(data, dict):
-            raise ValueError("certificate data must be a JSON object")
-        return Certificate(str(obj["kind"]), dict(data))
+        kind, data = exact_keys(obj, "certificate", ("kind",), ("data",))["kind"], obj.get("data", {})
+        if not isinstance(kind, str) or not isinstance(data, dict):
+            raise ValueError("certificate kind must be a string and its data a JSON object")
+        return Certificate(kind, dict(data))
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def verdict_to_json(v: RepresentationVerdict) -> dict:
     return out
 
 
-# JSON key, form class, coefficient count; the first key present wins
+# JSON key, form class, coefficient count; a form JSON holds exactly one key
 _FORM_JSON = (("binary", BinaryForm, 3), ("diag", DiagonalTernaryForm, 3), ("unary", UnaryForm, 1))
 
 
@@ -238,7 +237,7 @@ def form_from_json(obj):
         raise ValueError("form JSON must be an object")
     for key, cls, count in _FORM_JSON:
         if key in obj:
-            value = obj[key]
+            value = exact_keys(obj, "form", (key,))[key]
             if not isinstance(value, (list, tuple)) or len(value) != count:
                 raise ValueError(f'form JSON "{key}" needs exactly {count} integers')
             return cls(*value)  # the constructor refuses non-integers
@@ -1018,8 +1017,8 @@ _VERIFIERS = {
 
 
 def verify_certificate(q, t, cert) -> bool:
-    """Replay a non-representability certificate; False on anything malformed,
-    never an exception."""
+    """Replay a non-representability certificate; False, never an exception, on
+    anything malformed, such as a JSON with a key besides "kind" and "data"."""
     try:
         if isinstance(cert, dict):
             cert = Certificate.from_json(cert)

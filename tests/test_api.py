@@ -129,6 +129,56 @@ def test_numeric_library_arguments_are_exact_ints(call, bad):
         call(bad)
 
 
+_U = lattices.standard_lattice("U")
+
+
+@pytest.mark.parametrize(
+    "reader, writer, value",
+    [
+        (lattices.lattice_from_json, lattices.lattice_to_json, lattices.standard_lattice("E8_neg")),
+        (embeddings.sublattice_from_json, embeddings.sublattice_to_json, embeddings.EmbeddedSublattice(_U, [[1, 1]])),
+        (k3.picard_from_json, lambda data: {"lattice": lattices.lattice_to_json(data.lattice)}, k3.PicardData(_U)),
+        (qform.form_from_json, qform.form_to_json, qform.UnaryForm(-2)),
+        (qform.form_from_json, qform.form_to_json, qform.BinaryForm(2, 1, -3)),
+        (qform.form_from_json, qform.form_to_json, qform.DiagonalTernaryForm(1, 1, -3)),
+        (elliptic.fibration_from_json, elliptic.fibration_to_json, elliptic.FibrationData(5, (3,))),
+        (qform.Certificate.from_json, qform.Certificate.to_json, qform.Certificate("LOCAL", {"prime": 3})),
+    ],
+    ids=["lattice", "sublattice", "picard", "unary", "binary", "diag", "fibration", "certificate"],
+)
+def test_json_readers_take_exactly_the_keys_their_writers_write(reader, writer, value):
+    # reader(writer(x)) == x, and one key more is refused by name, never dropped
+    obj = writer(value)
+    assert reader(obj) == value
+    with pytest.raises(ValueError, match=re.escape("got ['note']")):
+        reader({**obj, "note": 1})
+    with pytest.raises(ValueError, match="JSON must be an object"):
+        reader([obj])
+
+
+@pytest.mark.parametrize(
+    "reader, obj, message",
+    [
+        # read as rho 5 with no reducible fiber, Mordell-Weil rank 3, before
+        (
+            elliptic.fibration_from_json,
+            {"rho": 5, "reducible_fibre_component_counts": [3]},
+            "got ['reducible_fibre_component_counts']",
+        ),
+        # the first shape won and the ternary form was dropped, before
+        (qform.form_from_json, {"binary": [1, 0, 1], "diag": [1, 1, 1]}, 'takes only "binary"; got [\'diag\']'),
+        (qform.form_from_json, {"diag": [1, 1, 1], "unary": [1]}, 'takes only "diag"; got [\'unary\']'),
+        # str(kind) was read as the kind, before
+        (qform.Certificate.from_json, {"kind": ["LOCAL"], "data": {"prime": 3}}, "kind must be a string"),
+        (qform.Certificate.from_json, {"data": {"prime": 3}}, 'certificate JSON needs "kind"'),
+        (embeddings.sublattice_from_json, {"basis": [[1, 0]]}, 'sublattice JSON needs "ambient"'),
+    ],
+)
+def test_json_readers_name_what_they_refuse(reader, obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reader(obj)
+
+
 def test_readme_python_blocks_run_and_print_what_they_say():
     """README's python blocks run in one namespace, in order; each print with
     a trailing comment prints exactly that comment."""

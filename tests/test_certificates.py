@@ -59,6 +59,12 @@ def test_certificates_verify_as_plain_dicts():
     cert = binary_represents(q, -2).certificate
     assert verify_certificate(q, -2, cert.to_json())
     assert verify_certificate(q, -2, {"kind": cert.kind, "data": dict(cert.data)})
+    # a key besides "kind" and "data", or a kind that is not a string, is malformed
+    assert verify_certificate(q, -2, {**cert.to_json(), "note": 1}) is False
+    q, t = BinaryForm(1, 0, -2), 3
+    cert = binary_represents(q, t).certificate
+    assert cert.kind == "LOCAL" and verify_certificate(q, t, cert.to_json()) is True
+    assert verify_certificate(q, t, {**cert.to_json(), "kind": ["LOCAL"]}) is False
 
 
 def test_divisibility_tampering():

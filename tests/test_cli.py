@@ -413,6 +413,8 @@ def test_a_builder_past_the_recursion_limit_is_an_input_error(tmp_path):
         ("[1, 2, 3]", "form JSON must be an object"),
         ('{"binary": [1, 2]}', 'form JSON "binary" needs exactly 3 integers'),
         ('{"ternary": [1, 2, 3]}', 'form JSON needs one of "binary", "diag", "unary"'),
+        # a binary NO before, with the ternary form dropped
+        ('{"binary": [1, 0, 1], "diag": [1, 1, 1]}', 'form JSON takes only "binary"; got [\'diag\']'),
     ],
 )
 def test_form_json_refusals_exit_1_with_their_message(capsys, form, message):
@@ -451,6 +453,13 @@ def test_has_section_accepts_only_json_booleans(capsys, value, shown):
     code, out, err = run(capsys, "mw", "rank", '{"rho": 20, "has_section": %s}' % value)
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: expected true or false, got {shown}\n"
+
+
+def test_a_misspelt_fibration_key_is_refused(capsys):
+    # read as rho 5 with no reducible fiber before, printing rank 3
+    code, out, err = run(capsys, "mw", "rank", '{"rho": 5, "reducible_fibre_component_counts": [3]}')
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: fibration JSON takes only") and "['reducible_fibre_component_counts']" in err
 
 
 def test_a_picard_rank_past_20_is_refused(capsys):

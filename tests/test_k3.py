@@ -423,7 +423,7 @@ def test_picard_from_json():
 )
 def test_picard_from_json_refuses_every_key_but_lattice(key, value):
     # the retired curve-class and polarization fields are refused, not ignored
-    with pytest.raises(ValueError, match=re.escape(f'only a "lattice" field; got [{key!r}]')):
+    with pytest.raises(ValueError, match=re.escape(f'takes only "lattice"; got [{key!r}]')):
         picard_from_json({"lattice": {"name": "U"}, key: value})
 
 
